@@ -42,7 +42,7 @@ from .graph import (
 from .partition import (
     Partition,
     QuotientPair,
-    block_degree_vector,
+    block_degree_matrix,
     color_refinement_oracle,
     quotient,
     random_partition,

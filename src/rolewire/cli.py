@@ -30,6 +30,8 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     InputError,
@@ -278,17 +280,27 @@ def _partition_for(graph: Graph, eps: float, variant: Variant) -> Partition:
 # ---------------------------------------------------------------------------
 
 def _run_gen(ns) -> int:
+    """Write the generated graph as the loader will see it: isolated nodes
+    are dropped (an edge list cannot carry them) and ids compacted, with
+    labels and splits restricted to the nodes kept."""
     out = _outdir(ns.out)
-    graph = make_graph(ns.family, ns.n, seed=ns.seed, p=ns.p)
+    if ns.classes > 0:
+        graph, data = make_dataset(ns.family, ns.n, num_classes=ns.classes,
+                                   seed=ns.seed, p=ns.p)
+    else:
+        graph, data = make_graph(ns.family, ns.n, seed=ns.seed, p=ns.p), None
+    graph, remap = compact_ids(graph)
     with open(out / "graph.txt", "w") as fh:
         dump_edge_list(graph, fh)
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
             "classes": ns.classes}
     if ns.family == "er":
         meta["p"] = repr(ns.p)
-    if ns.classes > 0:
-        _, data = make_dataset(ns.family, ns.n, num_classes=ns.classes,
-                               seed=ns.seed, p=ns.p)
+    if data is not None:
+        kept = np.fromiter(remap, dtype=np.int64)
+        data = NodeData(num_nodes=len(kept), labels=data.labels[kept],
+                        train_mask=data.train_mask[kept], val_mask=data.val_mask[kept],
+                        test_mask=data.test_mask[kept])
         with open(out / "labels.csv", "w") as fh:
             dump_labels_csv(data, fh)
     _write_meta(out / "meta.txt", meta)
@@ -320,12 +332,8 @@ def _run_rewire(ns) -> int:
     variant = Variant.parse(ns.variant)
     part = _partition_for(graph, eps, variant)
     qp = quotient(graph, part)
-    data = _load_data(graph, None, None)
-    features = None
-    if ns.features is not None:
-        with open(ns.features) as fh:
-            features = load_features_csv(fh, graph.num_nodes)
-    rewired = build_rewired(graph, part, qp, variant, features=features, eps=eps)
+    data = _load_data(graph, None, ns.features)
+    rewired = build_rewired(graph, part, qp, variant, features=data.features, eps=eps)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
@@ -436,17 +444,21 @@ def _read_csv_columns(path: str, wanted: Sequence[str]) -> dict[str, list]:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
+    lines = [(lineno, l) for lineno, l in enumerate(text.splitlines(), start=1)
+             if l and not l.startswith("#")]
     if not lines:
         raise InputError(f"{path!r} is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     for col in wanted:
         if col not in header:
             raise InputError(f"{path!r} lacks a {col!r} column")
     idx = {col: header.index(col) for col in wanted}
     out: dict[str, list] = {col: [] for col in wanted}
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
+        if len(parts) != len(header):
+            raise InputError(f"{path!r} line {lineno}: expected {len(header)} "
+                             f"fields, got {len(parts)}")
         for col in wanted:
             out[col].append(parts[idx[col]])
     return out

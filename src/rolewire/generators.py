@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, NodeData, bfs_distances, graph_from_edges
+from .graph import Graph, NodeData, graph_from_edges
 from .seeding import rng_for
 
 __all__ = [
@@ -141,13 +141,53 @@ def make_graph(family: str, n: int, seed: int = 0, p: float = 0.1) -> Graph:
 # Labels and splits
 # ---------------------------------------------------------------------------
 
+ECCENTRICITY_CHUNK = 1 << 18    # bound on per-level (node, source) entries
+
+
+def _bfs_depths(graph: Graph, sources: np.ndarray) -> np.ndarray:
+    """Largest finite BFS distance from each source.
+
+    All sources advance together, one level per pass over the frontier's
+    (node, source) pairs. `stamp` marks reached pairs; stamping each fresh
+    candidate with its position and keeping the candidates whose stamp
+    survived leaves one copy of every pair reached twice in a level.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    stamp = np.full((graph.num_nodes, len(sources)), -1, dtype=np.int64)
+    rows, cols = sources, np.arange(len(sources))
+    stamp[rows, cols] = 0
+    depth = np.zeros(len(sources), dtype=np.int64)
+    level = 0
+    while len(rows):
+        level += 1
+        lo = indptr[rows]
+        span = indptr[rows + 1] - lo
+        ends = np.cumsum(span)
+        pos = np.arange(ends[-1]) + np.repeat(lo - ends + span, span)
+        rows, cols = indices[pos], np.repeat(cols, span)
+        fresh = stamp[rows, cols] < 0
+        rows, cols = rows[fresh], cols[fresh]
+        ids = np.arange(len(rows))
+        stamp[rows, cols] = ids
+        kept = stamp[rows, cols] == ids
+        rows, cols = rows[kept], cols[kept]
+        depth[cols] = level
+    return depth
+
+
 def eccentricity_labels(graph: Graph, num_classes: int) -> np.ndarray:
-    """Bin per-component eccentricity into equal-width classes."""
+    """Bin per-component eccentricity into equal-width classes.
+
+    A node's eccentricity is its largest finite BFS distance, so isolated
+    nodes get 0. Sources go in chunks so that no level holds more than
+    about ECCENTRICITY_CHUNK entries.
+    """
     n = graph.num_nodes
     ecc = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        dist = bfs_distances(graph.indptr, graph.indices, u)
-        ecc[u] = dist.max(initial=0)
+    step = max(1, ECCENTRICITY_CHUNK // max(n, len(graph.indices)))
+    for start in range(0, n, step):
+        sources = np.arange(start, min(start + step, n))
+        ecc[sources] = _bfs_depths(graph, sources)
     lo, hi = int(ecc.min()), int(ecc.max())
     if hi == lo:
         return np.zeros(n, dtype=np.int64)

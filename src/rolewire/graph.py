@@ -16,9 +16,11 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     EmptyGraphError,
@@ -85,6 +87,15 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """n x n 0/1 int64 CSR adjacency; products with it count neighbors
+        exactly. Built once per graph and shared by every caller."""
+        n = self.num_nodes
+        return sp.csr_matrix(
+            (np.ones(len(self.indices), dtype=np.int64), self.indices, self.indptr),
+            shape=(n, n))
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v."""

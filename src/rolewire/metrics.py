@@ -20,7 +20,9 @@ from .errors import (
     NoEligibleNodesError,
     NumericError,
 )
-from .graph import Graph, NodeData, UNLABELED, bfs_distances, degree_percentile, one_hot_labels
+from .graph import (
+    Graph, NodeData, UNLABELED, degree_percentile, is_connected, one_hot_labels,
+)
 from .partition import quotient, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
 from .spectral import srl_report
@@ -51,18 +53,6 @@ def _dense_no_loops(adjacency) -> np.ndarray:
     return a
 
 
-def _pattern_connected(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    if n == 1:
-        return True
-    adj = [np.flatnonzero(a[u]) for u in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for u in range(n):
-        indptr[u + 1] = indptr[u] + len(adj[u])
-    indices = np.concatenate(adj) if indptr[-1] else np.zeros(0, dtype=np.int64)
-    return bool((bfs_distances(indptr, indices, 0) >= 0).all())
-
-
 def mean_effective_resistance(
     adjacency,
     origin_count: Optional[int] = None,
@@ -79,7 +69,8 @@ def mean_effective_resistance(
     """
     a = _dense_no_loops(adjacency)
     m = a.shape[0]
-    if not _pattern_connected(a):
+    pattern = sp.csr_matrix(a)
+    if not is_connected(Graph(indptr=pattern.indptr, indices=pattern.indices)):
         raise DisconnectedError("effective resistance needs a connected graph")
     span = m if (all_pairs or origin_count is None) else origin_count
     if span < 2:
@@ -97,12 +88,16 @@ def mean_effective_resistance(
 # Two-hop class similarity
 # ---------------------------------------------------------------------------
 
-def _csr_of(obj: Union[Graph, RewiredGraph]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(indptr, indices, original node count) of the nonzero pattern."""
-    if isinstance(obj, Graph):
-        return obj.indptr, obj.indices, obj.num_nodes
-    adj = obj.adjacency.tocsr()
-    return adj.indptr.astype(np.int64), adj.indices.astype(np.int64), obj.origin_count
+TWO_HOP_CHUNK_NNZ = 1 << 18     # two-walk entries per chunk of centers
+
+
+def _loopless_pattern(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """0/1 int64 CSR of the stored entries off the diagonal."""
+    coo = adjacency.tocoo()
+    off = coo.row != coo.col
+    return sp.csr_matrix(
+        (np.ones(int(off.sum()), dtype=np.int64), (coo.row[off], coo.col[off])),
+        shape=coo.shape)
 
 
 def two_hop_class_similarity(
@@ -116,24 +111,38 @@ def two_hop_class_similarity(
     when they are masked labeled original nodes too (virtual nodes carry
     no labels and never contribute). Centers without any labeled two-hop
     neighbor are skipped.
+
+    The exact-distance-2 sets are the pattern of A0[centers] @ A0 minus
+    the first hop and the center, where A0 is the stored pattern without
+    its diagonal. Only eligible columns are formed, and centers go in
+    chunks of about TWO_HOP_CHUNK_NNZ two-walks, so memory stays bounded
+    next to high-degree virtual nodes.
     """
-    indptr, indices, n = _csr_of(graph_or_rewired)
-    eligible = np.zeros(len(indptr) - 1, dtype=bool)
-    eligible[:n] = mask & (labels != UNLABELED)
-    fractions = []
-    for v in np.flatnonzero(eligible):
-        first = set(int(w) for w in indices[indptr[v]:indptr[v + 1]] if w != v)
-        second = set()
-        for w in first:
-            second.update(int(x) for x in indices[indptr[w]:indptr[w + 1]])
-        second.discard(int(v))
-        second -= first
-        labeled = [u for u in second if u < n and eligible[u]]
-        if not labeled:
-            continue
-        same = sum(1 for u in labeled if labels[u] == labels[v])
-        fractions.append(same / len(labeled))
-    if not fractions:
+    pattern = _loopless_pattern(graph_or_rewired.adjacency)
+    eligible = np.flatnonzero(mask & (labels != UNLABELED))
+    to_eligible = pattern[:, eligible].tocsr()      # A0 restricted to eligible columns
+    eligible_labels = labels[eligible]
+    walks = np.cumsum(pattern[eligible] @ np.diff(to_eligible.indptr))
+    chunks = [np.zeros(0)]
+    start = 0
+    while start < len(eligible):
+        done = walks[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(walks, done + TWO_HOP_CHUNK_NNZ,
+                                                  side="right")))
+        centers = eligible[start:stop]
+        reach = pattern[centers] @ to_eligible
+        reach = (reach - reach.multiply(to_eligible[centers])).tocoo()   # drop hop one
+        center = np.arange(start, stop)[reach.row]
+        keep = (reach.data != 0) & (reach.col != center)
+        row, col = reach.row[keep], reach.col[keep]
+        labeled = np.bincount(row, minlength=stop - start)
+        same = np.bincount(row[eligible_labels[col] == eligible_labels[center[keep]]],
+                           minlength=stop - start)
+        hit = labeled > 0
+        chunks.append(same[hit] / labeled[hit])
+        start = stop
+    fractions = np.concatenate(chunks)
+    if not len(fractions):
         raise NoEligibleNodesError("no masked labeled node has labeled two-hop neighbors")
     return float(np.mean(fractions))
 

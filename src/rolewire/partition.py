@@ -10,10 +10,12 @@ cross-check the eps=0 case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import SizeMismatchError
 from .graph import Graph
@@ -21,7 +23,6 @@ from .graph import Graph
 __all__ = [
     "Partition",
     "QuotientPair",
-    "block_degree_vector",
     "block_degree_matrix",
     "refine_eps_be",
     "validate_aep",
@@ -108,27 +109,31 @@ class QuotientPair:
 # Block-degree counting
 # ---------------------------------------------------------------------------
 
+def _splitter_counts(graph: Graph, block_of: np.ndarray, k: int) -> sp.csr_matrix:
+    """Sparse n x k product A @ R of the adjacency and block membership."""
+    n = graph.num_nodes
+    member = sp.csr_matrix(
+        (np.ones(n, dtype=np.int64), (np.arange(n), block_of)), shape=(n, k))
+    return graph.adjacency @ member
+
+
 def block_degree_matrix(graph: Graph, partition: Partition) -> np.ndarray:
-    """n x k integer matrix; entry (u, j) counts u's neighbors in block j."""
-    n, k = graph.num_nodes, partition.k
-    counts = np.zeros((n, k), dtype=np.int64)
-    for u in range(n):
-        for v in graph.neighbors(u):
-            counts[u, partition.block_of[v]] += 1
-    return counts
-
-
-def block_degree_vector(graph: Graph, partition: Partition, u: int) -> np.ndarray:
-    """Counts of u's neighbors per block; sums to deg(u)."""
-    vec = np.zeros(partition.k, dtype=np.int64)
-    for v in graph.neighbors(u):
-        vec[partition.block_of[v]] += 1
-    return vec
+    """n x k integer matrix A @ R; entry (u, j) counts u's neighbors in
+    block j, so row u sums to deg(u)."""
+    return _splitter_counts(graph, partition.block_of, partition.k).toarray()
 
 
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
+
+def _canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel blocks 0..k-1 in order of their minimum node id."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
 
 def refine_eps_be(graph: Graph, eps: float) -> Partition:
     """Partition with per-block block-degree spread at most eps.
@@ -140,50 +145,57 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
     nodes while count - group_min <= eps. At the fixpoint every block has
     per-coordinate count spread <= eps, so validate_aep holds. Ties break
     on node id everywhere; the result is deterministic.
+
+    Each round takes the splitter counts once as the sparse product A @ R
+    and regroups all current blocks per splitter in one sort. Counts are
+    integers, so `count - group_min > eps` is `count > group_min + slack`
+    with slack = floor(eps); a slack of n never splits (covers inf/nan).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     n = graph.num_nodes
-    part = Partition.from_blocks(n, [list(range(n))])
+    slack = math.floor(eps) if eps < n else n
+    block_of = np.zeros(n, dtype=np.int64)
+    k = 1
     while True:
-        splitters = part.blocks          # round-start snapshot, canonical order
-        current: list[list[int]] = [list(b) for b in part.blocks]
-        for splitter in splitters:
-            in_splitter = np.zeros(n, dtype=bool)
-            in_splitter[list(splitter)] = True
-            next_blocks: list[list[int]] = []
-            for block in current:
-                if len(block) == 1:
-                    next_blocks.append(block)
-                    continue
-                counted = sorted(
-                    ((int(in_splitter[graph.neighbors(u)].sum()), u) for u in block)
-                )
-                groups: list[list[int]] = []
-                group_min = None
-                for cnt, u in counted:
-                    if group_min is None or cnt - group_min > eps:
-                        groups.append([u])
-                        group_min = cnt
-                    else:
-                        groups[-1].append(u)
-                next_blocks.extend(groups)
-            current = next_blocks
-        refined = Partition.from_blocks(n, current)
-        if refined.blocks == part.blocks:
-            return refined
-        part = refined
+        counts = _splitter_counts(graph, block_of, k).tocsc()
+        current = block_of.copy()
+        for s in range(k):
+            cnt = np.zeros(n, dtype=np.int64)
+            lo, hi = counts.indptr[s], counts.indptr[s + 1]
+            cnt[counts.indices[lo:hi]] = counts.data[lo:hi]
+            top = int(cnt.max())
+            if top <= slack:
+                continue               # no block can spread beyond eps
+            order = np.lexsort((cnt, current))     # by block, count, node id
+            blk = current[order]
+            # One ascending key; a block's keys sit more than slack below
+            # the next block's, so a jump never crosses into another block.
+            key = blk * (top + slack + 1) + cnt[order]
+            first = np.ones(n, dtype=bool)
+            first[1:] = blk[1:] != blk[:-1]
+            starts = first.copy()
+            heads = np.flatnonzero(first)
+            while len(heads):
+                nxt = np.searchsorted(key, key[heads] + slack, side="right")
+                nxt = nxt[nxt < n]
+                heads = nxt[~first[nxt]]
+                starts[heads] = True
+            current[order] = np.cumsum(starts) - 1
+        k_next = int(current.max()) + 1
+        if k_next == k:                # refinement only splits: fixpoint
+            return Partition.from_assignment(block_of)
+        block_of, k = _canonical_labels(current), k_next
 
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
     counts = block_degree_matrix(graph, partition)
-    for block in partition.blocks:
-        rows = counts[list(block)]
-        spread = rows.max(axis=0) - rows.min(axis=0)
-        if spread.max(initial=0) > eps:
-            return False
-    return True
+    order = np.argsort(partition.block_of, kind="stable")
+    rows = counts[order]
+    starts = np.flatnonzero(np.diff(partition.block_of[order], prepend=-1))
+    spread = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
+    return not spread.max(initial=0) > eps
 
 
 def quotient(graph: Graph, partition: Partition) -> QuotientPair:
@@ -196,8 +208,7 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     counts = block_degree_matrix(graph, partition)
     k = partition.k
     sums = np.zeros((k, k), dtype=np.int64)
-    for i, block in enumerate(partition.blocks):
-        sums[i] = counts[list(block)].sum(axis=0)
+    np.add.at(sums, partition.block_of, counts)
     sizes = partition.block_sizes().astype(float)
     q = sums / sizes[:, None]
     q_bar = (sums > 0).astype(float)

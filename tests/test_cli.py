@@ -110,6 +110,24 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("ERR:NUMERIC:")
 
+    def test_missing_features_is_3(self, tmp_path, capsys, star_files):
+        code, _, err = run(["rewire", "--graph", star_files / "graph.txt",
+                            "--eps", "0", "--variant", "repnodes",
+                            "--features", tmp_path / "nonexistent",
+                            "--out", tmp_path / "o"], capsys)
+        assert code == 3
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+
+    def test_short_table_row_is_3(self, tmp_path, capsys):
+        table = tmp_path / "candidates.csv"
+        table.write_text("percentile,eps,k,srl,rho,ncs2,srl_star,selected\n0,0,3\n")
+        acc = tmp_path / "a.csv"
+        acc.write_text("percentile,accuracy\n0,0.1\n50,0.2\n")
+        code, _, err = run(["srl-correlate", "--table", table,
+                            "--accuracy", acc], capsys)
+        assert code == 3
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+
     def test_bad_thread_cap_is_3(self, tmp_path, capsys, monkeypatch, star_files):
         monkeypatch.setenv("RAWR_THREADS", "zero")
         code, _, err = run(["select-eps", "--graph", star_files / "graph.txt",
@@ -147,6 +165,20 @@ class TestGenPartition:
         meta = dict(line.split("=", 1)
                     for line in (out / "meta.txt").read_text().splitlines())
         assert meta["k"] == "1" and meta["percentile"] == "100"
+
+
+    def test_gen_drops_isolated_nodes_for_select_eps(self, tmp_path, capsys):
+        # seed 0 leaves nodes 5, 12, 23 and 25 isolated; the loader drops them
+        out = tmp_path / "er"
+        assert run(["gen", "--family", "er", "--n", "30", "--p", "0.06",
+                    "--classes", "3", "--out", out]) == 0
+        labels = (out / "labels.csv").read_text().splitlines()
+        assert len(labels) - 1 == 26
+        assert "n=26" in (out / "meta.txt").read_text().splitlines()
+        code, stdout, err = run(["select-eps", "--graph", out / "graph.txt",
+                                 "--labels", out / "labels.csv"], capsys)
+        assert code == 0, err
+        assert stdout.splitlines()[-1].startswith("selected percentile=")
 
 
 class TestRewireVerb:

@@ -1,0 +1,224 @@
+"""Property tests: the sparse structural kernels against per-node references.
+
+The references are the plain loops the kernels replaced. Every quantity
+here is an integer count or a ratio of two, so results must match
+exactly (floats compared through float.hex), on random graphs and
+tolerances.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rolewire import generators
+from rolewire.errors import NoEligibleNodesError
+from rolewire.generators import eccentricity_labels
+from rolewire.graph import UNLABELED, bfs_distances, graph_from_edges, two_hop_neighbors
+from rolewire.metrics import two_hop_class_similarity
+from rolewire.partition import (
+    Partition,
+    block_degree_matrix,
+    color_refinement_oracle,
+    quotient,
+    refine_eps_be,
+    validate_aep,
+)
+from rolewire.rewire import Variant, build_rewired
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles
+# ---------------------------------------------------------------------------
+
+def reference_refine_eps_be(graph, eps):
+    """Per-block greedy splitting loop, one splitter and one block at a time."""
+    n = graph.num_nodes
+    part = Partition.from_blocks(n, [list(range(n))])
+    while True:
+        splitters = part.blocks
+        current = [list(b) for b in part.blocks]
+        for splitter in splitters:
+            in_splitter = np.zeros(n, dtype=bool)
+            in_splitter[list(splitter)] = True
+            next_blocks = []
+            for block in current:
+                if len(block) == 1:
+                    next_blocks.append(block)
+                    continue
+                counted = sorted(
+                    (int(in_splitter[graph.neighbors(u)].sum()), u) for u in block)
+                groups = []
+                group_min = None
+                for cnt, u in counted:
+                    if group_min is None or cnt - group_min > eps:
+                        groups.append([u])
+                        group_min = cnt
+                    else:
+                        groups[-1].append(u)
+                next_blocks.extend(groups)
+            current = next_blocks
+        refined = Partition.from_blocks(n, current)
+        if refined.blocks == part.blocks:
+            return refined
+        part = refined
+
+
+def reference_validate_aep(graph, partition, eps):
+    """Per-block spread of per-node neighbor counts."""
+    for block in partition.blocks:
+        rows = np.array([np.bincount(partition.block_of[graph.neighbors(u)],
+                                     minlength=partition.k) for u in block])
+        if (rows.max(axis=0) - rows.min(axis=0)).max(initial=0) > eps:
+            return False
+    return True
+
+
+def reference_two_hop(graph, origin_count, labels, mask):
+    """Per-center similarity over graph.two_hop_neighbors sets."""
+    eligible = mask & (labels != UNLABELED)
+    fractions = []
+    for v in np.flatnonzero(eligible):
+        labeled = [u for u in two_hop_neighbors(graph, int(v))
+                   if u < origin_count and eligible[u]]
+        if labeled:
+            same = sum(1 for u in labeled if labels[u] == labels[v])
+            fractions.append(same / len(labeled))
+    if not fractions:
+        raise NoEligibleNodesError("no centers")
+    return float(np.mean(fractions))
+
+
+def reference_eccentricity_labels(graph, num_classes):
+    """Per-source BFS eccentricities, binned as eccentricity_labels does."""
+    ecc = np.array([bfs_distances(graph.indptr, graph.indices, u).max(initial=0)
+                    for u in range(graph.num_nodes)])
+    lo, hi = ecc.min(), ecc.max()
+    if hi == lo:
+        return np.zeros(graph.num_nodes, dtype=np.int64)
+    return np.minimum((ecc - lo) * num_classes // (hi - lo + 1), num_classes - 1)
+
+
+def pattern_graph(adjacency):
+    """Simple Graph on the off-diagonal stored pattern of a symmetric matrix."""
+    coo = adjacency.tocoo()
+    edges = {(min(u, v), max(u, v))
+             for u, v in zip(coo.row.tolist(), coo.col.tolist()) if u != v}
+    return graph_from_edges(coo.shape[0], edges)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def graphs(draw, max_nodes=14):
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, x in zip(pairs, picks) if x < density])
+
+
+tolerances = st.one_of(
+    st.integers(0, 6).map(float),
+    st.floats(0, 6, allow_nan=False),
+)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(), eps=tolerances)
+def test_refine_matches_greedy_loop(graph, eps):
+    fast = refine_eps_be(graph, eps)
+    slow = reference_refine_eps_be(graph, eps)
+    assert fast.blocks == slow.blocks
+    assert np.array_equal(fast.block_of, slow.block_of)
+    assert validate_aep(graph, fast, eps)
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=20))
+def test_exact_refine_matches_color_refinement(graph):
+    assert refine_eps_be(graph, 0.0).as_block_set() == \
+        color_refinement_oracle(graph).as_block_set()
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(), eps=tolerances, seed=st.integers(0, 2**16))
+def test_block_degree_rows_sum_to_degrees(graph, eps, seed):
+    rng = np.random.default_rng(seed)
+    part = Partition.from_assignment(rng.integers(0, 4, graph.num_nodes))
+    counts = block_degree_matrix(graph, part)
+    assert counts.shape == (graph.num_nodes, part.k)
+    assert np.array_equal(counts.sum(axis=1), graph.degrees())
+    assert validate_aep(graph, part, eps) == reference_validate_aep(graph, part, eps)
+
+
+@st.composite
+def labelled(draw):
+    graph = draw(graphs())
+    n = graph.num_nodes
+    labels = np.array(draw(st.lists(st.integers(UNLABELED, 2), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return graph, labels, mask
+
+
+def _same_similarity(obj, reference_graph, origin_count, labels, mask):
+    try:
+        want = reference_two_hop(reference_graph, origin_count, labels, mask)
+    except NoEligibleNodesError:
+        with pytest.raises(NoEligibleNodesError):
+            two_hop_class_similarity(obj, labels, mask)
+        return
+    assert two_hop_class_similarity(obj, labels, mask).hex() == want.hex()
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled())
+def test_two_hop_matches_reference_on_graphs(case):
+    graph, labels, mask = case
+    _same_similarity(graph, graph, graph.num_nodes, labels, mask)
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled(), eps=tolerances,
+       variant=st.sampled_from(list(Variant)))
+def test_two_hop_matches_reference_on_rewired(case, eps, variant):
+    graph, labels, mask = case
+    n = graph.num_nodes
+    part = Partition.from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
+        else refine_eps_be(graph, eps)
+    rewired = build_rewired(graph, part, quotient(graph, part), variant, eps=eps)
+    _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
+
+
+def test_two_hop_chunks_do_not_change_the_value(monkeypatch):
+    from rolewire import metrics
+    from rolewire.generators import lobster
+    graph = lobster(60, np.random.default_rng(3))
+    labels = np.arange(graph.num_nodes) % 3
+    mask = np.ones(graph.num_nodes, dtype=bool)
+    whole = two_hop_class_similarity(graph, labels, mask)
+    monkeypatch.setattr(metrics, "TWO_HOP_CHUNK_NNZ", 7)
+    assert two_hop_class_similarity(graph, labels, mask).hex() == whole.hex()
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=20), num_classes=st.integers(1, 5))
+def test_eccentricity_labels_match_per_source_bfs(graph, num_classes):
+    assert np.array_equal(eccentricity_labels(graph, num_classes),
+                          reference_eccentricity_labels(graph, num_classes))
+
+
+def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
+    graph = generators.lobster(60, np.random.default_rng(4))
+    whole = eccentricity_labels(graph, 4)
+    monkeypatch.setattr(generators, "ECCENTRICITY_CHUNK", 1)
+    assert np.array_equal(eccentricity_labels(graph, 4), whole)
+    assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
