@@ -13,8 +13,6 @@ srl-correlate  Pearson between a score table and an accuracy table
 
 Every verb takes --seed (default 0); sub-tasks derive their own streams
 through a (seed, task-index) hash, so all outputs are byte-reproducible.
-The RAWR_THREADS environment variable caps worker parallelism; this
-implementation evaluates sequentially, which respects any cap.
 
 Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. Failures
 print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
@@ -23,7 +21,6 @@ print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -191,19 +188,6 @@ def parse_args(argv: Sequence[str]) -> Command:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RAWR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"RAWR_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InputError("RAWR_THREADS must be >= 1")
-    return cap
-
-
 def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
     try:
         with open(path) as fh:
@@ -368,7 +352,6 @@ def _run_srl(ns) -> int:
 def _run_select_eps(ns) -> int:
     graph, _ = _load_graph(ns.graph)
     data = _load_data(graph, ns.labels, ns.features)
-    _thread_cap()   # validated; evaluation below is sequential
     candidates = evaluate_candidates(
         graph, data, Variant.parse(ns.variant),
         percentiles=PERCENTILE_GRID, h_degree=ns.layers)
@@ -413,7 +396,6 @@ def _run_effres(ns) -> int:
 
 def _run_ts_sim(ns) -> int:
     out = _outdir(ns.out)
-    _thread_cap()
     families = [f.strip() for f in ns.families.split(",") if f.strip()]
     percentiles = [int(p) for p in ns.percentiles.split(",") if p.strip()]
     for p in percentiles:

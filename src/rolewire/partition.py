@@ -17,7 +17,7 @@ from typing import IO, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SizeMismatchError
+from .errors import EmptyGraphError, ParseError, SizeMismatchError
 from .graph import Graph
 
 __all__ = [
@@ -276,16 +276,38 @@ def dump_partition_csv(partition: Partition, stream: IO[str]) -> None:
 
 
 def load_partition_csv(stream: IO[str]) -> Partition:
+    """Read `node,block` rows back into a Partition.
+
+    The node ids must be 0..n-1, each listed once in any order. Malformed
+    input raises an InputError subclass naming the line or node.
+    """
     header = stream.readline().strip()
     if header != "node,block":
-        raise ValueError(f"partition header must be 'node,block', got {header!r}")
+        raise ParseError(f"partition header must be 'node,block', got {header!r}")
     pairs = []
-    for raw in stream:
+    for lineno, raw in enumerate(stream, start=2):
         line = raw.strip()
-        if line:
-            u, b = line.split(",")
-            pairs.append((int(u), int(b)))
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 2 fields, got {line!r}")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
+    if not pairs:
+        raise EmptyGraphError("partition lists no nodes")
     pairs.sort()
+    nodes = [u for u, _ in pairs]
+    if nodes[0] < 0:
+        raise ParseError(f"negative node id {nodes[0]}")
+    for u, nxt in zip(nodes, nodes[1:]):
+        if u == nxt:
+            raise ParseError(f"node {u} listed twice")
+    for expected, u in enumerate(nodes):
+        if u != expected:
+            raise ParseError(f"node {expected} missing from partition")
     return Partition.from_assignment([b for _, b in pairs])
 
 

@@ -14,6 +14,7 @@ Virtual-node features are one-hot, appended block-diagonally to X.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional
@@ -21,7 +22,7 @@ from typing import IO, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParseError
 from .graph import Graph
 from .partition import Partition, QuotientPair
 
@@ -178,29 +179,63 @@ def load_rewired(
     features: Optional[np.ndarray] = None,
 ) -> RewiredGraph:
     """Read back a rewired graph; `features` are the original n x d values
-    (the virtual one-hot block is re-appended here)."""
+    (the virtual one-hot block is re-appended here).
+
+    The metadata must give integer n >= 1 and k >= 0, a known variant, and
+    numeric eps and residual. Every edge line must be `u v weight` with
+    endpoints in [0, n+k) and a finite weight, and every one of the n+k
+    nodes must have an edge (each original node links to its block's
+    virtual node). Anything else raises an InputError subclass.
+    """
     meta = {}
     for line in Path(meta_path).read_text().splitlines():
         if "=" in line:
             key, val = line.split("=", 1)
             meta[key] = val
-    n, k = int(meta["n"]), int(meta["k"])
-    a = np.zeros((n + k, n + k))
-    for line in Path(edge_path).read_text().splitlines():
+    missing = [key for key in ("n", "k", "variant", "eps", "residual") if key not in meta]
+    if missing:
+        raise ParseError(f"rewired metadata lacks {', '.join(missing)}")
+    try:
+        n, k = int(meta["n"]), int(meta["k"])
+        eps, residual = float(meta["eps"]), float(meta["residual"])
+        variant = Variant.parse(meta["variant"])
+    except ValueError as exc:
+        raise ParseError(f"rewired metadata: {exc}") from None
+    if n < 1 or k < 0:
+        raise ParseError(f"rewired metadata needs n >= 1 and k >= 0, got n={n} k={k}")
+    size = n + k
+    weights = {}                      # (row, col) -> weight; a later line wins
+    for lineno, line in enumerate(Path(edge_path).read_text().splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        a[u, v] = w
-        a[v, u] = w
-    adjacency = sp.csr_matrix(a)
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'u v weight', got {line.strip()!r}")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad numeric token in {line.strip()!r}") from None
+        if not (0 <= u < size and 0 <= v < size):
+            raise ParseError(f"line {lineno}: endpoint outside [0, {size})")
+        if not math.isfinite(w):
+            raise ParseError(f"line {lineno}: non-finite weight {parts[2]!r}")
+        weights[u, v] = w
+        weights[v, u] = w
+    ids = sorted({u for u, _ in weights})
+    first_gap = next((i for i, u in enumerate(ids) if u != i), len(ids))
+    if first_gap < size:
+        raise ParseError(f"node {first_gap} has no edge, but the metadata "
+                         f"gives n+k={size} nodes")
+    adjacency = sp.csr_matrix((list(weights.values()), tuple(zip(*weights))),
+                              shape=(size, size))
+    adjacency.eliminate_zeros()
     adjacency.sort_indices()
     return RewiredGraph(
         adjacency=adjacency,
         origin_count=n,
         virtual_count=k,
-        variant=Variant.parse(meta["variant"]),
+        variant=variant,
         features=augment_features(features, n, k),
-        eps=float(meta["eps"]),
-        residual=float(meta["residual"]),
+        eps=eps,
+        residual=residual,
     )

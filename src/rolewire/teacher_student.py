@@ -32,6 +32,7 @@ __all__ = [
     "forward",
     "teacher_labels",
     "crop_to_observed",
+    "layer_product",
     "mse_loss",
     "gradients",
     "train_student",
@@ -67,10 +68,15 @@ class LinearGnnWeights:
         return self.layers[-1].shape[1]
 
     def product(self) -> np.ndarray:
-        out = self.layers[0]
-        for w in self.layers[1:]:
-            out = out @ w
-        return out
+        return layer_product(self.layers)
+
+
+def layer_product(layers: Sequence[np.ndarray]) -> np.ndarray:
+    """W(1) @ W(2) @ ... @ W(L), multiplied left to right."""
+    out = layers[0]
+    for w in layers[1:]:
+        out = out @ w
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,17 +169,50 @@ def crop_to_observed(weights: LinearGnnWeights, d: int) -> LinearGnnWeights:
 # Loss and analytic gradients
 # ---------------------------------------------------------------------------
 
-def _chain(layers) -> np.ndarray:
-    out = layers[0]
-    for w in layers[1:]:
-        out = out @ w
-    return out
-
-
-def mse_loss(propagated: np.ndarray, weights: LinearGnnWeights,
+def mse_loss(propagated: np.ndarray, layers: Sequence[np.ndarray],
              y_true: np.ndarray) -> float:
-    resid = propagated @ weights.product() - y_true
+    """Mean squared error of propagated @ W(1)...W(L) against y_true.
+
+    `layers` is the weight chain as arrays, e.g. `LinearGnnWeights.layers`.
+    """
+    resid = propagated @ layer_product(layers) - y_true
     return float((resid * resid).sum()) / (y_true.shape[0] * y_true.shape[1])
+
+
+class _ChainGradient:
+    """d(mse)/dW(l) of one chain shape, written into preallocated arrays.
+
+    Each layer's gradient is prefixes[l].T @ err @ suffixes[l].T, with
+    prefixes[l] = S^L X W(1..l), suffixes[l] = W(l+2..L) @ I and
+    err = 2 (S^L X W(1..L) - y) / (n d_out): the same products in the same
+    order on every call, so repeated calls allocate nothing.
+    """
+
+    def __init__(self, propagated: np.ndarray, y_true: np.ndarray,
+                 dims: Sequence[int]):
+        n, d_out = propagated.shape[0], dims[-1]
+        self.y_true = y_true
+        self.scale = y_true.size
+        self.prefixes = [propagated] + [np.empty((n, d)) for d in dims[1:-1]]
+        self.suffixes = [np.empty((d, d_out)) for d in dims[1:-1]] + [np.eye(d_out)]
+        self.err = np.empty((n, d_out))
+        # per layer: (prefixes[l].T, scratch for prefixes[l].T @ err, suffixes[l].T)
+        self.outer = [(p.T, np.empty((p.shape[1], d_out)), s.T)
+                      for p, s in zip(self.prefixes, self.suffixes)]
+
+    def __call__(self, layers: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> None:
+        pre, suf, err = self.prefixes, self.suffixes, self.err
+        for l in range(len(layers) - 1):
+            np.matmul(pre[l], layers[l], out=pre[l + 1])
+        for l in range(len(layers) - 2, -1, -1):
+            np.matmul(layers[l + 1], suf[l + 1], out=suf[l])
+        np.matmul(pre[-1], layers[-1], out=err)
+        np.subtract(err, self.y_true, out=err)
+        np.multiply(2.0, err, out=err)
+        np.divide(err, self.scale, out=err)
+        for (pre_t, half, suf_t), grad in zip(self.outer, out):
+            np.matmul(pre_t, err, out=half)
+            np.matmul(half, suf_t, out=grad)
 
 
 def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
@@ -182,17 +221,10 @@ def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
 
     `propagated` is the precomputed S^L X, shared by all epochs.
     """
-    n, d_out = y_true.shape
-    num = weights.num_layers
-    prefixes = [propagated]                     # prefixes[l] = S^L X W(1..l)
-    for w in weights.layers[:-1]:
-        prefixes.append(prefixes[-1] @ w)
-    suffixes = [np.eye(weights.dim_out)]        # suffixes[i] = W(L-i+1..L)
-    for w in reversed(weights.layers[1:]):
-        suffixes.append(w @ suffixes[-1])
-    suffixes.reverse()                          # suffixes[l] = W(l+2..L) for layer l+1
-    err = 2.0 * (prefixes[-1] @ weights.layers[-1] - y_true) / (n * d_out)
-    return [prefixes[l].T @ err @ suffixes[l].T for l in range(num)]
+    dims = [weights.dim_in] + [w.shape[1] for w in weights.layers]
+    grads = [np.empty(w.shape) for w in weights.layers]
+    _ChainGradient(propagated, y_true, dims)(weights.layers, grads)
+    return grads
 
 
 def train_student(
@@ -208,6 +240,14 @@ def train_student(
     follows y_true. The loss trace records the objective after each
     update, so its last entry is the final training error. Deterministic
     for a fixed config.
+
+    All parameters live in one flat float64 vector: each layer, and each
+    layer's gradient, is a reshaped view into a flat buffer, and Adam
+    updates the whole vector in place once per epoch. Every floating-point
+    operation keeps the operands and order of the per-layer form
+    (m = b1 m + (1-b1) g; v = b2 v + (1-b2) g g; W -= lr m_hat /
+    (sqrt(v_hat) + eps) with m_hat, v_hat divided by their bias
+    corrections), so loss traces and weights are bit-identical to it.
     """
     if y_true.shape[0] != graph.num_nodes:
         raise DimensionMismatchError("y_true must have one row per node")
@@ -221,29 +261,44 @@ def train_student(
     for _ in range(num_layers):
         propagated = shift @ propagated
 
-    layers = [w.copy() for w in weights.layers]
-    m = [np.zeros_like(w) for w in layers]
-    v = [np.zeros_like(w) for w in layers]
+    shapes = [w.shape for w in weights.layers]
+    offsets = np.cumsum([w.size for w in weights.layers])[:-1]
 
-    def raw_loss(ws):
-        resid = propagated @ _chain(ws) - y_true
-        return float((resid * resid).sum()) / (y_true.shape[0] * y_true.shape[1])
+    def layer_views(flat):
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, offsets), shapes)]
+
+    theta = np.concatenate([w.ravel() for w in weights.layers])
+    grad = np.empty_like(theta)
+    layers, grads = layer_views(theta), layer_views(grad)
+    chain_gradient = _ChainGradient(propagated, y_true, dims)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    step, denom = np.empty_like(theta), np.empty_like(theta)
+    beta1, beta2 = config.beta1, config.beta2
+    lr, adam_eps = config.learning_rate, config.adam_eps
 
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            if not all(np.isfinite(w).all() for w in layers):
+            if not np.isfinite(theta).all():
                 raise DivergenceError(epoch)
-            current = LinearGnnWeights(layers=tuple(layers))
-            grads = gradients(propagated, current, y_true)
-            t = epoch
-            for i, g in enumerate(grads):
-                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
-                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
-                m_hat = m[i] / (1.0 - config.beta1 ** t)
-                v_hat = v[i] / (1.0 - config.beta2 ** t)
-                layers[i] = layers[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-            loss = raw_loss(layers)
+            chain_gradient(layers, grads)
+            # One ufunc per term of the per-layer Adam expressions, in
+            # their evaluation order, so every rounding step is the same.
+            np.multiply(beta1, m, out=m)
+            np.multiply(1.0 - beta1, grad, out=step)
+            np.add(m, step, out=m)
+            np.multiply(beta2, v, out=v)
+            np.multiply(1.0 - beta2, grad, out=step)
+            np.multiply(step, grad, out=step)
+            np.add(v, step, out=v)
+            np.divide(v, 1.0 - beta2 ** epoch, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, adam_eps, out=denom)
+            np.divide(m, 1.0 - beta1 ** epoch, out=step)
+            np.multiply(lr, step, out=step)
+            np.divide(step, denom, out=step)
+            np.subtract(theta, step, out=theta)
+            loss = mse_loss(propagated, layers, y_true)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
             trace.append(loss)

@@ -277,8 +277,8 @@ def test_criterion_9_teacher_student_correlation():
                 minus = [w.copy() for w in weights.layers]
                 plus[li][r, cc] += h
                 minus[li][r, cc] -= h
-                fd = (mse_loss(propagated, LinearGnnWeights(tuple(plus)), y)
-                      - mse_loss(propagated, LinearGnnWeights(tuple(minus)), y)
+                fd = (mse_loss(propagated, plus, y)
+                      - mse_loss(propagated, minus, y)
                       ) / (2 * h)
                 assert grads[li][r, cc] == pytest.approx(fd, rel=1e-5,
                                                          abs=1e-10)

@@ -128,13 +128,6 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
 
-    def test_bad_thread_cap_is_3(self, tmp_path, capsys, monkeypatch, star_files):
-        monkeypatch.setenv("RAWR_THREADS", "zero")
-        code, _, err = run(["select-eps", "--graph", star_files / "graph.txt",
-                            "--labels", star_files / "labels.csv",
-                            "--out", tmp_path / "o"], capsys)
-        assert code == 3
-
 
 class TestGenPartition:
     def test_star_partition_blocks(self, tmp_path, star_files):

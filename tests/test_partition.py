@@ -9,8 +9,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rolewire.errors import SizeMismatchError
+from rolewire.errors import (
+    EmptyGraphError,
+    InputError,
+    ParseError,
+    SizeMismatchError,
+)
 from rolewire.graph import graph_from_edges
 from rolewire.partition import (
     Partition,
@@ -234,6 +240,36 @@ class TestPartitionIo:
         dump_partition_csv(part, out)
         back = load_partition_csv(io.StringIO(out.getvalue()))
         assert back.blocks == part.blocks
+
+    def test_rows_in_any_order(self):
+        back = load_partition_csv(io.StringIO("node,block\n2,7\n0,7\n1,3\n"))
+        assert back.blocks == ((0, 2), (1,))
+
+    @pytest.mark.parametrize("body,error", [
+        pytest.param("node,blk\n0,0\n", ParseError, id="header"),
+        pytest.param("node,block\n0,0\n1\n", ParseError, id="short-line"),
+        pytest.param("node,block\n0,0\n1,0,2\n", ParseError, id="long-line"),
+        pytest.param("node,block\n0,0\n1,x\n", ParseError, id="block-word"),
+        pytest.param("node,block\n0,0\n1.5,0\n", ParseError, id="node-float"),
+        pytest.param("node,block\n0,0\n-1,0\n", ParseError, id="node-negative"),
+        pytest.param("node,block\n0,0\n1,0\n1,1\n", ParseError, id="node-twice"),
+        pytest.param("node,block\n0,0\n2,0\n", ParseError, id="node-missing"),
+        pytest.param("node,block\n", EmptyGraphError, id="no-rows"),
+    ])
+    def test_malformed_csv_raises_input_error(self, body, error):
+        with pytest.raises(error):
+            load_partition_csv(io.StringIO(body))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "", "3.5", " 1"]),
+                                  max_size=3), max_size=5))
+    def test_any_text_gives_partition_or_input_error(self, rows):
+        body = "node,block\n" + "".join(",".join(r) + "\n" for r in rows)
+        try:
+            part = load_partition_csv(io.StringIO(body))
+        except InputError:
+            return
+        assert list(range(part.num_nodes)) == sorted(u for b in part.blocks for u in b)
 
     def test_quotient_header(self, star4):
         qp = quotient(star4, refine_eps_be(star4, 0))

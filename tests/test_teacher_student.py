@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rolewire.errors import DimensionMismatchError, DivergenceError
-from rolewire.graph import graph_from_edges
+from rolewire.generators import make_graph
+from rolewire.graph import bfs_distances, graph_from_edges
 from rolewire.partition import quotient, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import normalized_shift
@@ -161,8 +163,8 @@ class TestGradients:
                     minus = [l.copy() for l in w.layers]
                     plus[li][r, cidx] += h
                     minus[li][r, cidx] -= h
-                    fd = (mse_loss(propagated, LinearGnnWeights(tuple(plus)), y)
-                          - mse_loss(propagated, LinearGnnWeights(tuple(minus)), y)
+                    fd = (mse_loss(propagated, plus, y)
+                          - mse_loss(propagated, minus, y)
                           ) / (2 * h)
                     got = grads[li][r, cidx]
                     assert got == pytest.approx(fd, rel=1e-5, abs=1e-10)
@@ -236,3 +238,159 @@ class TestRunExperiment:
         assert res[0].dataset_tag == "cycle:full"
         assert res[0].eps == 0.0
         assert res[1].eps == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Flat-buffer Adam against the per-layer loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_gradients(propagated, layers, y_true):
+    """Per-layer prefix/suffix gradients, one fresh array per product."""
+    n, d_out = y_true.shape
+    prefixes = [propagated]
+    for w in layers[:-1]:
+        prefixes.append(prefixes[-1] @ w)
+    suffixes = [np.eye(layers[-1].shape[1])]
+    for w in reversed(layers[1:]):
+        suffixes.append(w @ suffixes[-1])
+    suffixes.reverse()
+    err = 2.0 * (prefixes[-1] @ layers[-1] - y_true) / (n * d_out)
+    return [prefixes[l].T @ err @ suffixes[l].T for l in range(len(layers))]
+
+
+def reference_train_student(graph, x, y_true, config, num_layers):
+    """Adam as a list of per-layer arrays, one update per layer per epoch.
+
+    Returns (layers, loss trace), or raises DivergenceError like
+    train_student.
+    """
+    d_in, d_out = x.shape[1], y_true.shape[1]
+    dims = [d_in] + [d_in] * (num_layers - 1) + [d_out]
+    sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
+    layers = [w.copy() for w in gaussian_init(dims, sigmas, config.seed).layers]
+    shift = normalized_shift(graph.dense_adjacency())
+    propagated = x
+    for _ in range(num_layers):
+        propagated = shift @ propagated
+    m = [np.zeros_like(w) for w in layers]
+    v = [np.zeros_like(w) for w in layers]
+
+    def raw_loss(ws):
+        chain = ws[0]
+        for w in ws[1:]:
+            chain = chain @ w
+        resid = propagated @ chain - y_true
+        return float((resid * resid).sum()) / (y_true.shape[0] * y_true.shape[1])
+
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.epochs + 1):
+            if not all(np.isfinite(w).all() for w in layers):
+                raise DivergenceError(t)
+            grads = reference_gradients(propagated, layers, y_true)
+            for i, g in enumerate(grads):
+                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
+                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
+                m_hat = m[i] / (1.0 - config.beta1 ** t)
+                v_hat = v[i] / (1.0 - config.beta2 ** t)
+                layers[i] = layers[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            loss = raw_loss(layers)
+            if not np.isfinite(loss):
+                raise DivergenceError(t)
+            trace.append(loss)
+    return layers, trace
+
+
+def largest_component(graph):
+    """The largest connected component, relabelled 0..size-1."""
+    unseen = np.ones(graph.num_nodes, dtype=bool)
+    best = np.zeros(0, dtype=np.int64)
+    while unseen.any():
+        comp = np.flatnonzero(bfs_distances(graph.indptr, graph.indices,
+                                            int(np.argmax(unseen))) >= 0)
+        unseen[comp] = False
+        if comp.size > best.size:
+            best = comp
+    index = {int(u): i for i, u in enumerate(best)}
+    return graph_from_edges(best.size, [(index[u], index[v]) for u, v in graph.edges()
+                                        if u in index and v in index])
+
+
+@st.composite
+def student_cases(draw):
+    family = draw(st.sampled_from(["star", "path", "cycle", "grid", "tree", "er"]))
+    n = draw(st.integers(3, 16))
+    seed = draw(st.integers(0, 2**16))
+    graph = make_graph(family, n, seed=seed, p=0.3)
+    if family == "er":
+        graph = largest_component(graph)
+    num_layers = draw(st.integers(1, 3))
+    d_in, d_out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    sigmas = tuple(draw(st.floats(0.0, 50.0)) for _ in range(num_layers))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((graph.num_nodes, d_in))
+    y = rng.standard_normal((graph.num_nodes, d_out))
+    config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.005, 0.05, 0.5])),
+        epochs=draw(st.integers(1, 200)),
+        seed=seed,
+        sigmas=sigmas,
+    )
+    return graph, x, y, config, num_layers
+
+
+def assert_same_run(graph, x, y, config, num_layers):
+    try:
+        want_layers, want_trace = reference_train_student(graph, x, y, config, num_layers)
+    except DivergenceError as want:
+        with pytest.raises(DivergenceError) as got:
+            train_student(graph, x, y, config, num_layers)
+        assert got.value.epoch == want.epoch
+        return
+    weights, res = train_student(graph, x, y, config, num_layers)
+    assert [v.hex() for v in res.loss_trace] == [v.hex() for v in want_trace]
+    assert len(weights.layers) == len(want_layers)
+    for got_w, want_w in zip(weights.layers, want_layers):
+        assert got_w.shape == want_w.shape
+        assert np.array_equal(got_w, want_w)
+        assert got_w.tobytes() == want_w.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=student_cases())
+def test_flat_adam_matches_per_layer_loop(case):
+    assert_same_run(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=student_cases())
+def test_gradients_match_per_layer_products(case):
+    graph, x, y, config, num_layers = case
+    d_in = x.shape[1]
+    dims = [d_in] * num_layers + [y.shape[1]]
+    weights = gaussian_init(dims, config.sigmas, config.seed)
+    shift = normalized_shift(graph.dense_adjacency())
+    propagated = x
+    for _ in range(num_layers):
+        propagated = shift @ propagated
+    got = gradients(propagated, weights, y)
+    want = reference_gradients(propagated, list(weights.layers), y)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("num_layers,sigmas,lr,epoch", [
+    (3, (1e100, 1.0, 1.0), 1e105, 2),
+    (2, (1e100, 1.0), 1e110, 1),
+])
+def test_divergence_epoch_matches_per_layer_loop(num_layers, sigmas, lr, epoch):
+    g = make_graph("grid", 9)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((9, 2))
+    y = rng.standard_normal((9, 3))
+    config = TrainConfig(learning_rate=lr, epochs=200, seed=2, sigmas=sigmas)
+    with pytest.raises(DivergenceError) as want:
+        reference_train_student(g, x, y, config, num_layers)
+    assert want.value.epoch == epoch
+    with pytest.raises(DivergenceError) as got:
+        train_student(g, x, y, config, num_layers)
+    assert got.value.epoch == epoch
