@@ -27,7 +27,6 @@ from .errors import (
     UsageError,
 )
 from .graph import (
-    DegreeStats,
     Graph,
     NodeData,
     UNLABELED,
@@ -54,7 +53,6 @@ from .rewire import (
     Variant,
     augment_features,
     build_rewired,
-    master_node_adjacency,
 )
 from .spectral import (
     SrlReport,

@@ -21,6 +21,7 @@ print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    EmptyGraphError,
     InputError,
     NumericError,
     RolewireError,
@@ -155,7 +157,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--percentiles", default="0,50,100")
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--epochs", type=int, default=5000)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--out", required=True)
@@ -249,13 +250,11 @@ def _remap_repr(remap: dict[int, int]) -> str:
     return ";".join(f"{old}:{new}" for old, new in sorted(remap.items()))
 
 
-def _single_block(n: int) -> Partition:
-    return Partition.from_blocks(n, [list(range(n))])
-
-
 def _partition_for(graph: Graph, eps: float, variant: Variant) -> Partition:
+    """The master node is the single block, which is what refinement
+    returns at eps = infinity (no count spread exceeds it)."""
     if variant is Variant.MASTER_NODE:
-        return _single_block(graph.num_nodes)
+        eps = math.inf
     return refine_eps_be(graph, eps)
 
 
@@ -266,14 +265,18 @@ def _partition_for(graph: Graph, eps: float, variant: Variant) -> Partition:
 def _run_gen(ns) -> int:
     """Write the generated graph as the loader will see it: isolated nodes
     are dropped (an edge list cannot carry them) and ids compacted, with
-    labels and splits restricted to the nodes kept."""
-    out = _outdir(ns.out)
+    labels and splits restricted to the nodes kept. A graph with no edges
+    has no edge-list form, so it is rejected before anything is written."""
     if ns.classes > 0:
         graph, data = make_dataset(ns.family, ns.n, num_classes=ns.classes,
                                    seed=ns.seed, p=ns.p)
     else:
         graph, data = make_graph(ns.family, ns.n, seed=ns.seed, p=ns.p), None
+    if graph.num_edges == 0:
+        raise EmptyGraphError(
+            f"{ns.family} graph with n={ns.n} has no edges; an edge list cannot hold it")
     graph, remap = compact_ids(graph)
+    out = _outdir(ns.out)
     with open(out / "graph.txt", "w") as fh:
         dump_edge_list(graph, fh)
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
@@ -408,8 +411,7 @@ def _run_ts_sim(ns) -> int:
     variant = Variant.parse(ns.variant)
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
-        datasets, [variant], percentiles, config,
-        num_layers=ns.layers, d_out=ns.classes)
+        datasets, [variant], percentiles, config, d_out=ns.classes)
     with open(out / "ts.csv", "w") as fh:
         fh.write("dataset,variant,percentile,eps,srl,mse,seed\n")
         cells = list(product(families, [variant], percentiles))

@@ -33,7 +33,6 @@ UNLABELED = -1
 __all__ = [
     "Graph",
     "NodeData",
-    "DegreeStats",
     "UNLABELED",
     "graph_from_edges",
     "load_edge_list",
@@ -105,11 +104,7 @@ class Graph:
                     yield u, int(v)
 
     def dense_adjacency(self) -> np.ndarray:
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+        return self.adjacency.astype(np.float64).toarray()
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
@@ -161,19 +156,6 @@ class NodeData:
         return int(valid.max()) + 1 if len(valid) else 0
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Degree sequence of a graph plus its ascending copy."""
-
-    degrees: np.ndarray
-    sorted_degrees: np.ndarray
-
-    @classmethod
-    def of(cls, graph: Graph) -> "DegreeStats":
-        deg = graph.degrees()
-        return cls(degrees=deg, sorted_degrees=np.sort(deg))
-
-
 # ---------------------------------------------------------------------------
 # Construction and parsing
 # ---------------------------------------------------------------------------
@@ -182,28 +164,28 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from undirected edge pairs, deduplicating mentions.
 
     Reversed and repeated mentions of the same edge collapse to one.
-    Self-loops are rejected.
+    Self-loops and ids outside 0..num_nodes-1 are rejected, naming the
+    first such edge in input order.
+
+    Both directions of every edge become keys row * n + col; one sorted
+    `np.unique` over them is the CSR entry list, rows ascending and
+    neighbors ascending within each row.
     """
     if num_nodes < 1:
         raise EmptyGraphError("graph must have at least one node")
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ParseError(f"edge ({u},{v}) outside node range 0..{num_nodes - 1}")
-        seen.add((min(u, v), max(u, v)))
-    adj = [[] for _ in range(num_nodes)]
-    for u, v in seen:
-        adj[u].append(v)
-        adj[v].append(u)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
+    if bad.any():
+        first = int(np.argmax(bad))
+        bu, bv = int(u[first]), int(v[first])
+        if bu == bv:
+            raise SelfLoopError(f"self-loop at node {bu}")
+        raise ParseError(f"edge ({bu},{bv}) outside node range 0..{num_nodes - 1}")
+    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    rows, indices = np.divmod(keys, num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    chunks = []
-    for u in range(num_nodes):
-        row = np.array(sorted(adj[u]), dtype=np.int64)
-        chunks.append(row)
-        indptr[u + 1] = indptr[u] + len(row)
-    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return Graph(indptr=indptr, indices=indices)
 
 
@@ -236,10 +218,10 @@ def load_edge_list(stream: IO[str]) -> Graph:
         max_id = max(max_id, u, v)
     if max_id < 0:
         raise EmptyGraphError("edge list holds no nodes")
-    canon = {(min(u, v), max(u, v)) for u, v in edges}
-    if len(canon) < len(edges):
-        warnings.warn(f"collapsed {len(edges) - len(canon)} duplicate edge mentions")
-    return graph_from_edges(max_id + 1, canon)
+    graph = graph_from_edges(max_id + 1, edges)
+    if graph.num_edges < len(edges):
+        warnings.warn(f"collapsed {len(edges) - graph.num_edges} duplicate edge mentions")
+    return graph
 
 
 def dump_edge_list(graph: Graph, stream: IO[str]) -> None:
@@ -253,15 +235,18 @@ def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
 
     Returns the compacted graph and the old-id -> new-id map. Nodes with
     degree zero that sit below the max id are treated as gaps and dropped;
-    a graph with no edges keeps node 0 only.
+    a graph with no edges keeps node 0 only. Dropped nodes own no CSR
+    entries, so the kept rows keep their offsets and only the neighbor ids
+    change, through one monotone old -> new id array.
     """
-    deg = graph.degrees()
-    keep = np.flatnonzero(deg > 0)
+    keep = np.flatnonzero(graph.degrees() > 0)
     if len(keep) == 0:
         keep = np.array([0], dtype=np.int64)
-    remap = {int(old): new for new, old in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in graph.edges()]
-    return graph_from_edges(len(keep), edges), remap
+    new_id = np.zeros(graph.num_nodes, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    compacted = Graph(indptr=np.append(graph.indptr[keep], graph.indptr[-1]),
+                      indices=new_id[graph.indices])
+    return compacted, dict(zip(keep.tolist(), range(len(keep))))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +310,9 @@ def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
             lab = UNLABELED if parts[1] == "" else int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: bad integer token") from None
+        if parts[1] != "" and lab < 0:
+            raise ParseError(f"line {lineno}: negative label {lab}; "
+                             "leave the field empty for an unlabeled node")
         split = parts[2]
         if split not in _SPLITS:
             raise ParseError(f"line {lineno}: unknown split {split!r}")
@@ -393,12 +381,12 @@ def degree_percentile(graph: Graph, p: int) -> float:
         raise ValueError(f"percentile must be one of 0,25,50,75,100, got {p}")
     if p == 0:
         return 0.0
-    stats = DegreeStats.of(graph)
+    sorted_degrees = np.sort(graph.degrees())
     if p == 100:
-        return float(stats.sorted_degrees[-1])
+        return float(sorted_degrees[-1])
     n = graph.num_nodes
     idx = int(np.ceil(p / 100.0 * n)) - 1
-    return float(stats.sorted_degrees[idx])
+    return float(sorted_degrees[idx])
 
 
 def two_hop_neighbors(graph: Graph, u: int) -> set[int]:

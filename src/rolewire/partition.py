@@ -23,6 +23,7 @@ from .graph import Graph
 __all__ = [
     "Partition",
     "QuotientPair",
+    "membership_matrix",
     "block_degree_matrix",
     "refine_eps_be",
     "validate_aep",
@@ -92,14 +93,14 @@ class Partition:
 
 @dataclass(frozen=True)
 class QuotientPair:
-    """Membership indicator R, quotient Q, its 0/1 pattern, and residual.
+    """Quotient Q, its 0/1 pattern, and residual.
 
     Q averages block-degree counts over each source block, so exact
     equitable partitions give integer entries and zero residual. The
-    residual is the largest absolute entry of A R - R Q.
+    residual is the largest absolute entry of A R - R Q, where R is the
+    partition's membership indicator.
     """
 
-    R: np.ndarray       # n x k, 0/1
     Q: np.ndarray       # k x k, real
     Q_bar: np.ndarray   # k x k, 0/1
     residual: float
@@ -109,12 +110,16 @@ class QuotientPair:
 # Block-degree counting
 # ---------------------------------------------------------------------------
 
+def membership_matrix(block_of: np.ndarray, k: int) -> sp.csr_matrix:
+    """Sparse n x k 0/1 int64 indicator R: R[u, block_of[u]] = 1."""
+    n = len(block_of)
+    return sp.csr_matrix(
+        (np.ones(n, dtype=np.int64), (np.arange(n), block_of)), shape=(n, k))
+
+
 def _splitter_counts(graph: Graph, block_of: np.ndarray, k: int) -> sp.csr_matrix:
     """Sparse n x k product A @ R of the adjacency and block membership."""
-    n = graph.num_nodes
-    member = sp.csr_matrix(
-        (np.ones(n, dtype=np.int64), (np.arange(n), block_of)), shape=(n, k))
-    return graph.adjacency @ member
+    return graph.adjacency @ membership_matrix(block_of, k)
 
 
 def block_degree_matrix(graph: Graph, partition: Partition) -> np.ndarray:
@@ -212,9 +217,8 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     sizes = partition.block_sizes().astype(float)
     q = sums / sizes[:, None]
     q_bar = (sums > 0).astype(float)
-    r = partition.indicator()
     residual = float(np.abs(counts - q[partition.block_of]).max(initial=0.0))
-    return QuotientPair(R=r, Q=q, Q_bar=q_bar, residual=residual)
+    return QuotientPair(Q=q, Q_bar=q_bar, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Augmented graph construction: one virtual node per partition block.
 
-Each block gets a virtual node adjacent to exactly its members. The block
-structure of the augmented adjacency is
+Each block gets a virtual node adjacent to exactly its members. The
+augmented adjacency is assembled sparsely, block by block, with
+`scipy.sparse.bmat` from the graph's CSR adjacency A and the sparse
+membership indicator R:
 
     [ A  R ]        virtual-virtual corner: Q    (full, weighted)
     [ R' * ]                                 0    (repnodes)
                                              Q>0  (repedges, unweighted)
 
-The master-node construction is repnodes over the single-block partition.
+The master node (`mn`) is repnodes over the single block, which is the
+partition refinement returns at eps = infinity.
 Virtual-node features are one-hot, appended block-diagonally to X.
 """
 
@@ -24,14 +27,13 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, ParseError
 from .graph import Graph
-from .partition import Partition, QuotientPair
+from .partition import Partition, QuotientPair, membership_matrix
 
 __all__ = [
     "Variant",
     "RewiredGraph",
     "build_rewired",
     "augment_features",
-    "master_node_adjacency",
     "dump_rewired",
     "load_rewired",
 ]
@@ -66,10 +68,6 @@ class RewiredGraph:
     @property
     def size(self) -> int:
         return self.origin_count + self.virtual_count
-
-    def original_block(self) -> sp.csr_matrix:
-        n = self.origin_count
-        return self.adjacency[:n, :n]
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
@@ -109,28 +107,25 @@ def build_rewired(
     if partition.num_nodes != n:
         raise DimensionMismatchError(
             f"partition covers {partition.num_nodes} nodes, graph has {n}")
-    if qpair.R.shape != (n, k):
+    if qpair.Q.shape != (k, k):
         raise DimensionMismatchError(
-            f"indicator shape {qpair.R.shape} != ({n}, {k})")
+            f"quotient shape {qpair.Q.shape} != ({k}, {k})")
     if variant is Variant.MASTER_NODE and k != 1:
         raise DimensionMismatchError(
             "master-node variant requires the single-block partition")
 
-    a = np.zeros((n + k, n + k))
-    for u in range(n):
-        for v in graph.neighbors(u):
-            a[u, v] = 1.0
-    a[:n, n:] = qpair.R
-    a[n:, :n] = qpair.R.T
     if variant is Variant.FULL:
         corner = (qpair.Q + qpair.Q.T) / 2.0   # symmetrize; equal for exact EPs
     elif variant is Variant.REP_EDGES:
         corner = qpair.Q_bar
     else:
         corner = np.zeros((k, k))
-    a[n:, n:] = corner                         # diagonal kept: within-block degree
-
-    adjacency = sp.csr_matrix(a)
+    member = membership_matrix(partition.block_of, k)
+    # The corner's diagonal is kept: it is the within-block degree.
+    adjacency = sp.bmat([[graph.adjacency, member],
+                         [member.T, sp.csr_matrix(corner)]],
+                        format="csr", dtype=np.float64)
+    adjacency.eliminate_zeros()
     adjacency.sort_indices()
     return RewiredGraph(
         adjacency=adjacency,
@@ -141,20 +136,6 @@ def build_rewired(
         eps=eps,
         residual=qpair.residual,
     )
-
-
-def master_node_adjacency(graph: Graph) -> sp.csr_matrix:
-    """Explicit (n+1)x(n+1) master-node adjacency: one hub tied to all nodes."""
-    n = graph.num_nodes
-    a = np.zeros((n + 1, n + 1))
-    for u in range(n):
-        for v in graph.neighbors(u):
-            a[u, v] = 1.0
-    a[:n, n] = 1.0
-    a[n, :n] = 1.0
-    m = sp.csr_matrix(a)
-    m.sort_indices()
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,6 @@ def run_ts_experiment(
     variants: Sequence[Variant],
     percentiles: Sequence[int],
     config: TrainConfig,
-    num_layers: int = 2,
     d_out: int = 3,
     teacher_sigmas: Sequence[float] = TEACHER_SIGMAS,
 ) -> tuple[list[TsResult], float]:
@@ -335,8 +334,10 @@ def run_ts_experiment(
 
     Dataset entries are (tag, graph, features-or-None); missing features
     fall back to the constant column. Teacher draws and student
-    initializations take their own sub-seeds per task index.
+    initializations take their own sub-seeds per task index. Teacher,
+    student and lift all use one layer per teacher sigma.
     """
+    num_layers = len(teacher_sigmas)
     results = []
     task = 0
     for tag, graph, features in datasets:
@@ -351,9 +352,6 @@ def run_ts_experiment(
                                         features=features, eps=eps)
                 k = part.k
                 teacher_dims = [d + k] + [d + k] * (num_layers - 1) + [d_out]
-                if len(teacher_sigmas) != num_layers:
-                    raise DimensionMismatchError(
-                        "teacher sigma count must match layer count")
                 teacher_seed = derive_seed(config.seed, task)
                 teacher = gaussian_init(teacher_dims, teacher_sigmas, teacher_seed)
                 y_true = teacher_labels(rewired, teacher)

@@ -1,6 +1,8 @@
 """Shared fixtures: small named graphs and the seeded evaluation corpus."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
 from rolewire.graph import Graph, graph_from_edges
@@ -33,6 +35,22 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if i + 1 < rows:
                 edges.append((u, u + cols))
     return graph_from_edges(rows * cols, edges)
+
+
+def master_node_adjacency(graph: Graph) -> sp.csr_matrix:
+    """Explicit (n+1)x(n+1) master-node adjacency: one hub tied to all nodes.
+
+    Dense oracle for the master-node limit (criterion 3)."""
+    n = graph.num_nodes
+    a = np.zeros((n + 1, n + 1))
+    for u in range(n):
+        for v in graph.neighbors(u):
+            a[u, v] = 1.0
+    a[:n, n] = 1.0
+    a[n, :n] = 1.0
+    m = sp.csr_matrix(a)
+    m.sort_indices()
+    return m
 
 
 def corpus_graphs() -> list[tuple[str, Graph]]:

@@ -128,6 +128,28 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["srl", "select-eps"])
+    def test_negative_label_is_3(self, tmp_path, capsys, star_files, verb):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("node,label,split\n0,0,train\n1,-2,train\n2,1,val\n3,,none\n")
+        argv = [verb, "--graph", star_files / "graph.txt", "--labels", labels]
+        if verb == "srl":
+            argv += ["--eps", "0", "--out", tmp_path / "o"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("graph_args", [
+        ["--family", "er", "--n", "10", "--p", "0"],
+        ["--family", "path", "--n", "1"],
+    ])
+    def test_gen_without_edges_is_3(self, tmp_path, capsys, graph_args):
+        out = tmp_path / "g"
+        code, _, err = run(["gen", *graph_args, "--out", out], capsys)
+        assert code == 3
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestGenPartition:
     def test_star_partition_blocks(self, tmp_path, star_files):

@@ -7,7 +7,6 @@ import pytest
 
 from rolewire.errors import EmptyGraphError, ParseError, SelfLoopError
 from rolewire.graph import (
-    DegreeStats,
     NodeData,
     UNLABELED,
     compact_ids,
@@ -122,9 +121,9 @@ class TestDegreePercentile:
 class TestDegreeStats:
     def test_consistency(self, corpus):
         for _, g in corpus[:10]:
-            stats = DegreeStats.of(g)
-            assert stats.degrees.sum() == 2 * g.num_edges
-            assert stats.sorted_degrees.max(initial=0) <= g.num_nodes - 1
+            deg = g.degrees()
+            assert deg.sum() == 2 * g.num_edges
+            assert deg.max(initial=0) <= g.num_nodes - 1
 
 
 class TestNodeData:
@@ -154,6 +153,13 @@ class TestNodeData:
         assert np.array_equal(back.train_mask, data.train_mask)
         assert np.array_equal(back.val_mask, data.val_mask)
         assert np.array_equal(back.test_mask, data.test_mask)
+
+    def test_negative_label_rejected(self):
+        text = "node,label,split\n0,,none\n1,-2,train\n"
+        with pytest.raises(ParseError, match="line 3"):
+            load_labels_csv(io.StringIO(text), 2)
+        back = load_labels_csv(io.StringIO(text.replace("-2", "1")), 2)
+        assert back.labels.tolist() == [UNLABELED, 1]
 
     def test_features_csv_round_trip(self):
         x = np.array([[1.25, -2.0], [0.0, 3.5]])

@@ -15,8 +15,9 @@ from rolewire.rewire import (
     build_rewired,
     dump_rewired,
     load_rewired,
-    master_node_adjacency,
 )
+
+from conftest import master_node_adjacency
 
 
 

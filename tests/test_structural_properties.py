@@ -1,19 +1,29 @@
 """Property tests: the sparse structural kernels against per-node references.
 
 The references are the plain loops the kernels replaced. Every quantity
-here is an integer count or a ratio of two, so results must match
-exactly (floats compared through float.hex), on random graphs and
-tolerances.
+here is an integer count, a ratio of two, or a value copied from the
+quotient, so results must match exactly (floats compared through
+float.hex or array equality), on random graphs and tolerances.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rolewire import generators
-from rolewire.errors import NoEligibleNodesError
+from rolewire.errors import NoEligibleNodesError, ParseError, SelfLoopError
 from rolewire.generators import eccentricity_labels
-from rolewire.graph import UNLABELED, bfs_distances, graph_from_edges, two_hop_neighbors
+from rolewire.graph import (
+    UNLABELED,
+    Graph,
+    bfs_distances,
+    compact_ids,
+    graph_from_edges,
+    two_hop_neighbors,
+)
 from rolewire.metrics import two_hop_class_similarity
 from rolewire.partition import (
     Partition,
@@ -100,6 +110,71 @@ def reference_eccentricity_labels(graph, num_classes):
     return np.minimum((ecc - lo) * num_classes // (hi - lo + 1), num_classes - 1)
 
 
+def reference_graph_from_edges(num_nodes, edges):
+    """Set of canonical pairs, then one sorted neighbor list per node."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u}")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ParseError(f"edge ({u},{v}) outside node range 0..{num_nodes - 1}")
+        seen.add((min(u, v), max(u, v)))
+    adj = [[] for _ in range(num_nodes)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    chunks = []
+    for u in range(num_nodes):
+        chunks.append(np.array(sorted(adj[u]), dtype=np.int64))
+        indptr[u + 1] = indptr[u] + len(chunks[-1])
+    return Graph(indptr=indptr, indices=np.concatenate(chunks))
+
+
+def reference_compact_ids(graph):
+    """Rebuild the graph from its relabelled edge list."""
+    keep = np.flatnonzero(graph.degrees() > 0)
+    if len(keep) == 0:
+        keep = np.array([0], dtype=np.int64)
+    remap = {int(old): new for new, old in enumerate(keep)}
+    edges = [(remap[u], remap[v]) for u, v in graph.edges()]
+    return reference_graph_from_edges(len(keep), edges), remap
+
+
+def reference_dense_adjacency(graph):
+    a = np.zeros((graph.num_nodes, graph.num_nodes))
+    for u, v in graph.edges():
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+def reference_rewired_adjacency(graph, partition, qpair, variant):
+    """(n+k)^2 dense fill of [[A, R], [R', corner]], then CSR."""
+    n, k = graph.num_nodes, partition.k
+    a = np.zeros((n + k, n + k))
+    for u in range(n):
+        for v in graph.neighbors(u):
+            a[u, v] = 1.0
+    r = partition.indicator()
+    a[:n, n:] = r
+    a[n:, :n] = r.T
+    if variant is Variant.FULL:
+        a[n:, n:] = (qpair.Q + qpair.Q.T) / 2.0
+    elif variant is Variant.REP_EDGES:
+        a[n:, n:] = qpair.Q_bar
+    m = sp.csr_matrix(a)
+    m.sort_indices()
+    return m
+
+
+def assert_same_graph(got, want):
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b), name
+
+
 def pattern_graph(adjacency):
     """Simple Graph on the off-diagonal stored pattern of a symmetric matrix."""
     coo = adjacency.tocoo()
@@ -119,6 +194,15 @@ def graphs(draw, max_nodes=14):
     density = draw(st.sampled_from([0.15, 0.3, 0.6]))
     picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [e for e, x in zip(pairs, picks) if x < density])
+
+
+@st.composite
+def edge_mentions(draw, max_nodes=12):
+    """A node count and edge mentions with duplicates, reversals, self-loops
+    and, in one draw of four, ids outside 0..n-1."""
+    n = draw(st.integers(1, max_nodes))
+    ids = st.integers(-2, n + 1) if draw(st.integers(0, 3)) == 0 else st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ids, ids), max_size=30))
 
 
 tolerances = st.one_of(
@@ -222,3 +306,43 @@ def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
     monkeypatch.setattr(generators, "ECCENTRICITY_CHUNK", 1)
     assert np.array_equal(eccentricity_labels(graph, 4), whole)
     assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
+
+
+@PROPERTY_SETTINGS
+@given(case=edge_mentions())
+def test_graph_from_edges_matches_set_loop(case):
+    n, edges = case
+    try:
+        want = reference_graph_from_edges(n, edges)
+    except (SelfLoopError, ParseError) as exc:
+        with pytest.raises(type(exc)) as got:
+            graph_from_edges(n, edges)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_graph(graph_from_edges(n, edges), want)
+    assert_same_graph(graph_from_edges(n, iter(edges)), want)
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=16))
+def test_compact_ids_and_dense_adjacency_match_loops(graph):
+    compacted, remap = compact_ids(graph)
+    want, want_remap = reference_compact_ids(graph)
+    assert_same_graph(compacted, want)
+    assert remap == want_remap
+    assert np.array_equal(graph.dense_adjacency(), reference_dense_adjacency(graph))
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_build_rewired_matches_dense_fill(graph, eps, variant):
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    part = refine_eps_be(graph, eps)
+    qp = quotient(graph, part)
+    got = build_rewired(graph, part, qp, variant, eps=eps).adjacency
+    want = reference_rewired_adjacency(graph, part, qp, variant)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
