@@ -140,7 +140,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", default="repnodes",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
     p.add_argument("--features", default=None)
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--out", default=None)   # no --out: table goes to stdout
 
     p = add("effres", help="mean effective resistance before/after rewiring")
@@ -182,6 +181,10 @@ def parse_args(argv: Sequence[str]) -> Command:
             raise UsageError("one of --eps or --percentile is required")
         if ns.eps is not None and ns.eps < 0:
             raise UsageError("--eps must be nonnegative")
+    for verb, flag, low in (("srl", "layers", 1), ("gen", "classes", 0),
+                            ("ts-sim", "classes", 1)):
+        if ns.verb == verb and getattr(ns, flag) < low:
+            raise UsageError(f"--{flag} must be at least {low}")
     return Command(verb=ns.verb, options=ns, seed=ns.seed)
 
 
@@ -318,9 +321,8 @@ def _run_rewire(ns) -> int:
     eps, perc = _resolve_eps(graph, ns)
     variant = Variant.parse(ns.variant)
     part = _partition_for(graph, eps, variant)
-    qp = quotient(graph, part)
     data = _load_data(graph, None, ns.features)
-    rewired = build_rewired(graph, part, qp, variant, features=data.features, eps=eps)
+    rewired = build_rewired(graph, part, variant, features=data.features, eps=eps)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
@@ -330,7 +332,7 @@ def _run_rewire(ns) -> int:
     _write_meta(out / "meta.txt", {
         "n": graph.num_nodes, "k": part.k, "variant": variant.value,
         "eps": repr(eps), "percentile": perc if perc is not None else "",
-        "residual": repr(qp.residual), "remap": _remap_repr(remap),
+        "residual": repr(rewired.residual), "remap": _remap_repr(remap),
     })
     return 0
 
@@ -342,8 +344,7 @@ def _run_srl(ns) -> int:
     eps, _ = _resolve_eps(graph, ns)
     variant = Variant.parse(ns.variant)
     part = _partition_for(graph, eps, variant)
-    qp = quotient(graph, part)
-    rewired = build_rewired(graph, part, qp, variant,
+    rewired = build_rewired(graph, part, variant,
                             features=data.features, eps=eps)
     y = one_hot_labels(data.labels, data.train_mask)
     report = srl_report(graph, rewired, part, y, h_degree=ns.layers)
@@ -355,9 +356,7 @@ def _run_srl(ns) -> int:
 def _run_select_eps(ns) -> int:
     graph, _ = _load_graph(ns.graph)
     data = _load_data(graph, ns.labels, ns.features)
-    candidates = evaluate_candidates(
-        graph, data, Variant.parse(ns.variant),
-        percentiles=PERCENTILE_GRID, h_degree=ns.layers)
+    candidates = evaluate_candidates(graph, data, Variant.parse(ns.variant))
     chosen = select_epsilon(candidates)
     if ns.out is not None:
         out = _outdir(ns.out)
@@ -382,8 +381,7 @@ def _run_effres(ns) -> int:
         eps, _ = _resolve_eps(graph, ns)
         variant = Variant.parse(ns.variant)
         part = _partition_for(graph, eps, variant)
-        qp = quotient(graph, part)
-        rewired = build_rewired(graph, part, qp, variant, eps=eps)
+        rewired = build_rewired(graph, part, variant, eps=eps)
         lines.append(("rewired", mean_effective_resistance(
             rewired.adjacency, origin_count=graph.num_nodes)))
     for name, value in lines:

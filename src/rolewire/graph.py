@@ -106,10 +106,13 @@ class Graph:
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.astype(np.float64).toarray()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """Read-only dense normalized shift, built once per graph and shared."""
+        from .spectral import normalized_shift   # spectral imports this module
+        shift = normalized_shift(self.dense_adjacency())
+        shift.setflags(write=False)
+        return shift
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .errors import (
 from .graph import (
     Graph, NodeData, UNLABELED, degree_percentile, is_connected, one_hot_labels,
 )
-from .partition import quotient, refine_eps_be
+from .partition import refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
 from .spectral import srl_report
 
@@ -208,7 +208,6 @@ def evaluate_candidates(
     data: NodeData,
     variant: Variant = Variant.REP_NODES,
     percentiles: Sequence[int] = PERCENTILE_GRID,
-    h_degree: int = 2,
 ) -> list[EpsCandidate]:
     """Score the percentile grid: one rewiring and one report per entry.
 
@@ -222,10 +221,9 @@ def evaluate_candidates(
     for p in percentiles:
         eps = degree_percentile(graph, p)
         part = refine_eps_be(graph, eps)
-        qp = quotient(graph, part)
-        rewired = build_rewired(graph, part, qp, variant,
+        rewired = build_rewired(graph, part, variant,
                                 features=data.features, eps=eps)
-        report = srl_report(graph, rewired, part, y, h_degree=h_degree)
+        report = srl_report(graph, rewired, part, y)
         try:
             ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
         except NoEligibleNodesError:

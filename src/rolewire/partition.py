@@ -93,7 +93,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class QuotientPair:
-    """Quotient Q, its 0/1 pattern, and residual.
+    """Quotient Q and its residual.
 
     Q averages block-degree counts over each source block, so exact
     equitable partitions give integer entries and zero residual. The
@@ -101,8 +101,7 @@ class QuotientPair:
     partition's membership indicator.
     """
 
-    Q: np.ndarray       # k x k, real
-    Q_bar: np.ndarray   # k x k, 0/1
+    Q: np.ndarray       # k x k, real; its 0/1 pattern is Q > 0
     residual: float
 
 
@@ -204,11 +203,10 @@ def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
 
 
 def quotient(graph: Graph, partition: Partition) -> QuotientPair:
-    """Block-averaged quotient matrix with its 0/1 pattern and residual.
+    """Block-averaged quotient matrix with its residual.
 
     Q[i, j] is the mean neighbor count toward block j over nodes of block
-    i; Q_bar thresholds strictly at zero using exact integer sums, and the
-    residual is max |A R - R Q| entrywise.
+    i, and the residual is max |A R - R Q| entrywise.
     """
     counts = block_degree_matrix(graph, partition)
     k = partition.k
@@ -216,9 +214,8 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     np.add.at(sums, partition.block_of, counts)
     sizes = partition.block_sizes().astype(float)
     q = sums / sizes[:, None]
-    q_bar = (sums > 0).astype(float)
     residual = float(np.abs(counts - q[partition.block_of]).max(initial=0.0))
-    return QuotientPair(Q=q, Q_bar=q_bar, residual=residual)
+    return QuotientPair(Q=q, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Optional
 
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, ParseError
 from .graph import Graph
-from .partition import Partition, QuotientPair, membership_matrix
+from .partition import Partition, membership_matrix, quotient
 
 __all__ = [
     "Variant",
@@ -72,6 +73,14 @@ class RewiredGraph:
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
 
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """Read-only dense normalized shift, built once per rewired graph."""
+        from .spectral import normalized_shift   # spectral imports this module
+        shift = normalized_shift(self.adjacency)
+        shift.setflags(write=False)
+        return shift
+
 
 def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
     """Block-diagonal [X 0; 0 I_k]; a constant all-ones column stands in
@@ -91,7 +100,6 @@ def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
 def build_rewired(
     graph: Graph,
     partition: Partition,
-    qpair: QuotientPair,
     variant: Variant,
     features: Optional[np.ndarray] = None,
     eps: float = 0.0,
@@ -99,25 +107,23 @@ def build_rewired(
     """Assemble the augmented adjacency and features for one variant.
 
     Virtual node j is adjacent (weight 1) to exactly the nodes of block j.
-    The virtual-virtual corner is Q for FULL, zero for REP_NODES and
-    MASTER_NODE, and the 0/1 pattern of Q for REP_EDGES. MASTER_NODE
-    requires the single-block partition.
+    The virtual-virtual corner is the partition's quotient Q for FULL,
+    zero for REP_NODES and MASTER_NODE, and the 0/1 pattern of Q for
+    REP_EDGES. MASTER_NODE requires the single-block partition.
     """
     n, k = graph.num_nodes, partition.k
     if partition.num_nodes != n:
         raise DimensionMismatchError(
             f"partition covers {partition.num_nodes} nodes, graph has {n}")
-    if qpair.Q.shape != (k, k):
-        raise DimensionMismatchError(
-            f"quotient shape {qpair.Q.shape} != ({k}, {k})")
     if variant is Variant.MASTER_NODE and k != 1:
         raise DimensionMismatchError(
             "master-node variant requires the single-block partition")
 
+    qpair = quotient(graph, partition)
     if variant is Variant.FULL:
         corner = (qpair.Q + qpair.Q.T) / 2.0   # symmetrize; equal for exact EPs
     elif variant is Variant.REP_EDGES:
-        corner = qpair.Q_bar
+        corner = (qpair.Q > 0).astype(float)
     else:
         corner = np.zeros((k, k))
     member = membership_matrix(partition.block_of, k)

@@ -280,7 +280,8 @@ def srl_report(
 ) -> SrlReport:
     """Full spectral-role-lift pipeline for one rewiring.
 
-    Builds both normalized shifts, rotates the role basis so the observed
+    Takes both normalized shifts from their owners (`Graph.shift`,
+    `RewiredGraph.shift`), rotates the role basis so the observed
     restriction is diagonal, lifts each rotated role direction through
     the rewired blocks, and aggregates with the label energies of y
     (n x C, zero rows for unlabeled nodes).
@@ -288,13 +289,13 @@ def srl_report(
     n = graph.num_nodes
     if rewired.origin_count != n or partition.num_nodes != n or y.shape[0] != n:
         raise ValueError("graph, rewired graph, partition and labels disagree on n")
-    s_obs = normalized_shift(graph.dense_adjacency())
-    s_rew = normalized_shift(rewired.adjacency)
+    s_obs = graph.shift
+    s_rew = rewired.shift
     s_oo = s_rew[:n, :n]
     s_vo = s_rew[n:, :n]
     s_vv = s_rew[n:, n:]
 
-    c = rotate_basis(role_basis(partition.indicator()), s_obs)
+    c = rotated_role_basis(graph, partition)
     k = c.shape[1]
     lifts = np.array([per_role_lift(c[:, j], s_obs, s_oo, s_vo, s_vv)
                       for j in range(k)])
@@ -328,8 +329,7 @@ def srl_report(
 
 def rotated_role_basis(graph: Graph, partition: Partition) -> np.ndarray:
     """Role basis rotated against the graph's own normalized shift."""
-    s_obs = normalized_shift(graph.dense_adjacency())
-    return rotate_basis(role_basis(partition.indicator()), s_obs)
+    return rotate_basis(role_basis(partition.indicator()), graph.shift)
 
 
 def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:

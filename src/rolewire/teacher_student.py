@@ -19,10 +19,10 @@ import numpy as np
 from .errors import DimensionMismatchError, DivergenceError
 from .graph import Graph, degree_percentile
 from .metrics import pearson
-from .partition import quotient, refine_eps_be
+from .partition import refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
 from .seeding import derive_seed
-from .spectral import normalized_shift, srl_report
+from .spectral import srl_report
 
 __all__ = [
     "LinearGnnWeights",
@@ -62,10 +62,6 @@ class LinearGnnWeights:
     @property
     def dim_in(self) -> int:
         return self.layers[0].shape[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.layers[-1].shape[1]
 
     def product(self) -> np.ndarray:
         return layer_product(self.layers)
@@ -149,8 +145,7 @@ def forward(shift: np.ndarray, x: np.ndarray, weights: LinearGnnWeights) -> np.n
 
 def teacher_labels(rewired: RewiredGraph, weights: LinearGnnWeights) -> np.ndarray:
     """Teacher outputs on the augmented graph, restricted to original nodes."""
-    s_rew = normalized_shift(rewired.adjacency)
-    full = forward(s_rew, rewired.features, weights)
+    full = forward(rewired.shift, rewired.features, weights)
     return full[:rewired.origin_count, :]
 
 
@@ -256,10 +251,9 @@ def train_student(
     sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
     weights = gaussian_init(dims, sigmas, config.seed)
 
-    shift = normalized_shift(graph.dense_adjacency())
     propagated = x
     for _ in range(num_layers):
-        propagated = shift @ propagated
+        propagated = graph.shift @ propagated
 
     shapes = [w.shape for w in weights.layers]
     offsets = np.cumsum([w.size for w in weights.layers])[:-1]
@@ -347,8 +341,7 @@ def run_ts_experiment(
             for p in percentiles:
                 eps = degree_percentile(graph, p)
                 part = refine_eps_be(graph, eps)
-                qp = quotient(graph, part)
-                rewired = build_rewired(graph, part, qp, variant,
+                rewired = build_rewired(graph, part, variant,
                                         features=features, eps=eps)
                 k = part.k
                 teacher_dims = [d + k] + [d + k] * (num_layers - 1) + [d_out]

@@ -73,8 +73,7 @@ def train_label_matrix(graph, seed=0, num_classes=3):
 
 def rewired_at(graph, eps, variant):
     part = refine_eps_be(graph, eps)
-    qp = quotient(graph, part)
-    return part, build_rewired(graph, part, qp, variant, eps=eps)
+    return part, build_rewired(graph, part, variant, eps=eps)
 
 
 def test_criterion_1_exact_ep_against_oracle(corpus):
@@ -145,9 +144,8 @@ def test_criterion_5_effective_resistance_reduction(corpus):
             continue
         base = mean_effective_resistance(g.dense_adjacency())
         part = refine_eps_be(g, 0)
-        qp = quotient(g, part)
         for variant in (Variant.REP_NODES, Variant.REP_EDGES):
-            rg = build_rewired(g, part, qp, variant)
+            rg = build_rewired(g, part, variant)
             after = mean_effective_resistance(rg.adjacency,
                                               origin_count=g.num_nodes)
             assert after <= base + 1e-9, (name, variant)

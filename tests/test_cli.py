@@ -150,6 +150,31 @@ class TestExitCodes:
         assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["srl", "--graph", "{g}/graph.txt", "--labels", "{g}/labels.csv",
+          "--eps", "0", "--layers", "0"], "--layers"),
+        (["srl", "--graph", "{g}/graph.txt", "--labels", "{g}/labels.csv",
+          "--eps", "0", "--layers", "-1"], "--layers"),
+        (["gen", "--family", "tree", "--n", "5", "--classes", "-1"], "--classes"),
+        (["ts-sim", "--families", "star", "--n", "6", "--classes", "0"], "--classes"),
+        (["ts-sim", "--families", "star", "--n", "6", "--classes", "-2"], "--classes"),
+    ], ids=["srl-layers-0", "srl-layers-neg", "gen-classes-neg",
+            "ts-sim-classes-0", "ts-sim-classes-neg"])
+    def test_bad_count_is_2(self, tmp_path, capsys, star_files, argv, flag):
+        out = tmp_path / "o"
+        argv = [a.format(g=star_files) for a in argv] + ["--out", out]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and flag in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_select_eps_has_no_layers_flag(self, capsys, star_files):
+        code, stdout, err = run(["select-eps", "--graph", star_files / "graph.txt",
+                                 "--labels", star_files / "labels.csv",
+                                 "--layers", "2"], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and "--layers" in err
+
 
 class TestGenPartition:
     def test_star_partition_blocks(self, tmp_path, star_files):

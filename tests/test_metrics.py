@@ -24,7 +24,7 @@ from rolewire.metrics import (
     two_hop_class_similarity,
 )
 from rolewire.graph import NodeData
-from rolewire.partition import quotient, refine_eps_be
+from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 
 from conftest import cycle_graph, path_graph, star_graph
@@ -54,9 +54,8 @@ class TestEffectiveResistance:
                 continue
             base = mean_effective_resistance(g.dense_adjacency())
             part = refine_eps_be(g, 0)
-            qp = quotient(g, part)
             for variant in (Variant.REP_NODES, Variant.REP_EDGES):
-                rg = build_rewired(g, part, qp, variant)
+                rg = build_rewired(g, part, variant)
                 after = mean_effective_resistance(rg.adjacency,
                                                   origin_count=g.num_nodes)
                 assert after <= base + 1e-9, name
@@ -77,9 +76,8 @@ class TestEffectiveResistance:
             n = g.num_nodes
             base = pairwise(g.dense_adjacency(), n)
             part = refine_eps_be(g, 0)
-            qp = quotient(g, part)
             for variant in (Variant.REP_NODES, Variant.REP_EDGES):
-                rg = build_rewired(g, part, qp, variant)
+                rg = build_rewired(g, part, variant)
                 after = pairwise(rg.adjacency.toarray(), n)
                 assert (after <= base + 1e-9).all()
 
@@ -87,15 +85,13 @@ class TestEffectiveResistance:
         # all-singleton partition: hubs are pendant, original pairs unchanged
         from rolewire.partition import Partition
         part = Partition.from_blocks(3, [[0], [1], [2]])
-        qp = quotient(p3, part)
-        rg = build_rewired(p3, part, qp, Variant.REP_NODES)
+        rg = build_rewired(p3, part, Variant.REP_NODES)
         after = mean_effective_resistance(rg.adjacency, origin_count=3)
         assert after == pytest.approx(4.0 / 3.0, abs=1e-9)
 
     def test_all_pairs_mode(self, p3):
         part = refine_eps_be(p3, 0)
-        qp = quotient(p3, part)
-        rg = build_rewired(p3, part, qp, Variant.REP_NODES)
+        rg = build_rewired(p3, part, Variant.REP_NODES)
         full = mean_effective_resistance(rg.adjacency, all_pairs=True)
         orig = mean_effective_resistance(rg.adjacency, origin_count=3)
         assert full > orig   # pendant hubs add resistive pairs
@@ -140,8 +136,7 @@ class TestTwoHopClassSimilarity:
         labels = np.array([0, 1, 1, 1, 1, 0])
         mask = np.ones(6, dtype=bool)
         part = refine_eps_be(g, 0)
-        qp = quotient(g, part)
-        rg = build_rewired(g, part, qp, Variant.REP_NODES)
+        rg = build_rewired(g, part, Variant.REP_NODES)
         base = two_hop_class_similarity(g, labels, mask)
         rew = two_hop_class_similarity(rg, labels, mask)
         assert rew > base   # endpoints see each other through their hub

@@ -177,12 +177,6 @@ class TestQuotient:
         assert np.allclose(qp.Q, [[1.5]])
         assert qp.residual == pytest.approx(1.5)
 
-    def test_pattern_matches_positive_entries(self, corpus):
-        for _, g in corpus[:12]:
-            part = refine_eps_be(g, 1.0)
-            qp = quotient(g, part)
-            assert np.array_equal(qp.Q_bar, (qp.Q > 0).astype(float))
-
     def test_residual_bounded_by_eps(self, corpus):
         for _, g in corpus[:20]:
             for eps in (0.0, 1.0, 3.0):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolewire.errors import DimensionMismatchError, InputError, ParseError
 from rolewire.graph import bfs_distances
-from rolewire.partition import Partition, quotient, refine_eps_be
+from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import (
     Variant,
     augment_features,
@@ -23,8 +23,7 @@ from conftest import master_node_adjacency
 
 def rewire(graph, eps, variant, features=None):
     part = refine_eps_be(graph, eps)
-    qp = quotient(graph, part)
-    return part, build_rewired(graph, part, qp, variant, features=features, eps=eps)
+    return part, build_rewired(graph, part, variant, features=features, eps=eps)
 
 
 class TestBlockStructure:
@@ -46,6 +45,16 @@ class TestBlockStructure:
         a = rg.dense_adjacency()
         assert np.array_equal(a[4:, 4:], [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_repedges_corner_is_quotient_pattern(self, corpus):
+        # the corner links two hubs exactly when some edge joins their blocks
+        for _, g in corpus[:12]:
+            n = g.num_nodes
+            part, rg = rewire(g, 1.0, Variant.REP_EDGES)
+            r = part.indicator()
+            block_edges = r.T @ g.dense_adjacency() @ r
+            assert np.array_equal(rg.dense_adjacency()[n:, n:],
+                                  (block_edges > 0).astype(float))
+
     def test_full_uses_weighted_quotient(self, c4):
         part, rg = rewire(c4, 0, Variant.FULL)
         a = rg.dense_adjacency()
@@ -54,8 +63,7 @@ class TestBlockStructure:
 
     def test_single_block_repnodes_is_master_node(self, c4):
         part = Partition.from_blocks(4, [[0, 1, 2, 3]])
-        qp = quotient(c4, part)
-        rg = build_rewired(c4, part, qp, Variant.REP_NODES)
+        rg = build_rewired(c4, part, Variant.REP_NODES)
         explicit = master_node_adjacency(c4)
         assert np.array_equal(rg.adjacency.indptr, explicit.indptr)
         assert np.array_equal(rg.adjacency.indices, explicit.indices)
@@ -63,9 +71,8 @@ class TestBlockStructure:
 
     def test_master_node_variant_requires_single_block(self, star4):
         part = refine_eps_be(star4, 0)
-        qp = quotient(star4, part)
         with pytest.raises(DimensionMismatchError):
-            build_rewired(star4, part, qp, Variant.MASTER_NODE)
+            build_rewired(star4, part, Variant.MASTER_NODE)
 
     def test_adjacency_symmetric(self, corpus):
         for _, g in corpus[:8]:

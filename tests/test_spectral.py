@@ -9,10 +9,12 @@ then evaluates the lift formula symbol by symbol.
 import numpy as np
 import pytest
 
+from rolewire import spectral
 from rolewire.errors import EmptyLabelsError, NonSymmetricError
 from rolewire.generators import assign_splits, eccentricity_labels
-from rolewire.graph import one_hot_labels
-from rolewire.partition import quotient, refine_eps_be
+from rolewire.graph import NodeData, one_hot_labels
+from rolewire.metrics import evaluate_candidates
+from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import (
     SrlReport,
@@ -26,6 +28,7 @@ from rolewire.spectral import (
     srl_report,
     symmetric_eig,
 )
+from rolewire.teacher_student import TrainConfig, run_ts_experiment
 
 from conftest import cycle_graph, path_graph, star_graph
 
@@ -92,8 +95,7 @@ def oracle_srl(graph, rewired, partition, y):
 
 def labeled_case(graph, eps, variant, seed=0, num_classes=3):
     part = refine_eps_be(graph, eps)
-    qp = quotient(graph, part)
-    rg = build_rewired(graph, part, qp, variant, eps=eps)
+    rg = build_rewired(graph, part, variant, eps=eps)
     labels = eccentricity_labels(graph, num_classes)
     train, _, _ = assign_splits(graph.num_nodes, seed)
     if not train.any():
@@ -387,3 +389,46 @@ class TestSrlPipeline:
         e_c = (y ** 2).sum(axis=0)
         blended = (rep.srl_per_class * e_c).sum() / e_c.sum()
         assert blended == pytest.approx(rep.srl, rel=1e-9)
+
+
+class TestShiftOwners:
+    """Each normalized shift is built once, by the graph that owns it."""
+
+    @pytest.fixture
+    def shift_orders(self, monkeypatch):
+        orders = []
+        original = spectral.normalized_shift
+
+        def counting(adjacency):
+            orders.append(adjacency.shape[0])
+            return original(adjacency)
+
+        monkeypatch.setattr(spectral, "normalized_shift", counting)
+        return orders
+
+    def test_cached_read_only_and_exact(self):
+        g = path_graph(7)
+        rg = build_rewired(g, refine_eps_be(g, 1.0), Variant.REP_NODES)
+        for owner, want in ((g, normalized_shift(g.dense_adjacency())),
+                            (rg, normalized_shift(rg.adjacency))):
+            assert owner.shift is owner.shift
+            assert owner.shift.tobytes() == want.tobytes()
+            assert not owner.shift.flags.writeable
+            with pytest.raises(ValueError):
+                owner.shift[0, 0] = 0.0
+
+    def test_grid_builds_the_original_shift_once(self, shift_orders):
+        g = path_graph(8)
+        train, val, test = assign_splits(8, seed=0)
+        data = NodeData(num_nodes=8, labels=eccentricity_labels(g, 2),
+                        train_mask=train, val_mask=val, test_mask=test)
+        evaluate_candidates(g, data)
+        assert len(shift_orders) == 6           # one original + five rewired
+        assert shift_orders.count(8) == 1       # rewired shifts have order n + k > n
+
+    def test_ts_experiment_builds_one_shift_per_graph(self, shift_orders):
+        datasets = [("path", path_graph(6), None), ("star", star_graph(5), None)]
+        run_ts_experiment(datasets, [Variant.FULL], [0, 100],
+                          TrainConfig(epochs=3))
+        assert len(shift_orders) == 2 + 2 * 2   # graphs + rewired graphs
+        assert shift_orders.count(6) == 2

@@ -162,7 +162,7 @@ def reference_rewired_adjacency(graph, partition, qpair, variant):
     if variant is Variant.FULL:
         a[n:, n:] = (qpair.Q + qpair.Q.T) / 2.0
     elif variant is Variant.REP_EDGES:
-        a[n:, n:] = qpair.Q_bar
+        a[n:, n:] = qpair.Q > 0
     m = sp.csr_matrix(a)
     m.sort_indices()
     return m
@@ -278,7 +278,7 @@ def test_two_hop_matches_reference_on_rewired(case, eps, variant):
     n = graph.num_nodes
     part = Partition.from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
         else refine_eps_be(graph, eps)
-    rewired = build_rewired(graph, part, quotient(graph, part), variant, eps=eps)
+    rewired = build_rewired(graph, part, variant, eps=eps)
     _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
 
 
@@ -340,7 +340,7 @@ def test_build_rewired_matches_dense_fill(graph, eps, variant):
         eps = math.inf
     part = refine_eps_be(graph, eps)
     qp = quotient(graph, part)
-    got = build_rewired(graph, part, qp, variant, eps=eps).adjacency
+    got = build_rewired(graph, part, variant, eps=eps).adjacency
     want = reference_rewired_adjacency(graph, part, qp, variant)
     assert got.shape == want.shape and got.dtype == want.dtype == np.float64
     assert got.has_sorted_indices

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rolewire.errors import DimensionMismatchError, DivergenceError
 from rolewire.generators import make_graph
 from rolewire.graph import bfs_distances, graph_from_edges
-from rolewire.partition import quotient, refine_eps_be
+from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import normalized_shift
 from rolewire.teacher_student import (
@@ -106,14 +106,14 @@ class TestForward:
 class TestTeacherLabels:
     def test_zero_teacher(self, star4):
         part = refine_eps_be(star4, 0)
-        rg = build_rewired(star4, part, quotient(star4, part), Variant.REP_NODES)
+        rg = build_rewired(star4, part, Variant.REP_NODES)
         w = LinearGnnWeights((np.zeros((3, 3)), np.zeros((3, 2))))
         assert not teacher_labels(rg, w).any()
 
     def test_master_node_dense_oracle(self, star4):
         eps = 3.0
         part = refine_eps_be(star4, eps)
-        rg = build_rewired(star4, part, quotient(star4, part), Variant.REP_NODES)
+        rg = build_rewired(star4, part, Variant.REP_NODES)
         w = gaussian_init([2, 2, 3], [1.0, 1.0], seed=8)
         got = teacher_labels(rg, w)
         # explicit (n+1) x (n+1) construction
@@ -134,7 +134,7 @@ class TestTeacherLabels:
         # student with cropped teacher weights == shift applied to the
         # original-node slice of the teacher's effective signal
         part = refine_eps_be(p3, 0)
-        rg = build_rewired(p3, part, quotient(p3, part), Variant.FULL)
+        rg = build_rewired(p3, part, Variant.FULL)
         d, k = 1, part.k
         w = gaussian_init([d + k, d + k, 2], [1.0, 1.0], seed=3)
         x = np.ones((3, 1))
