@@ -89,6 +89,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _comma_list(item):
+    """argparse type: a comma-separated list of item(value), at least one."""
+    def comma_list(text: str) -> list:
+        values = [item(t.strip()) for t in text.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+    return comma_list
+
+
+def _grid_percentile(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = None
+    if p not in PERCENTILE_GRID:
+        raise argparse.ArgumentTypeError(f"percentile {text} not in grid {PERCENTILE_GRID}")
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rolewire", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -150,10 +170,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = add("ts-sim", help="teacher-student simulation")
-    p.add_argument("--families", default="star,path,cycle,grid,ladder,tree")
+    p.add_argument("--families", type=_comma_list(str),
+                   default="star,path,cycle,grid,ladder,tree")
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--percentiles", default="0,50,100")
+    p.add_argument("--percentiles", type=_comma_list(_grid_percentile),
+                   default="0,50,100")
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
     p.add_argument("--epochs", type=int, default=5000)
@@ -182,9 +204,15 @@ def parse_args(argv: Sequence[str]) -> Command:
         if ns.eps is not None and ns.eps < 0:
             raise UsageError("--eps must be nonnegative")
     for verb, flag, low in (("srl", "layers", 1), ("gen", "classes", 0),
-                            ("ts-sim", "classes", 1)):
+                            ("ts-sim", "classes", 1), ("ts-sim", "epochs", 1)):
         if ns.verb == verb and getattr(ns, flag) < low:
             raise UsageError(f"--{flag} must be at least {low}")
+    if ns.verb == "ts-sim":
+        if not (math.isfinite(ns.lr) and ns.lr > 0):
+            raise UsageError("--lr must be a positive finite number")
+        if len(ns.families) * len(ns.percentiles) < 2:
+            raise UsageError("--families x --percentiles gives one point; "
+                             "the correlation needs at least 2")
     return Command(verb=ns.verb, options=ns, seed=ns.seed)
 
 
@@ -396,23 +424,16 @@ def _run_effres(ns) -> int:
 
 
 def _run_ts_sim(ns) -> int:
-    out = _outdir(ns.out)
-    families = [f.strip() for f in ns.families.split(",") if f.strip()]
-    percentiles = [int(p) for p in ns.percentiles.split(",") if p.strip()]
-    for p in percentiles:
-        if p not in PERCENTILE_GRID:
-            raise UsageError(f"percentile {p} not in grid {PERCENTILE_GRID}")
-    datasets = []
-    for fam in families:
-        graph = make_graph(fam, ns.n, seed=ns.seed)
-        datasets.append((fam, graph, None))
+    datasets = [(fam, make_graph(fam, ns.n, seed=ns.seed), None)
+                for fam in ns.families]
     variant = Variant.parse(ns.variant)
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
-        datasets, [variant], percentiles, config, d_out=ns.classes)
+        datasets, [variant], ns.percentiles, config, d_out=ns.classes)
+    out = _outdir(ns.out)
     with open(out / "ts.csv", "w") as fh:
         fh.write("dataset,variant,percentile,eps,srl,mse,seed\n")
-        cells = list(product(families, [variant], percentiles))
+        cells = list(product(ns.families, [variant], ns.percentiles))
         for (fam, var, perc), res in zip(cells, results):
             fh.write(f"{fam},{var.value},{perc},{res.eps:.6f},"
                      f"{res.srl:.6f},{res.mse_final:.6f},{res.seed}\n")

@@ -7,12 +7,20 @@ whole network implements the filter s -> s^L. Teacher labels come from
 running this model on an augmented graph and keeping only the original
 nodes' outputs; the student trains the same architecture on the original
 graph against those labels with full-batch Adam.
+
+Students whose chains share a shape (n, d_in, layers, d_out) train in
+lockstep: one stacked Adam loop updates all of them with one set of numpy
+calls per epoch. Every per-student operation keeps its operands and order,
+so each student's loss trace and final weights are bit-identical to
+training it alone; `train_student` is the one-student case of that loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+import math
 
 import numpy as np
 
@@ -31,11 +39,11 @@ __all__ = [
     "gaussian_init",
     "forward",
     "teacher_labels",
-    "crop_to_observed",
     "layer_product",
     "mse_loss",
     "gradients",
     "train_student",
+    "train_students",
     "run_ts_experiment",
 ]
 
@@ -86,8 +94,8 @@ class TrainConfig:
     sigmas: Optional[tuple[float, ...]] = None   # None: unit scale per layer
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -149,20 +157,21 @@ def teacher_labels(rewired: RewiredGraph, weights: LinearGnnWeights) -> np.ndarr
     return full[:rewired.origin_count, :]
 
 
-def crop_to_observed(weights: LinearGnnWeights, d: int) -> LinearGnnWeights:
-    """Drop the virtual-feature rows of the first layer.
-
-    Because augmented features are block diagonal, the teacher restricted
-    to original-node inputs is exactly the same chain with the first
-    layer's trailing rows removed.
-    """
-    first = weights.layers[0][:d, :]
-    return LinearGnnWeights(layers=(first,) + weights.layers[1:])
-
-
 # ---------------------------------------------------------------------------
 # Loss and analytic gradients
 # ---------------------------------------------------------------------------
+
+def _stacked_mse(propagated: np.ndarray, layers: Sequence[np.ndarray],
+                 y_true: np.ndarray) -> np.ndarray:
+    """Per-student mean squared error of P stacked chains.
+
+    propagated is (P, n, d_in), each layer (P, a, b) and y_true
+    (P, n, d_out); the result has one entry per student.
+    """
+    resid = propagated @ layer_product(layers) - y_true
+    return (resid * resid).reshape(len(resid), -1).sum(axis=1) / (
+        y_true.shape[1] * y_true.shape[2])
+
 
 def mse_loss(propagated: np.ndarray, layers: Sequence[np.ndarray],
              y_true: np.ndarray) -> float:
@@ -170,30 +179,35 @@ def mse_loss(propagated: np.ndarray, layers: Sequence[np.ndarray],
 
     `layers` is the weight chain as arrays, e.g. `LinearGnnWeights.layers`.
     """
-    resid = propagated @ layer_product(layers) - y_true
-    return float((resid * resid).sum()) / (y_true.shape[0] * y_true.shape[1])
+    return float(_stacked_mse(propagated[None], [w[None] for w in layers],
+                              y_true[None])[0])
 
 
 class _ChainGradient:
-    """d(mse)/dW(l) of one chain shape, written into preallocated arrays.
+    """d(mse)/dW(l) of P chains of one shape, written into preallocated arrays.
 
-    Each layer's gradient is prefixes[l].T @ err @ suffixes[l].T, with
-    prefixes[l] = S^L X W(1..l), suffixes[l] = W(l+2..L) @ I and
-    err = 2 (S^L X W(1..L) - y) / (n d_out): the same products in the same
-    order on every call, so repeated calls allocate nothing.
+    Every array carries a leading student axis. Each layer's gradient is
+    prefixes[l]^T @ err @ suffixes[l]^T, with prefixes[l] = S^L X W(1..l),
+    suffixes[l] = W(l+2..L) @ I and err = 2 (S^L X W(1..L) - y) / (n d_out):
+    the same products in the same order on every call, and for every
+    student the same as for a chain trained alone, so repeated calls
+    allocate nothing.
     """
 
     def __init__(self, propagated: np.ndarray, y_true: np.ndarray,
                  dims: Sequence[int]):
-        n, d_out = propagated.shape[0], dims[-1]
+        p, n = propagated.shape[:2]
+        d_out = dims[-1]
         self.y_true = y_true
-        self.scale = y_true.size
-        self.prefixes = [propagated] + [np.empty((n, d)) for d in dims[1:-1]]
-        self.suffixes = [np.empty((d, d_out)) for d in dims[1:-1]] + [np.eye(d_out)]
-        self.err = np.empty((n, d_out))
-        # per layer: (prefixes[l].T, scratch for prefixes[l].T @ err, suffixes[l].T)
-        self.outer = [(p.T, np.empty((p.shape[1], d_out)), s.T)
-                      for p, s in zip(self.prefixes, self.suffixes)]
+        self.scale = n * d_out
+        self.prefixes = [propagated] + [np.empty((p, n, d)) for d in dims[1:-1]]
+        self.suffixes = ([np.empty((p, d, d_out)) for d in dims[1:-1]]
+                         + [np.broadcast_to(np.eye(d_out), (p, d_out, d_out))])
+        self.err = np.empty((p, n, d_out))
+        # per layer: (prefixes[l]^T, scratch for prefixes[l]^T @ err, suffixes[l]^T)
+        self.outer = [(pre.swapaxes(1, 2), np.empty((p, pre.shape[2], d_out)),
+                       suf.swapaxes(1, 2))
+                      for pre, suf in zip(self.prefixes, self.suffixes)]
 
     def __call__(self, layers: Sequence[np.ndarray], out: Sequence[np.ndarray]) -> None:
         pre, suf, err = self.prefixes, self.suffixes, self.err
@@ -217,64 +231,78 @@ def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
     `propagated` is the precomputed S^L X, shared by all epochs.
     """
     dims = [weights.dim_in] + [w.shape[1] for w in weights.layers]
-    grads = [np.empty(w.shape) for w in weights.layers]
-    _ChainGradient(propagated, y_true, dims)(weights.layers, grads)
-    return grads
+    grads = [np.empty((1,) + w.shape) for w in weights.layers]
+    _ChainGradient(propagated[None], y_true[None], dims)(
+        [w[None] for w in weights.layers], grads)
+    return [g[0] for g in grads]
 
 
-def train_student(
-    graph: Graph,
-    x: np.ndarray,
-    y_true: np.ndarray,
-    config: TrainConfig,
-    num_layers: int = 2,
-) -> tuple[LinearGnnWeights, TsResult]:
-    """Full-batch Adam on the analytic gradients of the linear chain.
+# ---------------------------------------------------------------------------
+# Training
+# ---------------------------------------------------------------------------
 
-    Hidden widths default to the input feature width; the output width
-    follows y_true. The loss trace records the objective after each
-    update, so its last entry is the final training error. Deterministic
-    for a fixed config.
-
-    All parameters live in one flat float64 vector: each layer, and each
-    layer's gradient, is a reshaped view into a flat buffer, and Adam
-    updates the whole vector in place once per epoch. Every floating-point
-    operation keeps the operands and order of the per-layer form
-    (m = b1 m + (1-b1) g; v = b2 v + (1-b2) g g; W -= lr m_hat /
-    (sqrt(v_hat) + eps) with m_hat, v_hat divided by their bias
-    corrections), so loss traces and weights are bit-identical to it.
-    """
-    if y_true.shape[0] != graph.num_nodes:
-        raise DimensionMismatchError("y_true must have one row per node")
-    d_in, d_out = x.shape[1], y_true.shape[1]
-    dims = [d_in] + [d_in] * (num_layers - 1) + [d_out]
-    sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
-    weights = gaussian_init(dims, sigmas, config.seed)
-
+def _propagate(graph: Graph, x: np.ndarray, num_layers: int) -> np.ndarray:
+    """S^L X, the input every epoch of a student on this graph reuses."""
     propagated = x
     for _ in range(num_layers):
         propagated = graph.shift @ propagated
+    return propagated
 
-    shapes = [w.shape for w in weights.layers]
-    offsets = np.cumsum([w.size for w in weights.layers])[:-1]
+
+def _adam_lockstep(
+    propagated: np.ndarray,
+    ys: np.ndarray,
+    seeds: Sequence[int],
+    config: TrainConfig,
+    num_layers: int,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Full-batch Adam on P same-shape students at once.
+
+    Returns the final layers as (P, a, b) arrays, the loss traces as an
+    (epochs, P) array, and per student the epoch at which training it
+    alone would have raised DivergenceError (0 if it would not). Rows of
+    a student that diverged hold non-finite values and are not to be used.
+
+    All parameters live in one (P, D) float64 buffer `theta`: each layer,
+    and each layer's gradient, is a (P, a, b) view into a (P, D) buffer,
+    and Adam updates the whole buffer in place once per epoch. Every
+    floating-point operation keeps the operands and order of the
+    per-layer form (m = b1 m + (1-b1) g; v = b2 v + (1-b2) g g;
+    W -= lr m_hat / (sqrt(v_hat) + eps) with m_hat, v_hat divided by their
+    bias corrections) and acts on each student's row alone, so students
+    do not interact and each one's trace and weights are bit-identical to
+    training it by itself. A diverged student keeps computing non-finite
+    values; the loop stops early only once the first student diverges,
+    because no other divergence can come before it.
+    """
+    p, d_in, d_out = len(seeds), propagated.shape[2], ys.shape[2]
+    dims = [d_in] * num_layers + [d_out]
+    sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
+    theta = np.stack([
+        np.concatenate([w.ravel() for w in gaussian_init(dims, sigmas, seed).layers])
+        for seed in seeds])
+    offsets = np.cumsum([a * b for a, b in zip(dims, dims[1:])])[:-1]
 
     def layer_views(flat):
-        return [part.reshape(shape) for part, shape in zip(np.split(flat, offsets), shapes)]
+        return [part.reshape(p, a, b) for part, a, b
+                in zip(np.split(flat, offsets, axis=1), dims, dims[1:])]
 
-    theta = np.concatenate([w.ravel() for w in weights.layers])
     grad = np.empty_like(theta)
     layers, grads = layer_views(theta), layer_views(grad)
-    chain_gradient = _ChainGradient(propagated, y_true, dims)
+    chain_gradient = _ChainGradient(propagated, ys, dims)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     step, denom = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2 = config.beta1, config.beta2
     lr, adam_eps = config.learning_rate, config.adam_eps
 
-    trace = []
+    traces = np.empty((config.epochs, p))
+    diverged = np.zeros(p, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             if not np.isfinite(theta).all():
-                raise DivergenceError(epoch)
+                diverged[(diverged == 0) & ~np.isfinite(theta).all(axis=1)] = epoch
+                if diverged[0]:
+                    break
             chain_gradient(layers, grads)
             # One ufunc per term of the per-layer Adam expressions, in
             # their evaluation order, so every rounding step is the same.
@@ -292,19 +320,76 @@ def train_student(
             np.multiply(lr, step, out=step)
             np.divide(step, denom, out=step)
             np.subtract(theta, step, out=theta)
-            loss = mse_loss(propagated, layers, y_true)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch)
-            trace.append(loss)
+            loss = traces[epoch - 1] = _stacked_mse(propagated, layers, ys)
+            if not np.isfinite(loss).all():
+                diverged[(diverged == 0) & ~np.isfinite(loss)] = epoch
+                if diverged[0]:
+                    break
+    return layers, traces, diverged
 
-    final_weights = LinearGnnWeights(layers=tuple(layers))
-    result = TsResult(
-        srl=float("nan"),
-        mse_final=trace[-1],
-        loss_trace=tuple(trace),
-        seed=config.seed,
-    )
-    return final_weights, result
+
+def _student_result(traces: np.ndarray, index: int, seed: int) -> TsResult:
+    trace = tuple(traces[:, index].tolist())
+    return TsResult(srl=float("nan"), mse_final=trace[-1], loss_trace=trace,
+                    seed=seed)
+
+
+def train_students(
+    propagated: np.ndarray,
+    ys: np.ndarray,
+    seeds: Sequence[int],
+    config: TrainConfig,
+    num_layers: int = 2,
+) -> list[tuple[LinearGnnWeights, TsResult]]:
+    """Train P same-shape students in lockstep, one stacked Adam loop.
+
+    `propagated` (P, n, d_in) holds each student's S^L X and `ys`
+    (P, n, d_out) its targets; student i initializes from seeds[i], and
+    `config.seed` is not used. Each returned (weights, result) pair is
+    bit-identical to `train_student` on that student alone. If any
+    student diverges, raises the DivergenceError that training them one
+    after another in order would have raised first: the one of the
+    lowest-index diverging student.
+    """
+    if propagated.ndim != 3 or ys.ndim != 3 or ys.shape[:2] != propagated.shape[:2]:
+        raise DimensionMismatchError(
+            f"inputs {propagated.shape} and targets {ys.shape} must stack as "
+            "(P, n, d_in) and (P, n, d_out)")
+    if len(seeds) != len(ys) or not seeds:
+        raise DimensionMismatchError(f"{len(ys)} students need as many seeds, "
+                                     f"got {len(seeds)}")
+    layers, traces, diverged = _adam_lockstep(propagated, ys, seeds, config,
+                                              num_layers)
+    bad = np.flatnonzero(diverged)
+    if bad.size:
+        raise DivergenceError(int(diverged[bad[0]]))
+    return [(LinearGnnWeights(layers=tuple(w[i] for w in layers)),
+             _student_result(traces, i, seed))
+            for i, seed in enumerate(seeds)]
+
+
+def train_student(
+    graph: Graph,
+    x: np.ndarray,
+    y_true: np.ndarray,
+    config: TrainConfig,
+    num_layers: int = 2,
+) -> tuple[LinearGnnWeights, TsResult]:
+    """Full-batch Adam on the analytic gradients of the linear chain.
+
+    Hidden widths default to the input feature width; the output width
+    follows y_true. The loss trace records the objective after each
+    update, so its last entry is the final training error. Deterministic
+    for a fixed config. This is the one-student call of the stacked loop
+    behind `train_students`, so training a student alone or in a group
+    gives the same bits.
+    """
+    if y_true.shape[0] != graph.num_nodes:
+        raise DimensionMismatchError("y_true must have one row per node")
+    propagated = _propagate(graph, x, num_layers)
+    [(weights, result)] = train_students(propagated[None], y_true[None],
+                                         [config.seed], config, num_layers)
+    return weights, result
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +415,33 @@ def run_ts_experiment(
     fall back to the constant column. Teacher draws and student
     initializations take their own sub-seeds per task index. Teacher,
     student and lift all use one layer per teacher sigma.
+
+    The first phase builds every point's teacher, labels and lift in task
+    order; the second trains the students of all points that share a
+    chain shape in one lockstep group. Results, and the error raised when
+    something fails, are those of handling the points one after another.
     """
     num_layers = len(teacher_sigmas)
-    results = []
+    points = []
+    try:
+        for point in _teacher_points(datasets, variants, percentiles, config,
+                                     d_out, teacher_sigmas):
+            points.append(point)
+    except Exception:
+        # One at a time, the students before the failing point would have
+        # trained first: a divergence among them is the error to report.
+        _train_points(points, config, num_layers)
+        raise
+    results = _train_points(points, config, num_layers)
+    corr = pearson([r.srl for r in results], [r.mse_final for r in results])
+    return results, corr
+
+
+def _teacher_points(datasets, variants, percentiles, config: TrainConfig,
+                    d_out: int, teacher_sigmas: Sequence[float]):
+    """Yield (result without its training fields, S^L X, y_true) per point,
+    in task order."""
+    num_layers = len(teacher_sigmas)
     task = 0
     for tag, graph, features in datasets:
         x = features if features is not None else np.ones((graph.num_nodes, 1))
@@ -351,12 +460,39 @@ def run_ts_experiment(
 
                 report = srl_report(graph, rewired, part, y_true,
                                     h_degree=num_layers)
-                student_cfg = replace(config, seed=derive_seed(config.seed, task + 1))
-                _, res = train_student(graph, x, y_true, student_cfg, num_layers)
-                results.append(replace(
-                    res, srl=report.srl, dataset_tag=f"{tag}:{variant.value}",
-                    eps=eps,
-                ))
+                pending = TsResult(
+                    srl=report.srl, mse_final=float("nan"), loss_trace=(),
+                    seed=derive_seed(config.seed, task + 1),
+                    dataset_tag=f"{tag}:{variant.value}", eps=eps,
+                )
+                yield pending, _propagate(graph, x, num_layers), y_true
                 task += 2
-    corr = pearson([r.srl for r in results], [r.mse_final for r in results])
-    return results, corr
+
+
+def _train_points(points, config: TrainConfig, num_layers: int) -> list[TsResult]:
+    """Train each point's student, one lockstep group per chain shape.
+
+    Raises the DivergenceError of the lowest-index diverging point, which
+    is the one a point-by-point loop would have raised.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, propagated, y_true) in enumerate(points):
+        groups.setdefault((propagated.shape, y_true.shape), []).append(i)
+    results: list[TsResult] = [None] * len(points)
+    divergences = []    # (point index, epoch)
+    for members in groups.values():
+        seeds = [points[i][0].seed for i in members]
+        _, traces, diverged = _adam_lockstep(
+            np.stack([points[i][1] for i in members]),
+            np.stack([points[i][2] for i in members]),
+            seeds, config, num_layers)
+        for j, i in enumerate(members):
+            if diverged[j]:
+                divergences.append((i, int(diverged[j])))
+                continue
+            trained = _student_result(traces, j, seeds[j])
+            results[i] = replace(points[i][0], mse_final=trained.mse_final,
+                                 loss_trace=trained.loss_trace)
+    if divergences:
+        raise DivergenceError(min(divergences)[1])
+    return results

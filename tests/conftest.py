@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from rolewire.generators import erdos_renyi, make_graph
 from rolewire.graph import Graph, graph_from_edges
 from rolewire.seeding import rng_for
+from rolewire.teacher_student import LinearGnnWeights
 
 
 def star_graph(leaves: int) -> Graph:
@@ -51,6 +52,17 @@ def master_node_adjacency(graph: Graph) -> sp.csr_matrix:
     m = sp.csr_matrix(a)
     m.sort_indices()
     return m
+
+
+def crop_to_observed(weights: LinearGnnWeights, d: int) -> LinearGnnWeights:
+    """Drop the virtual-feature rows of the first layer.
+
+    Because augmented features are block diagonal, the teacher restricted
+    to original-node inputs is exactly the same chain with the first
+    layer's trailing rows removed.
+    """
+    first = weights.layers[0][:d, :]
+    return LinearGnnWeights(layers=(first,) + weights.layers[1:])
 
 
 def corpus_graphs() -> list[tuple[str, Graph]]:

@@ -44,7 +44,6 @@ from rolewire.spectral import (
 from rolewire.teacher_student import (
     LinearGnnWeights,
     TrainConfig,
-    crop_to_observed,
     forward,
     gaussian_init,
     gradients,
@@ -53,7 +52,8 @@ from rolewire.teacher_student import (
     teacher_labels,
 )
 
-from conftest import complete_graph, cycle_graph, master_node_adjacency, path_graph
+from conftest import (complete_graph, crop_to_observed, cycle_graph, master_node_adjacency,
+                      path_graph)
 from test_spectral import oracle_srl
 
 PERCENTILES = (0, 25, 50, 75, 100)

@@ -175,6 +175,41 @@ class TestExitCodes:
         assert code == 2 and stdout == ""
         assert err.startswith("ERR:USAGE:") and "--layers" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--epochs", "0"], "--epochs"),
+        (["--epochs", "-3"], "--epochs"),
+        (["--lr", "0"], "--lr"),
+        (["--lr", "-0.1"], "--lr"),
+        (["--lr", "nan"], "--lr"),
+        (["--lr", "inf"], "--lr"),
+        (["--percentiles", ","], "--percentiles"),
+        (["--percentiles", "30"], "--percentiles"),
+        (["--families", ","], "--families"),
+        (["--families", "star", "--percentiles", "0"], "--families"),
+    ], ids=["epochs-0", "epochs-neg", "lr-0", "lr-neg", "lr-nan", "lr-inf",
+            "percentiles-empty", "percentile-off-grid", "families-empty",
+            "one-point-grid"])
+    def test_bad_ts_sim_flag_is_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "o"
+        code, stdout, err = run(["ts-sim", "--n", "6", "--epochs", "5", *flags,
+                                 "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code, kind", [
+        (["--n", "1"], 3, "ERR:INPUT:"),
+        (["--families", "star,bogus"], 3, "ERR:INPUT:"),
+        (["--lr", "1e300"], 4, "ERR:NUMERIC:"),
+    ], ids=["n-1", "unknown-family", "diverges"])
+    def test_failed_ts_sim_writes_nothing(self, tmp_path, capsys, flags, code, kind):
+        out = tmp_path / "o"
+        got, stdout, err = run(["ts-sim", "--n", "6", "--epochs", "5", *flags,
+                                "--out", out], capsys)
+        assert got == code and stdout == ""
+        assert err.startswith(kind) and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestGenPartition:
     def test_star_partition_blocks(self, tmp_path, star_files):

@@ -1,5 +1,7 @@
 """Linear GNN forward/gradients/training and the simulation runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,10 @@ from rolewire.graph import bfs_distances, graph_from_edges
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import normalized_shift
+import rolewire.teacher_student as teacher_student
 from rolewire.teacher_student import (
     LinearGnnWeights,
     TrainConfig,
-    crop_to_observed,
     forward,
     gaussian_init,
     gradients,
@@ -21,9 +23,10 @@ from rolewire.teacher_student import (
     run_ts_experiment,
     teacher_labels,
     train_student,
+    train_students,
 )
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import crop_to_observed, cycle_graph, path_graph, star_graph
 
 
 def naive_forward(shift, x, weights):
@@ -168,6 +171,17 @@ class TestGradients:
                           ) / (2 * h)
                     got = grads[li][r, cidx]
                     assert got == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    def test_epochs_must_be_positive(self):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=0)
 
 
 class TestTrainStudent:
@@ -394,3 +408,192 @@ def test_divergence_epoch_matches_per_layer_loop(num_layers, sigmas, lr, epoch):
     with pytest.raises(DivergenceError) as got:
         train_student(g, x, y, config, num_layers)
     assert got.value.epoch == epoch
+
+
+# ---------------------------------------------------------------------------
+# Lockstep training of a group against one student at a time
+# ---------------------------------------------------------------------------
+
+def propagate(graph, x, num_layers):
+    out = x
+    for _ in range(num_layers):
+        out = graph.shift @ out
+    return out
+
+
+def sequential_students(graphs, xs, ys, seeds, config, num_layers):
+    """train_student on each student in order; stops at the first divergence.
+
+    Returns the list of (weights, result) pairs, or the DivergenceError
+    the loop raised.
+    """
+    out = []
+    for graph, x, y, seed in zip(graphs, xs, ys, seeds):
+        try:
+            out.append(train_student(graph, x, y, replace(config, seed=seed),
+                                     num_layers))
+        except DivergenceError as err:
+            return err
+    return out
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for (got_w, got_r), (want_w, want_r) in zip(got, want):
+        assert [v.hex() for v in got_r.loss_trace] == [v.hex() for v in want_r.loss_trace]
+        assert got_r.mse_final.hex() == want_r.mse_final.hex()
+        assert got_r.seed == want_r.seed
+        assert len(got_w.layers) == len(want_w.layers)
+        for a, b in zip(got_w.layers, want_w.layers):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def student_groups(draw):
+    graph, _, _, config, num_layers = draw(student_cases())
+    count = draw(st.integers(1, 6))
+    d_in, d_out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = graph.num_nodes
+    xs = [rng.standard_normal((n, d_in)) for _ in range(count)]
+    ys = [draw(st.sampled_from([1.0, 10.0, 1e3])) * rng.standard_normal((n, d_out))
+          for _ in range(count)]
+    seeds = [draw(st.integers(0, 2**16)) for _ in range(count)]
+    return graph, xs, ys, seeds, config, num_layers
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=student_groups())
+def test_lockstep_group_matches_one_at_a_time(case):
+    graph, xs, ys, seeds, config, num_layers = case
+    want = sequential_students([graph] * len(xs), xs, ys, seeds, config, num_layers)
+    propagated = np.stack([propagate(graph, x, num_layers) for x in xs])
+    if isinstance(want, DivergenceError):
+        with pytest.raises(DivergenceError) as got:
+            train_students(propagated, np.stack(ys), seeds, config, num_layers)
+        assert got.value.epoch == want.epoch
+        return
+    got = train_students(propagated, np.stack(ys), seeds, config, num_layers)
+    assert_same_results(got, want)
+
+
+@pytest.mark.parametrize("scales, epoch", [
+    ((1e-10, 1.0, 1e10), 2),     # student 1 diverges at 2, student 2 earlier at 1
+    ((1.0, 1e10), 2),
+    ((1e10, 1.0), 1),
+    ((1e-10, 1e10, 1e-10), 1),
+])
+def test_lockstep_raises_first_students_divergence(scales, epoch):
+    g = make_graph("grid", 9)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((9, 2))
+    y = rng.standard_normal((9, 3))
+    config = TrainConfig(learning_rate=1e105, epochs=50, sigmas=(1e100, 1.0, 1.0))
+    xs = [s * x for s in scales]
+    seeds = [2] * len(scales)
+    want = sequential_students([g] * len(xs), xs, [y] * len(xs), seeds, config, 3)
+    assert isinstance(want, DivergenceError) and want.epoch == epoch
+    with pytest.raises(DivergenceError) as got:
+        train_students(np.stack([propagate(g, x_, 3) for x_ in xs]),
+                       np.stack([y] * len(xs)), seeds, config, 3)
+    assert got.value.epoch == epoch
+
+
+def test_lockstep_rejects_unstackable_inputs():
+    with pytest.raises(DimensionMismatchError):
+        train_students(np.zeros((2, 4, 1)), np.zeros((2, 5, 1)), [0, 1], TrainConfig())
+    with pytest.raises(DimensionMismatchError):
+        train_students(np.zeros((2, 4, 1)), np.zeros((2, 4, 1)), [0], TrainConfig())
+
+
+def record_labels(monkeypatch):
+    """Collect every teacher label matrix run_ts_experiment draws, in order."""
+    labels = []
+
+    def recording(rewired, weights):
+        labels.append(teacher_labels(rewired, weights))
+        return labels[-1]
+
+    monkeypatch.setattr(teacher_student, "teacher_labels", recording)
+    return labels
+
+
+def test_experiment_groups_by_shape_and_matches_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(3)
+    datasets = [
+        ("path", path_graph(8), None),                            # (8, 1)
+        ("star", star_graph(5), None),                            # (6, 1)
+        ("cycle", cycle_graph(6), rng.standard_normal((6, 2))),   # (6, 2)
+        ("ring", cycle_graph(8), None),                           # (8, 1) again
+        ("wide", path_graph(8), rng.standard_normal((8, 3))),     # (8, 3)
+    ]
+    variants, percentiles = [Variant.FULL, Variant.REP_NODES], [0, 100]
+    config = TrainConfig(seed=7, epochs=80, learning_rate=0.05)
+    labels = record_labels(monkeypatch)
+    group_sizes = []
+    lockstep = teacher_student._adam_lockstep
+
+    def counting(propagated, *args):
+        group_sizes.append(len(propagated))
+        return lockstep(propagated, *args)
+
+    monkeypatch.setattr(teacher_student, "_adam_lockstep", counting)
+    results, _ = run_ts_experiment(datasets, variants, percentiles, config, d_out=2)
+    assert group_sizes == [8, 4, 4, 4]
+    per_dataset = len(variants) * len(percentiles)
+    assert len(results) == len(labels) == len(datasets) * per_dataset
+    for i, (res, y) in enumerate(zip(results, labels)):
+        _, graph, features = datasets[i // per_dataset]
+        x = features if features is not None else np.ones((graph.num_nodes, 1))
+        _, want = train_student(graph, x, y, replace(config, seed=res.seed))
+        assert [v.hex() for v in res.loss_trace] == [v.hex() for v in want.loss_trace]
+        assert res.mse_final == want.mse_final
+
+
+@pytest.mark.parametrize("order, epoch", [("ab", 2), ("ba", 1)])
+def test_experiment_raises_first_points_divergence_across_groups(order, epoch):
+    # one-feature points diverge at epoch 2, two-feature points at epoch 1;
+    # the widths differ, so the two datasets train in separate groups
+    rng = np.random.default_rng(0)
+    g = path_graph(6)
+    datasets = {"a": ("a", g, rng.standard_normal((6, 1))),
+                "b": ("b", g, rng.standard_normal((6, 2)))}
+    config = TrainConfig(learning_rate=1e110, epochs=20, sigmas=(1e100, 1.0))
+    for tag, want in (("a", 2), ("b", 1)):
+        with pytest.raises(DivergenceError) as alone:
+            run_ts_experiment([datasets[tag]], [Variant.FULL], [0, 100], config)
+        assert alone.value.epoch == want
+    with pytest.raises(DivergenceError) as got:
+        run_ts_experiment([datasets[t] for t in order], [Variant.FULL], [0, 100], config)
+    assert got.value.epoch == epoch
+
+
+def test_experiment_trains_points_before_a_failing_one():
+    bad = ("bad", path_graph(5), np.ones((4, 1)))     # feature rows != n
+    good = ("path", path_graph(6), None)
+    diverging = TrainConfig(learning_rate=1e300, epochs=5)
+    with pytest.raises(DivergenceError):
+        run_ts_experiment([good, bad], [Variant.FULL], [0, 100], diverging)
+    with pytest.raises(DimensionMismatchError):
+        run_ts_experiment([good, bad], [Variant.FULL], [0, 100],
+                          TrainConfig(epochs=5))
+    with pytest.raises(DimensionMismatchError):
+        run_ts_experiment([bad, good], [Variant.FULL], [0, 100], diverging)
+
+
+def test_default_points_reach_least_squares_optimum(monkeypatch):
+    # default ts-sim: six families at n = 24, percentiles 0/50/100, full
+    # variant, two layers of width 1, so the chain spans every 1 x d_out map
+    families = ["star", "path", "cycle", "grid", "ladder", "tree"]
+    graphs = [make_graph(fam, 24, seed=0) for fam in families]
+    labels = record_labels(monkeypatch)
+    results, _ = run_ts_experiment(list(zip(families, graphs, [None] * 6)),
+                                   [Variant.FULL], [0, 50, 100], TrainConfig(seed=0))
+    assert len(results) == len(labels) == 18
+    for i, (res, y) in enumerate(zip(results, labels)):
+        graph = graphs[i // 3]
+        a = propagate(graph, np.ones((graph.num_nodes, 1)), 2)
+        coef = np.linalg.lstsq(a, y, rcond=None)[0]
+        optimum = float(((a @ coef - y) ** 2).sum()) / y.size
+        assert res.mse_final >= optimum - 1e-12 * float((y * y).sum()) / y.size
+        assert abs(res.mse_final - optimum) <= 1e-9
