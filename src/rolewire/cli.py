@@ -201,12 +201,14 @@ def parse_args(argv: Sequence[str]) -> Command:
         needs = ns.verb in ("partition", "rewire", "srl")
         if needs and ns.eps is None and ns.percentile is None:
             raise UsageError("one of --eps or --percentile is required")
-        if ns.eps is not None and ns.eps < 0:
-            raise UsageError("--eps must be nonnegative")
+        if ns.eps is not None and not ns.eps >= 0:    # also rejects nan
+            raise UsageError("--eps must be a nonnegative number or inf")
     for verb, flag, low in (("srl", "layers", 1), ("gen", "classes", 0),
                             ("ts-sim", "classes", 1), ("ts-sim", "epochs", 1)):
         if ns.verb == verb and getattr(ns, flag) < low:
             raise UsageError(f"--{flag} must be at least {low}")
+    if ns.verb == "gen" and not 0 <= ns.p <= 1:        # also rejects nan
+        raise UsageError("--p must be a probability in [0, 1]")
     if ns.verb == "ts-sim":
         if not (math.isfinite(ns.lr) and ns.lr > 0):
             raise UsageError("--lr must be a positive finite number")
@@ -401,7 +403,7 @@ def _run_effres(ns) -> int:
     if ns.variant is None and (ns.eps is not None or ns.percentile is not None):
         raise UsageError("effres with a tolerance needs --variant")
     graph, _ = _load_graph(ns.graph)
-    baseline = mean_effective_resistance(graph.dense_adjacency())
+    baseline = mean_effective_resistance(graph.adjacency)
     lines = [("baseline", baseline)]
     if ns.variant is not None:
         if ns.eps is None and ns.percentile is None:

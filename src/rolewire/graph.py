@@ -13,6 +13,7 @@ labels    : CSV with header "node,label,split", split in {train,val,test,none}
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,6 +30,10 @@ from .errors import (
 )
 
 UNLABELED = -1
+
+# graph_from_edges keys each entry as u * n + v in int64, which holds
+# exactly while n <= isqrt(2**63 - 1); larger ids would wrap silently.
+MAX_NODE_ID = math.isqrt(2**63 - 1) - 1
 
 __all__ = [
     "Graph",
@@ -104,13 +109,14 @@ class Graph:
                     yield u, int(v)
 
     def dense_adjacency(self) -> np.ndarray:
+        """Dense float64 copy of `adjacency`, for tests; the library never calls it."""
         return self.adjacency.astype(np.float64).toarray()
 
     @cached_property
     def shift(self) -> np.ndarray:
         """Read-only dense normalized shift, built once per graph and shared."""
         from .spectral import normalized_shift   # spectral imports this module
-        shift = normalized_shift(self.dense_adjacency())
+        shift = normalized_shift(self.adjacency)
         shift.setflags(write=False)
         return shift
 
@@ -195,7 +201,8 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def load_edge_list(stream: IO[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines starting with '#' are comments. The node set is 0..max_id, so
+    Lines starting with '#' are comments. Node ids must lie in
+    0..MAX_NODE_ID. The node set is 0..max_id, so
     unmentioned ids below the maximum become isolated nodes (compact_ids
     removes such gaps when wanted). Duplicate and reversed mentions of an
     edge collapse to one undirected edge; duplicates emit a warning.
@@ -215,6 +222,8 @@ def load_edge_list(stream: IO[str]) -> Graph:
             raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative node id in {line!r}")
+        if u > MAX_NODE_ID or v > MAX_NODE_ID:
+            raise ParseError(f"line {lineno}: node id above {MAX_NODE_ID} in {line!r}")
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at node {u}")
         edges.append((u, v))

@@ -45,34 +45,26 @@ PERCENTILE_GRID = (0, 25, 50, 75, 100)
 # Effective resistance
 # ---------------------------------------------------------------------------
 
-def _dense_no_loops(adjacency) -> np.ndarray:
-    a = adjacency.toarray().astype(float) if sp.issparse(adjacency) \
-        else np.asarray(adjacency, dtype=float)
-    a = a.copy()
-    np.fill_diagonal(a, 0.0)
-    return a
-
-
 def mean_effective_resistance(
-    adjacency,
+    adjacency: sp.spmatrix,
     origin_count: Optional[int] = None,
-    all_pairs: bool = False,
 ) -> float:
-    """Mean pairwise effective resistance of a weighted graph.
+    """Mean pairwise effective resistance of a sparse weighted graph.
 
     Treats each weighted edge as a conductance; self-loops are dropped
     (they never carry current). The Laplacian pseudoinverse comes from
     deflating the all-ones nullvector, inverting, and restoring. With
-    `origin_count` and all_pairs=False, only unordered pairs among the
-    first origin_count nodes are averaged, which makes augmented graphs
-    comparable to their source.
+    `origin_count`, only unordered pairs among the first origin_count
+    nodes are averaged, which makes augmented graphs comparable to their
+    source; without it, all pairs are.
     """
-    a = _dense_no_loops(adjacency)
-    m = a.shape[0]
-    pattern = sp.csr_matrix(a)
+    pattern = _loopless_pattern(adjacency)
     if not is_connected(Graph(indptr=pattern.indptr, indices=pattern.indices)):
         raise DisconnectedError("effective resistance needs a connected graph")
-    span = m if (all_pairs or origin_count is None) else origin_count
+    a = adjacency.astype(np.float64).toarray()
+    np.fill_diagonal(a, 0.0)
+    m = a.shape[0]
+    span = m if origin_count is None else origin_count
     if span < 2:
         raise ValueError("need at least two nodes in the pair set")
     lap = np.diag(a.sum(axis=1)) - a
@@ -207,7 +199,6 @@ def evaluate_candidates(
     graph: Graph,
     data: NodeData,
     variant: Variant = Variant.REP_NODES,
-    percentiles: Sequence[int] = PERCENTILE_GRID,
 ) -> list[EpsCandidate]:
     """Score the percentile grid: one rewiring and one report per entry.
 
@@ -218,7 +209,7 @@ def evaluate_candidates(
         raise ValueError("the master-node variant has no tolerance to select")
     y = one_hot_labels(data.labels, data.train_mask)
     candidates = []
-    for p in percentiles:
+    for p in PERCENTILE_GRID:
         eps = degree_percentile(graph, p)
         part = refine_eps_be(graph, eps)
         rewired = build_rewired(graph, part, variant,

@@ -6,12 +6,16 @@ counts to differ by at most eps (infinity norm over the count vector).
 `refine_eps_be` computes such a partition by iterated splitting;
 `color_refinement_oracle` is an independent 1-WL implementation used to
 cross-check the eps=0 case.
+
+A `Partition` stores only its canonical label array and block count;
+the sparse `membership_matrix` is its one indicator R.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
@@ -38,31 +42,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Block assignment of nodes 0..n-1 in canonical order.
+    """Block assignment of nodes 0..n-1 in canonical order: block ids
+    dense 0..k-1, numbered by each block's minimum node id."""
 
-    Canonical order: blocks sorted by their minimum node id, nodes sorted
-    ascending inside each block, block ids dense 0..k-1.
-    """
-
-    block_of: np.ndarray          # int64, node -> block id
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
+    block_of: np.ndarray          # int64, node -> canonical block id
+    k: int
 
     @property
     def num_nodes(self) -> int:
         return len(self.block_of)
 
     def block_sizes(self) -> np.ndarray:
-        return np.array([len(b) for b in self.blocks], dtype=np.int64)
+        return np.bincount(self.block_of, minlength=self.k)
 
-    def indicator(self) -> np.ndarray:
-        """Dense n x k 0/1 membership matrix."""
-        r = np.zeros((self.num_nodes, self.k))
-        r[np.arange(self.num_nodes), self.block_of] = 1.0
-        return r
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's nodes in ascending order, blocks in canonical order."""
+        members = np.argsort(self.block_of, kind="stable")
+        ends = np.cumsum(self.block_sizes())
+        return tuple(tuple(b.tolist()) for b in np.split(members, ends)[:-1])
 
     def as_block_set(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(b) for b in self.blocks)
@@ -70,25 +68,25 @@ class Partition:
     @classmethod
     def from_blocks(cls, n: int, raw_blocks: Sequence[Sequence[int]]) -> "Partition":
         """Canonicalize arbitrary disjoint covering blocks."""
-        blocks = sorted((tuple(sorted(b)) for b in raw_blocks if len(b)),
-                        key=lambda b: b[0])
-        block_of = np.full(n, -1, dtype=np.int64)
-        for i, b in enumerate(blocks):
-            for u in b:
-                if block_of[u] != -1:
-                    raise ValueError(f"node {u} assigned to two blocks")
-                block_of[u] = i
-        if np.any(block_of < 0):
+        nodes = np.fromiter(chain.from_iterable(raw_blocks), dtype=np.int64)
+        repeated = np.flatnonzero(np.bincount(nodes, minlength=n) > 1)
+        if len(repeated):
+            raise ValueError(f"node {repeated[0]} assigned to two blocks")
+        labels = np.full(n, -1, dtype=np.int64)
+        labels[nodes] = np.repeat(np.arange(len(raw_blocks)),
+                                  [len(b) for b in raw_blocks])
+        if np.any(labels < 0):
             raise ValueError("blocks do not cover all nodes")
-        return cls(block_of=block_of, blocks=tuple(blocks))
+        return cls.from_assignment(labels)
 
     @classmethod
     def from_assignment(cls, block_of: Sequence[int]) -> "Partition":
-        ids = np.asarray(block_of, dtype=np.int64)
-        raw: dict[int, list[int]] = {}
-        for u, b in enumerate(ids):
-            raw.setdefault(int(b), []).append(u)
-        return cls.from_blocks(len(ids), list(raw.values()))
+        """Canonicalize any label array; the one place labels are renumbered."""
+        labels = np.asarray(block_of, dtype=np.int64)
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return cls(block_of=rank[inverse], k=len(first))
 
 
 @dataclass(frozen=True)
@@ -109,35 +107,22 @@ class QuotientPair:
 # Block-degree counting
 # ---------------------------------------------------------------------------
 
-def membership_matrix(block_of: np.ndarray, k: int) -> sp.csr_matrix:
+def membership_matrix(partition: Partition) -> sp.csr_matrix:
     """Sparse n x k 0/1 int64 indicator R: R[u, block_of[u]] = 1."""
-    n = len(block_of)
-    return sp.csr_matrix(
-        (np.ones(n, dtype=np.int64), (np.arange(n), block_of)), shape=(n, k))
-
-
-def _splitter_counts(graph: Graph, block_of: np.ndarray, k: int) -> sp.csr_matrix:
-    """Sparse n x k product A @ R of the adjacency and block membership."""
-    return graph.adjacency @ membership_matrix(block_of, k)
+    n = partition.num_nodes
+    return sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), partition.block_of)),
+                         shape=(n, partition.k))
 
 
 def block_degree_matrix(graph: Graph, partition: Partition) -> np.ndarray:
     """n x k integer matrix A @ R; entry (u, j) counts u's neighbors in
     block j, so row u sums to deg(u)."""
-    return _splitter_counts(graph, partition.block_of, partition.k).toarray()
+    return (graph.adjacency @ membership_matrix(partition)).toarray()
 
 
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
-
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel blocks 0..k-1 in order of their minimum node id."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse]
-
 
 def refine_eps_be(graph: Graph, eps: float) -> Partition:
     """Partition with per-block block-degree spread at most eps.
@@ -159,12 +144,11 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
         raise ValueError("eps must be nonnegative")
     n = graph.num_nodes
     slack = math.floor(eps) if eps < n else n
-    block_of = np.zeros(n, dtype=np.int64)
-    k = 1
+    part = Partition.from_assignment(np.zeros(n, dtype=np.int64))
     while True:
-        counts = _splitter_counts(graph, block_of, k).tocsc()
-        current = block_of.copy()
-        for s in range(k):
+        counts = (graph.adjacency @ membership_matrix(part)).tocsc()
+        current = part.block_of.copy()
+        for s in range(part.k):
             cnt = np.zeros(n, dtype=np.int64)
             lo, hi = counts.indptr[s], counts.indptr[s + 1]
             cnt[counts.indices[lo:hi]] = counts.data[lo:hi]
@@ -186,10 +170,10 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
                 heads = nxt[~first[nxt]]
                 starts[heads] = True
             current[order] = np.cumsum(starts) - 1
-        k_next = int(current.max()) + 1
-        if k_next == k:                # refinement only splits: fixpoint
-            return Partition.from_assignment(block_of)
-        block_of, k = _canonical_labels(current), k_next
+        refined = Partition.from_assignment(current)
+        if refined.k == part.k:        # refinement only splits: fixpoint
+            return refined
+        part = refined
 
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
@@ -258,12 +242,9 @@ def random_partition(n: int, block_sizes: Sequence[int], seed: int) -> Partition
         raise SizeMismatchError(
             f"block sizes {sizes} must be positive and sum to {n}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    raw, start = [], 0
-    for s in sizes:
-        raw.append([int(u) for u in perm[start:start + s]])
-        start += s
-    return Partition.from_blocks(n, raw)
+    labels = np.empty(n, dtype=np.int64)
+    labels[rng.permutation(n)] = np.repeat(np.arange(len(sizes)), sizes)
+    return Partition.from_assignment(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,6 @@ class RewiredGraph:
     def size(self) -> int:
         return self.origin_count + self.virtual_count
 
-    def dense_adjacency(self) -> np.ndarray:
-        return self.adjacency.toarray()
-
     @cached_property
     def shift(self) -> np.ndarray:
         """Read-only dense normalized shift, built once per rewired graph."""
@@ -126,7 +123,7 @@ def build_rewired(
         corner = (qpair.Q > 0).astype(float)
     else:
         corner = np.zeros((k, k))
-    member = membership_matrix(partition.block_of, k)
+    member = membership_matrix(partition)
     # The corner's diagonal is kept: it is the within-block degree.
     adjacency = sp.bmat([[graph.adjacency, member],
                          [member.T, sp.csr_matrix(corner)]],

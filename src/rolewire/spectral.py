@@ -1,6 +1,8 @@
 """Dense symmetric spectral machinery for role-lift diagnostics.
 
-Everything here is 64-bit dense linear algebra at desk scale. The central
+Adjacencies come in sparse and partitions as label arrays; from them
+`normalized_shift` and `role_basis` build the dense shift and basis, and
+everything after is 64-bit dense linear algebra at desk scale. The central
 quantity is the spectral role lift: project the normalized shifts of the
 original and the augmented graph onto the (rotated) role basis, form one
 2x2 symmetric matrix per role direction, and measure how much its top
@@ -40,12 +42,6 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
 
-def _as_dense(m) -> np.ndarray:
-    if sp.issparse(m):
-        return m.toarray().astype(float)
-    return np.asarray(m, dtype=float)
-
-
 def _require_symmetric(m: np.ndarray, what: str) -> None:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
@@ -56,14 +52,14 @@ def _require_symmetric(m: np.ndarray, what: str) -> None:
 # Shifts and bases
 # ---------------------------------------------------------------------------
 
-def normalized_shift(adjacency) -> np.ndarray:
-    """Self-loop-normalized propagation matrix of a weighted adjacency.
+def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
+    """Self-loop-normalized propagation matrix of a sparse weighted adjacency.
 
-    With B = A + I and D the diagonal of B's row sums, returns
+    With B = A + I and D the diagonal of B's row sums, returns the dense
     D^{-1/2} B D^{-1/2}. Every diagonal of B is at least 1, so D is
     invertible without special cases.
     """
-    a = _as_dense(adjacency)
+    a = adjacency.astype(np.float64).toarray()
     _require_symmetric(a, "adjacency")
     if a.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
@@ -73,16 +69,13 @@ def normalized_shift(adjacency) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def role_basis(r: np.ndarray) -> np.ndarray:
+def role_basis(partition: Partition) -> np.ndarray:
     """Column-orthonormalized block indicator: entry 1/sqrt(|B_j|) on block j."""
-    r = np.asarray(r, dtype=float)
-    if not np.array_equal(r, r.astype(bool).astype(float)) or \
-            not np.array_equal(r.sum(axis=1), np.ones(r.shape[0])):
-        raise ValueError("R must be 0/1 with exactly one 1 per row")
-    sizes = r.sum(axis=0)
-    if np.any(sizes == 0):
-        raise ValueError("R has an empty block column")
-    return r / np.sqrt(sizes)
+    n = partition.num_nodes
+    c = np.zeros((n, partition.k))
+    c[np.arange(n), partition.block_of] = \
+        (1.0 / np.sqrt(partition.block_sizes()))[partition.block_of]
+    return c
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +322,7 @@ def srl_report(
 
 def rotated_role_basis(graph: Graph, partition: Partition) -> np.ndarray:
     """Role basis rotated against the graph's own normalized shift."""
-    return rotate_basis(role_basis(partition.indicator()), graph.shift)
+    return rotate_basis(role_basis(partition), graph.shift)
 
 
 def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:

@@ -71,9 +71,6 @@ class LinearGnnWeights:
     def dim_in(self) -> int:
         return self.layers[0].shape[0]
 
-    def product(self) -> np.ndarray:
-        return layer_product(self.layers)
-
 
 def layer_product(layers: Sequence[np.ndarray]) -> np.ndarray:
     """W(1) @ W(2) @ ... @ W(L), multiplied left to right."""
@@ -83,13 +80,15 @@ def layer_product(layers: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 5000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     sigmas: Optional[tuple[float, ...]] = None   # None: unit scale per layer
 
@@ -106,7 +105,7 @@ class TsResult:
 
     srl: float
     mse_final: float
-    loss_trace: tuple[float, ...]
+    loss_trace: np.ndarray            # read-only float64 view, one entry per epoch
     seed: int
     dataset_tag: str = ""
     eps: float = float("nan")
@@ -145,10 +144,7 @@ def forward(shift: np.ndarray, x: np.ndarray, weights: LinearGnnWeights) -> np.n
     if shift.shape[0] != x.shape[0]:
         raise DimensionMismatchError(
             f"shift order {shift.shape[0]} != feature rows {x.shape[0]}")
-    out = x
-    for _ in range(weights.num_layers):
-        out = shift @ out
-    return out @ weights.product()
+    return _propagate(shift, x, weights.num_layers) @ layer_product(weights.layers)
 
 
 def teacher_labels(rewired: RewiredGraph, weights: LinearGnnWeights) -> np.ndarray:
@@ -241,11 +237,11 @@ def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
 # Training
 # ---------------------------------------------------------------------------
 
-def _propagate(graph: Graph, x: np.ndarray, num_layers: int) -> np.ndarray:
-    """S^L X, the input every epoch of a student on this graph reuses."""
+def _propagate(shift: np.ndarray, x: np.ndarray, num_layers: int) -> np.ndarray:
+    """S^L X: `forward`'s propagation, and the input every student epoch reuses."""
     propagated = x
     for _ in range(num_layers):
-        propagated = graph.shift @ propagated
+        propagated = shift @ propagated
     return propagated
 
 
@@ -292,8 +288,6 @@ def _adam_lockstep(
     chain_gradient = _ChainGradient(propagated, ys, dims)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     step, denom = np.empty_like(theta), np.empty_like(theta)
-    beta1, beta2 = config.beta1, config.beta2
-    lr, adam_eps = config.learning_rate, config.adam_eps
 
     traces = np.empty((config.epochs, p))
     diverged = np.zeros(p, dtype=np.int64)
@@ -306,18 +300,18 @@ def _adam_lockstep(
             chain_gradient(layers, grads)
             # One ufunc per term of the per-layer Adam expressions, in
             # their evaluation order, so every rounding step is the same.
-            np.multiply(beta1, m, out=m)
-            np.multiply(1.0 - beta1, grad, out=step)
+            np.multiply(ADAM_BETA1, m, out=m)
+            np.multiply(1.0 - ADAM_BETA1, grad, out=step)
             np.add(m, step, out=m)
-            np.multiply(beta2, v, out=v)
-            np.multiply(1.0 - beta2, grad, out=step)
+            np.multiply(ADAM_BETA2, v, out=v)
+            np.multiply(1.0 - ADAM_BETA2, grad, out=step)
             np.multiply(step, grad, out=step)
             np.add(v, step, out=v)
-            np.divide(v, 1.0 - beta2 ** epoch, out=denom)
+            np.divide(v, 1.0 - ADAM_BETA2 ** epoch, out=denom)
             np.sqrt(denom, out=denom)
-            np.add(denom, adam_eps, out=denom)
-            np.divide(m, 1.0 - beta1 ** epoch, out=step)
-            np.multiply(lr, step, out=step)
+            np.add(denom, ADAM_EPS, out=denom)
+            np.divide(m, 1.0 - ADAM_BETA1 ** epoch, out=step)
+            np.multiply(config.learning_rate, step, out=step)
             np.divide(step, denom, out=step)
             np.subtract(theta, step, out=theta)
             loss = traces[epoch - 1] = _stacked_mse(propagated, layers, ys)
@@ -329,8 +323,9 @@ def _adam_lockstep(
 
 
 def _student_result(traces: np.ndarray, index: int, seed: int) -> TsResult:
-    trace = tuple(traces[:, index].tolist())
-    return TsResult(srl=float("nan"), mse_final=trace[-1], loss_trace=trace,
+    trace = traces[:, index]
+    trace.setflags(write=False)
+    return TsResult(srl=float("nan"), mse_final=float(trace[-1]), loss_trace=trace,
                     seed=seed)
 
 
@@ -386,7 +381,7 @@ def train_student(
     """
     if y_true.shape[0] != graph.num_nodes:
         raise DimensionMismatchError("y_true must have one row per node")
-    propagated = _propagate(graph, x, num_layers)
+    propagated = _propagate(graph.shift, x, num_layers)
     [(weights, result)] = train_students(propagated[None], y_true[None],
                                          [config.seed], config, num_layers)
     return weights, result
@@ -405,7 +400,6 @@ def run_ts_experiment(
     percentiles: Sequence[int],
     config: TrainConfig,
     d_out: int = 3,
-    teacher_sigmas: Sequence[float] = TEACHER_SIGMAS,
 ) -> tuple[list[TsResult], float]:
     """One point per (dataset, variant, percentile): rewire, draw a
     teacher, train a student on the original graph, record the lift and
@@ -414,34 +408,31 @@ def run_ts_experiment(
     Dataset entries are (tag, graph, features-or-None); missing features
     fall back to the constant column. Teacher draws and student
     initializations take their own sub-seeds per task index. Teacher,
-    student and lift all use one layer per teacher sigma.
+    student and lift all use one layer per entry of TEACHER_SIGMAS.
 
     The first phase builds every point's teacher, labels and lift in task
     order; the second trains the students of all points that share a
     chain shape in one lockstep group. Results, and the error raised when
     something fails, are those of handling the points one after another.
     """
-    num_layers = len(teacher_sigmas)
     points = []
     try:
-        for point in _teacher_points(datasets, variants, percentiles, config,
-                                     d_out, teacher_sigmas):
+        for point in _teacher_points(datasets, variants, percentiles, config, d_out):
             points.append(point)
     except Exception:
         # One at a time, the students before the failing point would have
         # trained first: a divergence among them is the error to report.
-        _train_points(points, config, num_layers)
+        _train_points(points, config)
         raise
-    results = _train_points(points, config, num_layers)
+    results = _train_points(points, config)
     corr = pearson([r.srl for r in results], [r.mse_final for r in results])
     return results, corr
 
 
-def _teacher_points(datasets, variants, percentiles, config: TrainConfig,
-                    d_out: int, teacher_sigmas: Sequence[float]):
+def _teacher_points(datasets, variants, percentiles, config: TrainConfig, d_out: int):
     """Yield (result without its training fields, S^L X, y_true) per point,
     in task order."""
-    num_layers = len(teacher_sigmas)
+    num_layers = len(TEACHER_SIGMAS)
     task = 0
     for tag, graph, features in datasets:
         x = features if features is not None else np.ones((graph.num_nodes, 1))
@@ -455,21 +446,21 @@ def _teacher_points(datasets, variants, percentiles, config: TrainConfig,
                 k = part.k
                 teacher_dims = [d + k] + [d + k] * (num_layers - 1) + [d_out]
                 teacher_seed = derive_seed(config.seed, task)
-                teacher = gaussian_init(teacher_dims, teacher_sigmas, teacher_seed)
+                teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS, teacher_seed)
                 y_true = teacher_labels(rewired, teacher)
 
                 report = srl_report(graph, rewired, part, y_true,
                                     h_degree=num_layers)
                 pending = TsResult(
-                    srl=report.srl, mse_final=float("nan"), loss_trace=(),
+                    srl=report.srl, mse_final=float("nan"), loss_trace=np.empty(0),
                     seed=derive_seed(config.seed, task + 1),
                     dataset_tag=f"{tag}:{variant.value}", eps=eps,
                 )
-                yield pending, _propagate(graph, x, num_layers), y_true
+                yield pending, _propagate(graph.shift, x, num_layers), y_true
                 task += 2
 
 
-def _train_points(points, config: TrainConfig, num_layers: int) -> list[TsResult]:
+def _train_points(points, config: TrainConfig) -> list[TsResult]:
     """Train each point's student, one lockstep group per chain shape.
 
     Raises the DivergenceError of the lowest-index diverging point, which
@@ -485,7 +476,7 @@ def _train_points(points, config: TrainConfig, num_layers: int) -> list[TsResult
         _, traces, diverged = _adam_lockstep(
             np.stack([points[i][1] for i in members]),
             np.stack([points[i][2] for i in members]),
-            seeds, config, num_layers)
+            seeds, config, len(TEACHER_SIGMAS))
         for j, i in enumerate(members):
             if diverged[j]:
                 divergences.append((i, int(diverged[j])))

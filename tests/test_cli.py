@@ -7,6 +7,7 @@ import pytest
 
 from rolewire.cli import main, parse_args
 from rolewire.errors import UsageError
+from rolewire.graph import Graph
 
 
 def run(argv, capsys=None):
@@ -168,6 +169,39 @@ class TestExitCodes:
         assert err.startswith("ERR:USAGE:") and flag in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["partition"],
+        ["rewire", "--variant", "repnodes"],
+        ["srl", "--labels", "{g}/labels.csv"],
+        ["effres", "--variant", "repnodes"],
+    ], ids=lambda argv: argv[0])
+    def test_nan_eps_is_2(self, tmp_path, capsys, star_files, argv):
+        out = tmp_path / "o"
+        argv = [a.format(g=star_files) for a in argv] + [
+            "--graph", star_files / "graph.txt", "--eps", "nan", "--out", out]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and "--eps" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["2", "-0.1", "nan", "inf"])
+    def test_gen_p_outside_unit_interval_is_2(self, tmp_path, capsys, p):
+        out = tmp_path / "o"
+        code, stdout, err = run(["gen", "--family", "er", "--n", "10", "--p", p,
+                                 "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and "--p" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("big", [2**63, 10**20])
+    def test_node_id_too_large_is_3(self, tmp_path, capsys, big):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"0 1\n1 {big}\n")
+        code, stdout, err = run(["partition", "--graph", graph, "--eps", "0",
+                                 "--out", tmp_path / "o"], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: line 2:") and err.count("\n") == 1
+
     def test_select_eps_has_no_layers_flag(self, capsys, star_files):
         code, stdout, err = run(["select-eps", "--graph", star_files / "graph.txt",
                                  "--labels", star_files / "labels.csv",
@@ -241,6 +275,13 @@ class TestGenPartition:
                     for line in (out / "meta.txt").read_text().splitlines())
         assert meta["k"] == "1" and meta["percentile"] == "100"
 
+    def test_inf_eps_is_the_single_block(self, tmp_path, star_files):
+        out = tmp_path / "p"
+        assert run(["partition", "--graph", star_files / "graph.txt",
+                    "--eps", "inf", "--out", out]) == 0
+        meta = dict(line.split("=", 1)
+                    for line in (out / "meta.txt").read_text().splitlines())
+        assert meta["k"] == "1" and meta["eps"] == "inf"
 
     def test_gen_drops_isolated_nodes_for_select_eps(self, tmp_path, capsys):
         # seed 0 leaves nodes 5, 12, 23 and 25 isolated; the loader drops them
@@ -396,3 +437,14 @@ class TestReproducibility:
                 assert run(argv) == 0
             digests.append(tree_digest(base))
         assert digests[0] == digests[1]
+
+    def test_golden_cases_never_densify_a_graph(self, tmp_path, monkeypatch):
+        """No library path builds a graph's dense adjacency: every verb of
+        the golden corpus gives its recorded bytes with it disabled."""
+        from test_golden import GOLDEN, run_cases
+
+        def refuse(graph):
+            raise AssertionError("Graph.dense_adjacency called")
+
+        monkeypatch.setattr(Graph, "dense_adjacency", refuse)
+        assert run_cases(tmp_path) == GOLDEN

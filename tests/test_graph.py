@@ -51,6 +51,11 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError):
             load("0 x")
 
+    @pytest.mark.parametrize("big", [2**63, 10**20])
+    def test_node_id_too_large(self, big):
+        with pytest.raises(ParseError, match="^line 3: node id above 3037000498 "):
+            load(f"0 1\n# c\n{big} 1\n")
+
     def test_empty_stream(self):
         with pytest.raises(EmptyGraphError):
             load("# only a comment\n")

@@ -33,26 +33,26 @@ from conftest import cycle_graph, path_graph, star_graph
 class TestEffectiveResistance:
     def test_single_edge(self):
         g = graph_from_edges(2, [(0, 1)])
-        assert mean_effective_resistance(g.dense_adjacency()) == pytest.approx(1.0)
+        assert mean_effective_resistance(g.adjacency) == pytest.approx(1.0)
 
     def test_path3(self, p3):
-        assert mean_effective_resistance(p3.dense_adjacency()) == \
+        assert mean_effective_resistance(p3.adjacency) == \
             pytest.approx(4.0 / 3.0, abs=1e-9)
 
     def test_cycle4(self, c4):
-        assert mean_effective_resistance(c4.dense_adjacency()) == \
+        assert mean_effective_resistance(c4.adjacency) == \
             pytest.approx(5.0 / 6.0, abs=1e-9)
 
     def test_disconnected_errors(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedError):
-            mean_effective_resistance(g.dense_adjacency())
+            mean_effective_resistance(g.adjacency)
 
     def test_rewiring_never_increases(self, corpus):
         for name, g in corpus:
             if g.num_nodes > 40 or not is_connected(g):
                 continue
-            base = mean_effective_resistance(g.dense_adjacency())
+            base = mean_effective_resistance(g.adjacency)
             part = refine_eps_be(g, 0)
             for variant in (Variant.REP_NODES, Variant.REP_EDGES):
                 rg = build_rewired(g, part, variant)
@@ -92,7 +92,7 @@ class TestEffectiveResistance:
     def test_all_pairs_mode(self, p3):
         part = refine_eps_be(p3, 0)
         rg = build_rewired(p3, part, Variant.REP_NODES)
-        full = mean_effective_resistance(rg.adjacency, all_pairs=True)
+        full = mean_effective_resistance(rg.adjacency)
         orig = mean_effective_resistance(rg.adjacency, origin_count=3)
         assert full > orig   # pendant hubs add resistive pairs
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolewire.errors import DimensionMismatchError, InputError, ParseError
 from rolewire.graph import bfs_distances
-from rolewire.partition import Partition, refine_eps_be
+from rolewire.partition import Partition, membership_matrix, refine_eps_be
 from rolewire.rewire import (
     Variant,
     augment_features,
@@ -29,10 +29,10 @@ def rewire(graph, eps, variant, features=None):
 class TestBlockStructure:
     def test_repnodes_star(self, star4):
         part, rg = rewire(star4, 0, Variant.REP_NODES)
-        a = rg.dense_adjacency()
+        a = rg.adjacency.toarray()
         assert rg.size == 6 and rg.virtual_count == 2
         assert np.array_equal(a[:4, :4], star4.dense_adjacency())
-        assert np.array_equal(a[:4, 4:], part.indicator())
+        assert np.array_equal(a[:4, 4:], membership_matrix(part).toarray())
         assert not a[4:, 4:].any()
         # every pair of leaves sits at distance 2 through their hub
         adj = rg.adjacency
@@ -42,7 +42,7 @@ class TestBlockStructure:
 
     def test_repedges_star_connects_hubs(self, star4):
         _, rg = rewire(star4, 0, Variant.REP_EDGES)
-        a = rg.dense_adjacency()
+        a = rg.adjacency.toarray()
         assert np.array_equal(a[4:, 4:], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_repedges_corner_is_quotient_pattern(self, corpus):
@@ -50,14 +50,14 @@ class TestBlockStructure:
         for _, g in corpus[:12]:
             n = g.num_nodes
             part, rg = rewire(g, 1.0, Variant.REP_EDGES)
-            r = part.indicator()
+            r = membership_matrix(part).toarray()
             block_edges = r.T @ g.dense_adjacency() @ r
-            assert np.array_equal(rg.dense_adjacency()[n:, n:],
+            assert np.array_equal(rg.adjacency.toarray()[n:, n:],
                                   (block_edges > 0).astype(float))
 
     def test_full_uses_weighted_quotient(self, c4):
         part, rg = rewire(c4, 0, Variant.FULL)
-        a = rg.dense_adjacency()
+        a = rg.adjacency.toarray()
         assert part.k == 1
         assert a[4, 4] == 2.0      # average within-block degree of the cycle
 
@@ -78,13 +78,13 @@ class TestBlockStructure:
         for _, g in corpus[:8]:
             for variant in (Variant.FULL, Variant.REP_NODES, Variant.REP_EDGES):
                 _, rg = rewire(g, 1.0, variant)
-                a = rg.dense_adjacency()
+                a = rg.adjacency.toarray()
                 assert np.abs(a - a.T).max() == 0.0
 
     def test_virtual_nodes_cover_their_blocks(self, corpus):
         for _, g in corpus[:8]:
             part, rg = rewire(g, 0, Variant.REP_NODES)
-            a = rg.dense_adjacency()
+            a = rg.adjacency.toarray()
             n = g.num_nodes
             for j, block in enumerate(part.blocks):
                 attached = set(np.flatnonzero(a[n + j, :n]))
@@ -97,7 +97,7 @@ class TestVariantRelations:
             for variant in (Variant.FULL, Variant.REP_NODES, Variant.REP_EDGES):
                 _, rg = rewire(g, 1.0, variant)
                 n = g.num_nodes
-                assert np.array_equal(rg.dense_adjacency()[:n, :n],
+                assert np.array_equal(rg.adjacency.toarray()[:n, :n],
                                       g.dense_adjacency())
 
     def test_repedges_superset_and_full_same_pattern(self, corpus):
@@ -105,9 +105,9 @@ class TestVariantRelations:
             _, nodes = rewire(g, 0, Variant.REP_NODES)
             _, edges = rewire(g, 0, Variant.REP_EDGES)
             _, full = rewire(g, 0, Variant.FULL)
-            a_nodes = nodes.dense_adjacency() > 0
-            a_edges = edges.dense_adjacency() > 0
-            a_full = full.dense_adjacency() > 0
+            a_nodes = nodes.adjacency.toarray() > 0
+            a_edges = edges.adjacency.toarray() > 0
+            a_full = full.adjacency.toarray() > 0
             assert (a_edges | a_nodes).sum() == a_edges.sum()   # superset
             assert np.array_equal(a_edges, a_full)
 
@@ -155,7 +155,7 @@ class TestRewiredIo:
         back = load_rewired(edge_path, meta_path)
         assert back.origin_count == 4 and back.virtual_count == 2
         assert back.variant is Variant.FULL
-        assert np.allclose(back.dense_adjacency(), rg.dense_adjacency(),
+        assert np.allclose(back.adjacency.toarray(), rg.adjacency.toarray(),
                            atol=5e-7)    # 6-decimal edge weights
 
     def test_metadata_fields(self, tmp_path, c4):

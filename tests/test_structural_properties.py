@@ -29,6 +29,7 @@ from rolewire.partition import (
     Partition,
     block_degree_matrix,
     color_refinement_oracle,
+    membership_matrix,
     quotient,
     refine_eps_be,
     validate_aep,
@@ -73,6 +74,24 @@ def reference_refine_eps_be(graph, eps):
         if refined.blocks == part.blocks:
             return refined
         part = refined
+
+
+def reference_partition_blocks(n, raw_blocks):
+    """The dict/sort construction Partition stored before it kept only its
+    label array: blocks sorted by minimum node, nodes ascending in each."""
+    blocks = sorted((tuple(sorted(b)) for b in raw_blocks if len(b)),
+                    key=lambda b: b[0])
+    block_of = np.full(n, -1, dtype=np.int64)
+    for i, b in enumerate(blocks):
+        block_of[list(b)] = i
+    return block_of, tuple(blocks)
+
+
+def reference_partition_assignment(labels):
+    raw = {}
+    for u, b in enumerate(labels):
+        raw.setdefault(int(b), []).append(u)
+    return reference_partition_blocks(len(labels), list(raw.values()))
 
 
 def reference_validate_aep(graph, partition, eps):
@@ -156,7 +175,7 @@ def reference_rewired_adjacency(graph, partition, qpair, variant):
     for u in range(n):
         for v in graph.neighbors(u):
             a[u, v] = 1.0
-    r = partition.indicator()
+    r = membership_matrix(partition).toarray()
     a[:n, n:] = r
     a[n:, :n] = r.T
     if variant is Variant.FULL:
@@ -205,6 +224,24 @@ def edge_mentions(draw, max_nodes=12):
     return n, draw(st.lists(st.tuples(ids, ids), max_size=30))
 
 
+@st.composite
+def label_arrays(draw, max_nodes=30):
+    """Arbitrary int64 labels: a few distinct values with gaps and signs."""
+    pool = draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=8,
+                         unique=True))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_nodes))
+
+
+@st.composite
+def block_lists(draw, max_nodes=20):
+    """Disjoint covering blocks in any order, some of them empty."""
+    n = draw(st.integers(1, max_nodes))
+    nodes = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    bounds = [0] + cuts + [n]
+    return n, [list(nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 tolerances = st.one_of(
     st.integers(0, 6).map(float),
     st.floats(0, 6, allow_nan=False),
@@ -214,6 +251,26 @@ tolerances = st.one_of(
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
+
+@PROPERTY_SETTINGS
+@given(labels=label_arrays())
+def test_from_assignment_matches_dict_construction(labels):
+    block_of, blocks = reference_partition_assignment(labels)
+    part = Partition.from_assignment(labels)
+    assert part.block_of.dtype == np.int64
+    assert np.array_equal(part.block_of, block_of)
+    assert part.k == len(blocks) and part.blocks == blocks
+
+
+@PROPERTY_SETTINGS
+@given(case=block_lists())
+def test_from_blocks_matches_dict_construction(case):
+    n, raw_blocks = case
+    block_of, blocks = reference_partition_blocks(n, raw_blocks)
+    part = Partition.from_blocks(n, raw_blocks)
+    assert np.array_equal(part.block_of, block_of)
+    assert part.k == len(blocks) and part.blocks == blocks
+
 
 @PROPERTY_SETTINGS
 @given(graph=graphs(), eps=tolerances)
@@ -230,6 +287,16 @@ def test_refine_matches_greedy_loop(graph, eps):
 def test_exact_refine_matches_color_refinement(graph):
     assert refine_eps_be(graph, 0.0).as_block_set() == \
         color_refinement_oracle(graph).as_block_set()
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(), data=st.data())
+def test_exact_refine_is_relabelling_invariant(graph, data):
+    n = graph.num_nodes
+    perm = data.draw(st.permutations(range(n)))         # node u becomes perm[u]
+    permuted = graph_from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges()])
+    want = {frozenset(perm[u] for u in b) for b in refine_eps_be(graph, 0.0).blocks}
+    assert refine_eps_be(permuted, 0.0).as_block_set() == want
 
 
 @PROPERTY_SETTINGS

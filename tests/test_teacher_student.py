@@ -14,11 +14,15 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import normalized_shift
 import rolewire.teacher_student as teacher_student
 from rolewire.teacher_student import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LinearGnnWeights,
     TrainConfig,
     forward,
     gaussian_init,
     gradients,
+    layer_product,
     mse_loss,
     run_ts_experiment,
     teacher_labels,
@@ -72,25 +76,25 @@ class TestGaussianInit:
 
 class TestForward:
     def test_identity_weights_single_layer(self, c4):
-        s = normalized_shift(c4.dense_adjacency())
+        s = normalized_shift(c4.adjacency)
         w = LinearGnnWeights((np.eye(4),))
         assert np.allclose(forward(s, np.eye(4), w), s)
 
     def test_zero_weights(self, c4):
-        s = normalized_shift(c4.dense_adjacency())
+        s = normalized_shift(c4.adjacency)
         w = LinearGnnWeights((np.zeros((4, 2)),))
         assert not forward(s, np.eye(4), w).any()
 
     def test_matches_naive(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-        s = normalized_shift(g.dense_adjacency())
+        s = normalized_shift(g.adjacency)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 3))
         w = gaussian_init([3, 3, 2], [1.0, 1.0], seed=4)
         assert np.allclose(forward(s, x, w), naive_forward(s, x, w), atol=1e-12)
 
     def test_linear_in_features_and_weights(self, c4):
-        s = normalized_shift(c4.dense_adjacency())
+        s = normalized_shift(c4.adjacency)
         rng = np.random.default_rng(0)
         x1, x2 = rng.standard_normal((2, 4, 3))
         w = gaussian_init([3, 3, 2], [1.0, 1.0], seed=1)
@@ -100,7 +104,7 @@ class TestForward:
         assert np.allclose(forward(s, x1, w2), 2.5 * forward(s, x1, w))
 
     def test_dimension_mismatch(self, c4):
-        s = normalized_shift(c4.dense_adjacency())
+        s = normalized_shift(c4.adjacency)
         w = gaussian_init([3, 2], [1.0], seed=0)
         with pytest.raises(DimensionMismatchError):
             forward(s, np.eye(4), w)
@@ -141,9 +145,9 @@ class TestTeacherLabels:
         d, k = 1, part.k
         w = gaussian_init([d + k, d + k, 2], [1.0, 1.0], seed=3)
         x = np.ones((3, 1))
-        s_obs = normalized_shift(p3.dense_adjacency())
+        s_obs = normalized_shift(p3.adjacency)
         via_crop = forward(s_obs, x, crop_to_observed(w, d))
-        signal = (rg.features @ w.product())[:3]
+        signal = (rg.features @ layer_product(w.layers))[:3]
         assert np.allclose(via_crop, s_obs @ s_obs @ signal, atol=1e-12)
 
 
@@ -151,7 +155,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_central_differences(self, seed):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        s = normalized_shift(g.dense_adjacency())
+        s = normalized_shift(g.adjacency)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((4, 2))
         y = rng.standard_normal((4, 2))
@@ -189,7 +193,7 @@ class TestTrainStudent:
         g = path_graph(6)
         x = np.ones((6, 1))
         teacher = gaussian_init([1, 1, 2], [1.0, 1.0], seed=5)
-        y = forward(normalized_shift(g.dense_adjacency()), x, teacher)
+        y = forward(normalized_shift(g.adjacency), x, teacher)
         _, res = train_student(g, x, y, TrainConfig(seed=9))
         assert res.mse_final < 1e-6
 
@@ -206,7 +210,7 @@ class TestTrainStudent:
         y = np.arange(8.0).reshape(4, 2)
         r1 = train_student(c4, x, y, TrainConfig(seed=3, epochs=50))[1]
         r2 = train_student(c4, x, y, TrainConfig(seed=3, epochs=50))[1]
-        assert r1.loss_trace == r2.loss_trace
+        assert np.array_equal(r1.loss_trace, r2.loss_trace)
 
     def test_final_not_worse_than_initial(self):
         for seed in range(3):
@@ -217,7 +221,7 @@ class TestTrainStudent:
             cfg = TrainConfig(seed=seed, epochs=300)
             weights, res = train_student(g, x, y, cfg)
             init = gaussian_init([1, 1, 3], (1.0, 1.0), seed)
-            s = normalized_shift(g.dense_adjacency())
+            s = normalized_shift(g.adjacency)
             initial = float(((forward(s, x, init) - y) ** 2).sum()) / 15.0
             assert res.mse_final <= initial
             assert res.mse_final == res.loss_trace[-1]
@@ -282,7 +286,7 @@ def reference_train_student(graph, x, y_true, config, num_layers):
     dims = [d_in] + [d_in] * (num_layers - 1) + [d_out]
     sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
     layers = [w.copy() for w in gaussian_init(dims, sigmas, config.seed).layers]
-    shift = normalized_shift(graph.dense_adjacency())
+    shift = normalized_shift(graph.adjacency)
     propagated = x
     for _ in range(num_layers):
         propagated = shift @ propagated
@@ -303,11 +307,11 @@ def reference_train_student(graph, x, y_true, config, num_layers):
                 raise DivergenceError(t)
             grads = reference_gradients(propagated, layers, y_true)
             for i, g in enumerate(grads):
-                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
-                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
-                m_hat = m[i] / (1.0 - config.beta1 ** t)
-                v_hat = v[i] / (1.0 - config.beta2 ** t)
-                layers[i] = layers[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m[i] / (1.0 - ADAM_BETA1 ** t)
+                v_hat = v[i] / (1.0 - ADAM_BETA2 ** t)
+                layers[i] = layers[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             loss = raw_loss(layers)
             if not np.isfinite(loss):
                 raise DivergenceError(t)
@@ -383,7 +387,7 @@ def test_gradients_match_per_layer_products(case):
     d_in = x.shape[1]
     dims = [d_in] * num_layers + [y.shape[1]]
     weights = gaussian_init(dims, config.sigmas, config.seed)
-    shift = normalized_shift(graph.dense_adjacency())
+    shift = normalized_shift(graph.adjacency)
     propagated = x
     for _ in range(num_layers):
         propagated = shift @ propagated
@@ -516,6 +520,18 @@ def record_labels(monkeypatch):
 
     monkeypatch.setattr(teacher_student, "teacher_labels", recording)
     return labels
+
+
+def test_experiment_traces_are_read_only_views_of_the_group_array():
+    datasets = [("path", path_graph(6), None), ("cycle", cycle_graph(6), None)]
+    results, _ = run_ts_experiment(datasets, [Variant.FULL], [0, 100],
+                                   TrainConfig(epochs=7))
+    group = results[0].loss_trace.base
+    assert group is not None and group.shape == (7, 4)
+    for res in results:
+        assert res.loss_trace.base is group and res.loss_trace.dtype == np.float64
+        assert not res.loss_trace.flags.writeable
+        assert type(res.mse_final) is float and res.mse_final == res.loss_trace[-1]
 
 
 def test_experiment_groups_by_shape_and_matches_one_at_a_time(monkeypatch):
