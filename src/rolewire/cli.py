@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,13 +72,6 @@ from .teacher_student import TrainConfig, run_ts_experiment
 
 VERBS = ("gen", "partition", "rewire", "srl", "select-eps", "effres",
          "ts-sim", "srl-correlate")
-
-
-@dataclass
-class Command:
-    verb: str
-    options: argparse.Namespace
-    seed: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +142,6 @@ def _build_parser() -> _Parser:
     add_eps_flags(p)
     p.add_argument("--variant", default="repnodes",
                    choices=[v.value for v in Variant])
-    p.add_argument("--features", default=None)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--out", required=True)
 
@@ -159,7 +150,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--variant", default="repnodes",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
-    p.add_argument("--features", default=None)
     p.add_argument("--out", default=None)   # no --out: table goes to stdout
 
     p = add("effres", help="mean effective resistance before/after rewiring")
@@ -190,7 +180,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> Command:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = _build_parser()
     ns = parser.parse_args(list(argv))
     if ns.verb is None:
@@ -215,7 +205,7 @@ def parse_args(argv: Sequence[str]) -> Command:
         if len(ns.families) * len(ns.percentiles) < 2:
             raise UsageError("--families x --percentiles gives one point; "
                              "the correlation needs at least 2")
-    return Command(verb=ns.verb, options=ns, seed=ns.seed)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +222,22 @@ def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
     return graph, remap
 
 
-def _load_data(graph: Graph, labels_path: Optional[str],
-               features_path: Optional[str]) -> NodeData:
-    features = None
-    if features_path is not None:
-        try:
-            with open(features_path) as fh:
-                features = load_features_csv(fh, graph.num_nodes)
-        except OSError as exc:
-            raise InputError(
-                f"cannot read features {features_path!r}: {exc}") from None
-    if labels_path is None:
-        return NodeData(num_nodes=graph.num_nodes, features=features)
+def _load_labels(graph: Graph, path: str) -> NodeData:
     try:
-        with open(labels_path) as fh:
-            data = load_labels_csv(fh, graph.num_nodes)
+        with open(path) as fh:
+            return load_labels_csv(fh, graph.num_nodes)
     except OSError as exc:
-        raise InputError(f"cannot read labels {labels_path!r}: {exc}") from None
-    return NodeData(
-        num_nodes=graph.num_nodes,
-        features=features,
-        labels=data.labels,
-        train_mask=data.train_mask,
-        val_mask=data.val_mask,
-        test_mask=data.test_mask,
-    )
+        raise InputError(f"cannot read labels {path!r}: {exc}") from None
+
+
+def _load_features(graph: Graph, path: Optional[str]) -> Optional[np.ndarray]:
+    if path is None:
+        return None
+    try:
+        with open(path) as fh:
+            return load_features_csv(fh, graph.num_nodes)
+    except OSError as exc:
+        raise InputError(f"cannot read features {path!r}: {exc}") from None
 
 
 def _resolve_eps(graph: Graph, ns: argparse.Namespace) -> tuple[float, Optional[int]]:
@@ -349,10 +330,10 @@ def _run_rewire(ns) -> int:
     out = _outdir(ns.out)
     graph, remap = _load_graph(ns.graph)
     eps, perc = _resolve_eps(graph, ns)
-    variant = Variant.parse(ns.variant)
+    variant = Variant(ns.variant)
     part = _partition_for(graph, eps, variant)
-    data = _load_data(graph, None, ns.features)
-    rewired = build_rewired(graph, part, variant, features=data.features, eps=eps)
+    features = _load_features(graph, ns.features)
+    rewired = build_rewired(graph, part, variant, features=features, eps=eps)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
@@ -370,14 +351,13 @@ def _run_rewire(ns) -> int:
 def _run_srl(ns) -> int:
     out = _outdir(ns.out)
     graph, _ = _load_graph(ns.graph)
-    data = _load_data(graph, ns.labels, ns.features)
+    data = _load_labels(graph, ns.labels)
     eps, _ = _resolve_eps(graph, ns)
-    variant = Variant.parse(ns.variant)
+    variant = Variant(ns.variant)
     part = _partition_for(graph, eps, variant)
-    rewired = build_rewired(graph, part, variant,
-                            features=data.features, eps=eps)
+    rewired = build_rewired(graph, part, variant, eps=eps)
     y = one_hot_labels(data.labels, data.train_mask)
-    report = srl_report(graph, rewired, part, y, h_degree=ns.layers)
+    report = srl_report(rewired, y, h_degree=ns.layers)
     with open(out / "srl.csv", "w") as fh:
         dump_srl_csv(report, fh)
     return 0
@@ -385,8 +365,8 @@ def _run_srl(ns) -> int:
 
 def _run_select_eps(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    data = _load_data(graph, ns.labels, ns.features)
-    candidates = evaluate_candidates(graph, data, Variant.parse(ns.variant))
+    data = _load_labels(graph, ns.labels)
+    candidates = evaluate_candidates(graph, data, Variant(ns.variant))
     chosen = select_epsilon(candidates)
     if ns.out is not None:
         out = _outdir(ns.out)
@@ -409,7 +389,7 @@ def _run_effres(ns) -> int:
         if ns.eps is None and ns.percentile is None:
             raise UsageError("effres with --variant needs --eps or --percentile")
         eps, _ = _resolve_eps(graph, ns)
-        variant = Variant.parse(ns.variant)
+        variant = Variant(ns.variant)
         part = _partition_for(graph, eps, variant)
         rewired = build_rewired(graph, part, variant, eps=eps)
         lines.append(("rewired", mean_effective_resistance(
@@ -428,7 +408,7 @@ def _run_effres(ns) -> int:
 def _run_ts_sim(ns) -> int:
     datasets = [(fam, make_graph(fam, ns.n, seed=ns.seed), None)
                 for fam in ns.families]
-    variant = Variant.parse(ns.variant)
+    variant = Variant(ns.variant)
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
         datasets, [variant], ns.percentiles, config, d_out=ns.classes)
@@ -501,15 +481,11 @@ _RUNNERS = {
 }
 
 
-def execute(cmd: Command) -> int:
-    return _RUNNERS[cmd.verb](cmd.options)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cmd = parse_args(argv)
-        return execute(cmd)
+        ns = parse_args(argv)
+        return _RUNNERS[ns.verb](ns)
     except UsageError as exc:
         print(f"ERR:USAGE: {exc}", file=sys.stderr)
         return 2

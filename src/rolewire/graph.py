@@ -123,14 +123,13 @@ class Graph:
 
 @dataclass
 class NodeData:
-    """Optional per-node payload: features, class labels, split masks.
+    """Optional per-node payload: class labels and split masks.
 
     Labels use UNLABELED (-1) as the "no label" sentinel. The three masks
     are pairwise disjoint and every masked node must carry a label.
     """
 
     num_nodes: int
-    features: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
     train_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
     val_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -144,8 +143,6 @@ class NodeData:
             self.val_mask = np.zeros(n, dtype=bool)
         if self.test_mask is None:
             self.test_mask = np.zeros(n, dtype=bool)
-        if self.features is not None and self.features.shape[0] != n:
-            raise ValueError("feature row count must equal num_nodes")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count must equal num_nodes")
         if np.any(self.train_mask & self.val_mask) or \
@@ -325,6 +322,8 @@ def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
         if parts[1] != "" and lab < 0:
             raise ParseError(f"line {lineno}: negative label {lab}; "
                              "leave the field empty for an unlabeled node")
+        if lab >= 2**63:
+            raise ParseError(f"line {lineno}: label {lab} does not fit in int64")
         split = parts[2]
         if split not in _SPLITS:
             raise ParseError(f"line {lineno}: unknown split {split!r}")

@@ -212,9 +212,8 @@ def evaluate_candidates(
     for p in PERCENTILE_GRID:
         eps = degree_percentile(graph, p)
         part = refine_eps_be(graph, eps)
-        rewired = build_rewired(graph, part, variant,
-                                features=data.features, eps=eps)
-        report = srl_report(graph, rewired, part, y)
+        rewired = build_rewired(graph, part, variant, eps=eps)
+        report = srl_report(rewired, y)
         try:
             ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
         except NoEligibleNodesError:

@@ -275,9 +275,12 @@ def load_partition_csv(stream: IO[str]) -> Partition:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 2 fields, got {line!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, block = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
+        if not -2**63 <= block < 2**63:
+            raise ParseError(f"line {lineno}: block id {block} does not fit in int64")
+        pairs.append((u, block))
     if not pairs:
         raise EmptyGraphError("partition lists no nodes")
     pairs.sort()

@@ -12,21 +12,27 @@ membership indicator R:
 The master node (`mn`) is repnodes over the single block, which is the
 partition refinement returns at eps = infinity.
 Virtual-node features are one-hot, appended block-diagonally to X.
+
+A `RewiredGraph` is the one record of a rewiring: it keeps the graph and
+the partition it was built from, and what is derived from the rewiring,
+such as the SRL report, reads them from it. `build_rewired` is its only
+constructor. The weighted edge list and
+metadata sidecar that `dump_rewired` writes are an output format only;
+nothing reads them back, since a file cannot carry the graph and
+partition a rewiring came from.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import IO, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError
 from .graph import Graph
 from .partition import Partition, membership_matrix, quotient
 
@@ -36,7 +42,6 @@ __all__ = [
     "build_rewired",
     "augment_features",
     "dump_rewired",
-    "load_rewired",
 ]
 
 
@@ -46,25 +51,27 @@ class Variant(enum.Enum):
     REP_EDGES = "repedges"
     MASTER_NODE = "mn"
 
-    @classmethod
-    def parse(cls, text: str) -> "Variant":
-        for v in cls:
-            if v.value == text:
-                return v
-        raise ValueError(f"unknown variant {text!r}")
-
 
 @dataclass(frozen=True)
 class RewiredGraph:
-    """Weighted symmetric adjacency over n original + k virtual nodes."""
+    """One rewiring of `graph` by `partition`: the weighted symmetric
+    adjacency over its n original + k virtual nodes."""
 
-    adjacency: sp.csr_matrix          # (n+k) x (n+k), float64
-    origin_count: int
-    virtual_count: int
+    graph: Graph
+    partition: Partition
     variant: Variant
+    adjacency: sp.csr_matrix          # (n+k) x (n+k), float64
     features: np.ndarray              # (n+k) x (d+k)
-    eps: float = 0.0
-    residual: float = 0.0
+    eps: float
+    residual: float
+
+    @property
+    def origin_count(self) -> int:
+        return self.graph.num_nodes
+
+    @property
+    def virtual_count(self) -> int:
+        return self.partition.k
 
     @property
     def size(self) -> int:
@@ -131,10 +138,10 @@ def build_rewired(
     adjacency.eliminate_zeros()
     adjacency.sort_indices()
     return RewiredGraph(
-        adjacency=adjacency,
-        origin_count=n,
-        virtual_count=k,
+        graph=graph,
+        partition=partition,
         variant=variant,
+        adjacency=adjacency,
         features=augment_features(features, n, k),
         eps=eps,
         residual=qpair.residual,
@@ -142,7 +149,7 @@ def build_rewired(
 
 
 # ---------------------------------------------------------------------------
-# File format: weighted edge list plus key=value metadata sidecar
+# Output format: weighted edge list plus key=value metadata sidecar
 # ---------------------------------------------------------------------------
 
 def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -> None:
@@ -155,71 +162,3 @@ def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -
     meta_stream.write(f"variant={rg.variant.value}\n")
     meta_stream.write(f"eps={rg.eps!r}\n")
     meta_stream.write(f"residual={rg.residual!r}\n")
-
-
-def load_rewired(
-    edge_path: Path,
-    meta_path: Path,
-    features: Optional[np.ndarray] = None,
-) -> RewiredGraph:
-    """Read back a rewired graph; `features` are the original n x d values
-    (the virtual one-hot block is re-appended here).
-
-    The metadata must give integer n >= 1 and k >= 0, a known variant, and
-    numeric eps and residual. Every edge line must be `u v weight` with
-    endpoints in [0, n+k) and a finite weight, and every one of the n+k
-    nodes must have an edge (each original node links to its block's
-    virtual node). Anything else raises an InputError subclass.
-    """
-    meta = {}
-    for line in Path(meta_path).read_text().splitlines():
-        if "=" in line:
-            key, val = line.split("=", 1)
-            meta[key] = val
-    missing = [key for key in ("n", "k", "variant", "eps", "residual") if key not in meta]
-    if missing:
-        raise ParseError(f"rewired metadata lacks {', '.join(missing)}")
-    try:
-        n, k = int(meta["n"]), int(meta["k"])
-        eps, residual = float(meta["eps"]), float(meta["residual"])
-        variant = Variant.parse(meta["variant"])
-    except ValueError as exc:
-        raise ParseError(f"rewired metadata: {exc}") from None
-    if n < 1 or k < 0:
-        raise ParseError(f"rewired metadata needs n >= 1 and k >= 0, got n={n} k={k}")
-    size = n + k
-    weights = {}                      # (row, col) -> weight; a later line wins
-    for lineno, line in enumerate(Path(edge_path).read_text().splitlines(), start=1):
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'u v weight', got {line.strip()!r}")
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad numeric token in {line.strip()!r}") from None
-        if not (0 <= u < size and 0 <= v < size):
-            raise ParseError(f"line {lineno}: endpoint outside [0, {size})")
-        if not math.isfinite(w):
-            raise ParseError(f"line {lineno}: non-finite weight {parts[2]!r}")
-        weights[u, v] = w
-        weights[v, u] = w
-    ids = sorted({u for u, _ in weights})
-    first_gap = next((i for i, u in enumerate(ids) if u != i), len(ids))
-    if first_gap < size:
-        raise ParseError(f"node {first_gap} has no edge, but the metadata "
-                         f"gives n+k={size} nodes")
-    adjacency = sp.csr_matrix((list(weights.values()), tuple(zip(*weights))),
-                              shape=(size, size))
-    adjacency.eliminate_zeros()
-    adjacency.sort_indices()
-    return RewiredGraph(
-        adjacency=adjacency,
-        origin_count=n,
-        virtual_count=k,
-        variant=variant,
-        features=augment_features(features, n, k),
-        eps=eps,
-        residual=residual,
-    )

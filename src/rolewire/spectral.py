@@ -8,6 +8,10 @@ original and the augmented graph onto the (rotated) role basis, form one
 2x2 symmetric matrix per role direction, and measure how much its top
 eigenvalue exceeds the role's response on the original graph. Label
 energies in the role subspace weight the per-role contributions.
+
+The lift is a property of one rewiring: `srl_report` takes the
+`RewiredGraph` alone and reads the original graph and the partition from
+it, so the roles it lifts are always the blocks the rewiring was built on.
 """
 
 from __future__ import annotations
@@ -264,24 +268,24 @@ def bound_error(
 
 
 def srl_report(
-    graph: Graph,
     rewired: RewiredGraph,
-    partition: Partition,
     y: np.ndarray,
     h_degree: int = 2,
     beta_obs: Optional[np.ndarray] = None,
 ) -> SrlReport:
     """Full spectral-role-lift pipeline for one rewiring.
 
-    Takes both normalized shifts from their owners (`Graph.shift`,
+    Reads the original graph and the partition from the rewiring, takes
+    both normalized shifts from their owners (`Graph.shift`,
     `RewiredGraph.shift`), rotates the role basis so the observed
     restriction is diagonal, lifts each rotated role direction through
     the rewired blocks, and aggregates with the label energies of y
     (n x C, zero rows for unlabeled nodes).
     """
+    graph, partition = rewired.graph, rewired.partition
     n = graph.num_nodes
-    if rewired.origin_count != n or partition.num_nodes != n or y.shape[0] != n:
-        raise ValueError("graph, rewired graph, partition and labels disagree on n")
+    if y.shape[0] != n:
+        raise ValueError(f"labels have {y.shape[0]} rows, the graph has {n} nodes")
     s_obs = graph.shift
     s_rew = rewired.shift
     s_oo = s_rew[:n, :n]

@@ -449,8 +449,7 @@ def _teacher_points(datasets, variants, percentiles, config: TrainConfig, d_out:
                 teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS, teacher_seed)
                 y_true = teacher_labels(rewired, teacher)
 
-                report = srl_report(graph, rewired, part, y_true,
-                                    h_degree=num_layers)
+                report = srl_report(rewired, y_true, h_degree=num_layers)
                 pending = TsResult(
                     srl=report.srl, mse_final=float("nan"), loss_trace=np.empty(0),
                     seed=derive_seed(config.seed, task + 1),

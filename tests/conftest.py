@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
-from rolewire.graph import Graph, graph_from_edges
+from rolewire.graph import Graph, bfs_distances, graph_from_edges
 from rolewire.seeding import rng_for
 from rolewire.teacher_student import LinearGnnWeights
 
@@ -24,6 +24,21 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def largest_component(graph):
+    """The largest connected component, relabelled 0..size-1."""
+    unseen = np.ones(graph.num_nodes, dtype=bool)
+    best = np.zeros(0, dtype=np.int64)
+    while unseen.any():
+        comp = np.flatnonzero(bfs_distances(graph.indptr, graph.indices,
+                                            int(np.argmax(unseen))) >= 0)
+        unseen[comp] = False
+        if comp.size > best.size:
+            best = comp
+    index = {int(u): i for i, u in enumerate(best)}
+    return graph_from_edges(best.size, [(index[u], index[v]) for u, v in graph.edges()
+                                        if u in index and v in index])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

@@ -164,7 +164,7 @@ def test_criterion_6_srl_structural_sanity(corpus):
         for p in (0, 50, 100):
             eps = degree_percentile(g, p)
             part, rg = rewired_at(g, eps, Variant.REP_NODES)
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             assert -1e-12 <= rep.rho <= 1.0 + 1e-12, (name, p)
             role_energy = rep.rho * rep.e_tot
             if role_energy > 1e-12:
@@ -185,7 +185,7 @@ def test_criterion_7_commutator_zero_at_single_block(corpus):
         eps = degree_percentile(g, 100)
         part, rg = rewired_at(g, eps, Variant.REP_NODES)
         assert part.k == 1
-        rep = srl_report(g, rg, part, train_label_matrix(g))
+        rep = srl_report(rg, train_label_matrix(g))
         assert rep.commutator_norm == 0.0, name
     report(7, "commutator norm is exactly zero for every single-block case")
 
@@ -233,8 +233,7 @@ def test_criterion_8_error_bound_on_commuting_instances():
             x = np.ones((g.num_nodes, 1))
             y_obs = forward(s_obs, x, crop_to_observed(teacher, 1))
             c = rotated_role_basis(g, part)
-            rep = srl_report(g, rg, part, y_true, h_degree=2,
-                             beta_obs=c.T @ y_obs)
+            rep = srl_report(rg, y_true, h_degree=2, beta_obs=c.T @ y_obs)
             if rep.commutator_norm >= 1e-8:
                 continue
             measured = float(((y_true - y_obs) ** 2).sum())

@@ -37,11 +37,11 @@ def star_files(tmp_path):
 
 class TestParseArgs:
     def test_rewire_command(self):
-        cmd = parse_args(["rewire", "--graph", "g.txt", "--eps", "0",
-                          "--variant", "repnodes", "--out", "o"])
-        assert cmd.verb == "rewire"
-        assert cmd.options.variant == "repnodes"
-        assert cmd.seed == 0
+        ns = parse_args(["rewire", "--graph", "g.txt", "--eps", "0",
+                         "--variant", "repnodes", "--out", "o"])
+        assert ns.verb == "rewire"
+        assert ns.variant == "repnodes"
+        assert ns.seed == 0
 
     def test_bogus_variant(self):
         with pytest.raises(UsageError):
@@ -68,9 +68,9 @@ class TestParseArgs:
 
     def test_select_eps_needs_no_tolerance(self):
         # valid without --out or --eps; the percentile grid is implicit
-        cmd = parse_args(["select-eps", "--graph", "g.txt", "--labels", "y.csv"])
-        assert cmd.verb == "select-eps"
-        assert cmd.options.out is None
+        ns = parse_args(["select-eps", "--graph", "g.txt", "--labels", "y.csv"])
+        assert ns.verb == "select-eps"
+        assert ns.out is None
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as err:
@@ -139,6 +139,30 @@ class TestExitCodes:
         code, stdout, err = run(argv, capsys)
         assert code == 3 and stdout == ""
         assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["srl", "select-eps"])
+    def test_label_outside_int64_is_3(self, tmp_path, capsys, star_files, verb):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("node,label,split\n0,100000000000000000000,train\n")
+        argv = [verb, "--graph", star_files / "graph.txt", "--labels", labels]
+        if verb == "srl":
+            argv += ["--eps", "0", "--out", tmp_path / "o"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: line 2:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["srl", "select-eps"])
+    def test_features_flag_is_2(self, tmp_path, capsys, star_files, verb):
+        features = tmp_path / "features.csv"
+        features.write_text("node,f0\n0,1\n1,1\n2,1\n3,1\n")
+        argv = [verb, "--graph", star_files / "graph.txt",
+                "--labels", star_files / "labels.csv", "--features", features]
+        if verb == "srl":
+            argv += ["--eps", "0", "--out", tmp_path / "o"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("ERR:USAGE:") and "--features" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("graph_args", [
         ["--family", "er", "--n", "10", "--p", "0"],

@@ -65,11 +65,10 @@ CASES += [
     ("srl-tree-p25", ["srl", "--graph", "{tree}/graph.txt",
                       "--labels", "{tree}/labels.csv", "--percentile", "25",
                       "--out", "{out}"]),
-    ("srl-tree-full-features", ["srl", "--graph", "{tree}/graph.txt",
-                                "--labels", "{tree}/labels.csv", "--eps", "0",
-                                "--variant", "full",
-                                "--features", "{root}/features.csv",
-                                "--out", "{out}"]),
+    ("srl-tree-full-eps0", ["srl", "--graph", "{tree}/graph.txt",
+                            "--labels", "{tree}/labels.csv", "--eps", "0",
+                            "--variant", "full",
+                            "--out", "{out}"]),
     ("srl-lobster-mn", ["srl", "--graph", "{lobster}/graph.txt",
                         "--labels", "{lobster}/labels.csv", "--eps", "0",
                         "--variant", "mn", "--out", "{out}"]),
@@ -349,7 +348,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "srl.csv":
             "cd3c09f522163213f26739eaaad8fbe62066412087508589fb636a921c6ad59f",
     },
-    "srl-tree-full-features": {
+    "srl-tree-full-eps0": {
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "srl.csv":

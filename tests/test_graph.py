@@ -166,6 +166,12 @@ class TestNodeData:
         back = load_labels_csv(io.StringIO(text.replace("-2", "1")), 2)
         assert back.labels.tolist() == [UNLABELED, 1]
 
+    @pytest.mark.parametrize("big", [2**63, 10**20])
+    def test_label_outside_int64_rejected(self, big):
+        text = f"node,label,split\n0,,none\n1,{big},train\n"
+        with pytest.raises(ParseError, match="line 3"):
+            load_labels_csv(io.StringIO(text), 2)
+
     def test_features_csv_round_trip(self):
         x = np.array([[1.25, -2.0], [0.0, 3.5]])
         out = io.StringIO()

@@ -258,7 +258,8 @@ class TestPartitionIo:
             load_partition_csv(io.StringIO(body))
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "", "3.5", " 1"]),
+    @given(rows=st.lists(st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "", "3.5", " 1",
+                                                   str(2**63), str(-2**63 - 1), str(10**20)]),
                                   max_size=3), max_size=5))
     def test_any_text_gives_partition_or_input_error(self, rows):
         body = "node,block\n" + "".join(",".join(r) + "\n" for r in rows)

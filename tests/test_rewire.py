@@ -1,12 +1,12 @@
-"""Augmented adjacency block structure, features, and file round trips."""
+"""Augmented adjacency block structure, features, and the output format."""
 
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
 
-from rolewire.errors import DimensionMismatchError, InputError, ParseError
+from rolewire.errors import DimensionMismatchError
 from rolewire.graph import bfs_distances
 from rolewire.partition import Partition, membership_matrix, refine_eps_be
 from rolewire.rewire import (
@@ -14,7 +14,6 @@ from rolewire.rewire import (
     augment_features,
     build_rewired,
     dump_rewired,
-    load_rewired,
 )
 
 from conftest import master_node_adjacency
@@ -24,6 +23,14 @@ from conftest import master_node_adjacency
 def rewire(graph, eps, variant, features=None):
     part = refine_eps_be(graph, eps)
     return part, build_rewired(graph, part, variant, features=features, eps=eps)
+
+
+class TestRecord:
+    def test_keeps_its_graph_and_partition(self, star4):
+        part = refine_eps_be(star4, 0)
+        rg = build_rewired(star4, part, Variant.REP_NODES)
+        assert rg.graph is star4 and rg.partition is part
+        assert rg.origin_count == 4 and rg.virtual_count == part.k == 2
 
 
 class TestBlockStructure:
@@ -146,16 +153,15 @@ class TestFeatures:
 
 
 class TestRewiredIo:
-    def test_round_trip(self, tmp_path, star4):
+    def test_round_trip(self, star4):
         _, rg = rewire(star4, 0, Variant.FULL)
-        edge_path = tmp_path / "rewired.txt"
-        meta_path = tmp_path / "rewired.meta"
-        with open(edge_path, "w") as efh, open(meta_path, "w") as mfh:
-            dump_rewired(rg, efh, mfh)
-        back = load_rewired(edge_path, meta_path)
-        assert back.origin_count == 4 and back.virtual_count == 2
-        assert back.variant is Variant.FULL
-        assert np.allclose(back.adjacency.toarray(), rg.adjacency.toarray(),
+        efh, mfh = io.StringIO(), io.StringIO()
+        dump_rewired(rg, efh, mfh)
+        rows = [line.split() for line in efh.getvalue().splitlines()]
+        u, v = (np.array([int(r[i]) for r in rows]) for i in (0, 1))
+        w = np.array([float(r[2]) for r in rows])
+        back = sp.csr_matrix((w, (u, v)), shape=(rg.size, rg.size))
+        assert np.allclose(back.toarray(), sp.triu(rg.adjacency).toarray(),
                            atol=5e-7)    # 6-decimal edge weights
 
     def test_metadata_fields(self, tmp_path, c4):
@@ -167,81 +173,3 @@ class TestRewiredIo:
         assert meta["variant"] == "repnodes"
         assert float(meta["eps"]) == 2.0
         assert float(meta["residual"]) == 0.0
-
-
-def write_rewired(tmp_path, edges, meta):
-    edge_path, meta_path = tmp_path / "rewired.txt", tmp_path / "rewired.meta"
-    edge_path.write_text(edges)
-    meta_path.write_text(meta)
-    return edge_path, meta_path
-
-
-# a star on nodes 0..2 (hub 0) with one virtual node 3 linked to all three
-GOOD_EDGES = "0 1 1.000000\n0 2 1.000000\n0 3 1.000000\n1 3 1.000000\n2 3 1.000000\n"
-GOOD_META = "n=3\nk=1\nvariant=repnodes\neps=2.0\nresidual=0.0\n"
-
-
-class TestRewiredLoadErrors:
-    def test_good_files_load(self, tmp_path):
-        rg = load_rewired(*write_rewired(tmp_path, GOOD_EDGES, GOOD_META))
-        assert rg.size == 4 and rg.adjacency.nnz == 10
-        assert rg.variant is Variant.REP_NODES
-
-    @pytest.mark.parametrize("meta", [
-        "k=1\nvariant=repnodes\neps=2.0\nresidual=0.0\n",          # n missing
-        "n=3\nvariant=repnodes\neps=2.0\nresidual=0.0\n",          # k missing
-        "n=3\nk=1\nvariant=repnodes\nresidual=0.0\n",              # eps missing
-    ], ids=["no-n", "no-k", "no-eps"])
-    def test_missing_metadata(self, tmp_path, meta):
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES, meta))
-
-    @pytest.mark.parametrize("meta", [
-        "n=three\nk=1\nvariant=repnodes\neps=2.0\nresidual=0.0\n",
-        "n=3\nk=1.5\nvariant=repnodes\neps=2.0\nresidual=0.0\n",
-        "n=3\nk=-1\nvariant=repnodes\neps=2.0\nresidual=0.0\n",
-        "n=3\nk=1\nvariant=bogus\neps=2.0\nresidual=0.0\n",
-        "n=3\nk=1\nvariant=repnodes\neps=two\nresidual=0.0\n",
-    ], ids=["n-word", "k-float", "k-negative", "variant-unknown", "eps-word"])
-    def test_bad_metadata_values(self, tmp_path, meta):
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES, meta))
-
-    @pytest.mark.parametrize("line", ["0 4 1.0", "-1 2 1.0", "7 0 1.0"])
-    def test_endpoint_out_of_range(self, tmp_path, line):
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES + line + "\n", GOOD_META))
-
-    @pytest.mark.parametrize("line", ["0 1", "0", "0 1 1.0 2.0"])
-    def test_short_or_long_line(self, tmp_path, line):
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES + line + "\n", GOOD_META))
-
-    @pytest.mark.parametrize("line", ["0 x 1.0", "0 1.5 1.0", "0 1 heavy", "0 1 nan"])
-    def test_non_numeric_line(self, tmp_path, line):
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES + line + "\n", GOOD_META))
-
-    def test_node_count_disagrees_with_edges(self, tmp_path):
-        meta = GOOD_META.replace("k=1", "k=2")      # node 4 would have no edge
-        with pytest.raises(ParseError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES, meta))
-
-    def test_feature_rows_disagree_with_n(self, tmp_path):
-        with pytest.raises(DimensionMismatchError):
-            load_rewired(*write_rewired(tmp_path, GOOD_EDGES, GOOD_META),
-                         features=np.ones((4, 1)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(lines=st.lists(st.lists(st.sampled_from(["0", "1", "3", "4", "-1", "x", "1.5", "inf"]),
-                                   max_size=4), max_size=6),
-           n=st.sampled_from(["3", "0", "x", "10000000000000"]))
-    def test_any_text_gives_graph_or_input_error(self, tmp_path_factory, lines, n):
-        edges = "".join(" ".join(line) + "\n" for line in lines)
-        meta = GOOD_META.replace("n=3", "n=" + n)
-        paths = write_rewired(tmp_path_factory.mktemp("fuzz"), edges, meta)
-        try:
-            rg = load_rewired(*paths)
-        except InputError:
-            return
-        assert (rg.adjacency != rg.adjacency.T).nnz == 0

@@ -240,7 +240,7 @@ class TestPerRoleLift:
     def test_dominates_diagonal(self, corpus):
         for _, g in corpus[:10]:
             part, rg, y = labeled_case(g, 1.0, Variant.REP_NODES)
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             assert (rep.lambda_plus >= np.maximum(rep.mu_rewired, rep.nu) - 1e-10).all()
 
 
@@ -277,7 +277,7 @@ class TestCommutator:
             eps = float(g.degrees().max())
             part, rg, y = labeled_case(g, eps, Variant.REP_NODES)
             assert part.k == 1
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             assert rep.commutator_norm == 0.0
 
     def test_diagonal_restrictions_commute(self):
@@ -336,14 +336,14 @@ class TestSrlPipeline:
     def test_zero_when_labels_off_roles(self, c4):
         part, rg, _ = labeled_case(c4, 0, Variant.REP_NODES)
         y = np.array([[1.0], [-1.0], [1.0], [-1.0]])   # orthogonal to constants
-        rep = srl_report(c4, rg, part, y)
+        rep = srl_report(rg, y)
         assert rep.rho == pytest.approx(0.0)
         assert rep.srl == pytest.approx(0.0)
 
     def test_formula_consistency(self, corpus):
         for _, g in corpus[:10]:
             part, rg, y = labeled_case(g, 1.0, Variant.FULL)
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             assert rep.srl == pytest.approx(
                 rep.rho * float((rep.omega * rep.delta ** 2).sum()), rel=1e-12)
             assert rep.negative_delta_count == int((rep.delta < 0).sum())
@@ -354,7 +354,7 @@ class TestSrlPipeline:
         for g in (star4, p3, c4, star_graph(5), path_graph(6), cycle_graph(6)):
             for eps in (0.0, 1.0):
                 part, rg, y = labeled_case(g, eps, variant)
-                rep = srl_report(g, rg, part, y)
+                rep = srl_report(rg, y)
                 expected = oracle_srl(g, rg, part, y)
                 assert rep.srl == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
@@ -363,14 +363,14 @@ class TestSrlPipeline:
             if g.num_nodes > 32:
                 continue
             part, rg, y = labeled_case(g, 1.0, Variant.REP_NODES)
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             expected = oracle_srl(g, rg, part, y)
             assert rep.srl == pytest.approx(expected, rel=1e-8, abs=1e-12), name
 
     def test_structural_invariants(self, corpus):
         for _, g in corpus[:15]:
             part, rg, y = labeled_case(g, 0, Variant.REP_NODES)
-            rep = srl_report(g, rg, part, y)
+            rep = srl_report(rg, y)
             assert -1e-12 <= rep.rho <= 1.0 + 1e-12
             assert rep.omega.sum() == pytest.approx(1.0, abs=1e-12)
             assert rep.e_tot == pytest.approx((y ** 2).sum())
@@ -378,11 +378,16 @@ class TestSrlPipeline:
 
     def test_per_class_aggregation(self, star4):
         part, rg, y = labeled_case(star4, 0, Variant.REP_NODES)
-        rep = srl_report(star4, rg, part, y)
+        rep = srl_report(rg, y)
         # energy-weighted average of the class lifts recovers the global one
         e_c = (y ** 2).sum(axis=0)
         blended = (rep.srl_per_class * e_c).sum() / e_c.sum()
         assert blended == pytest.approx(rep.srl, rel=1e-9)
+
+    def test_labels_need_one_row_per_node(self, star4):
+        _, rg, y = labeled_case(star4, 0, Variant.REP_NODES)
+        with pytest.raises(ValueError, match="rows"):
+            srl_report(rg, y[:-1])
 
 
 class TestShiftOwners:

@@ -3,7 +3,8 @@
 The references are the plain loops the kernels replaced. Every quantity
 here is an integer count, a ratio of two, or a value copied from the
 quotient, so results must match exactly (floats compared through
-float.hex or array equality), on random graphs and tolerances.
+float.hex or array equality), on random graphs and tolerances. The one
+inequality is the paper's: rewiring never raises effective resistance.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rolewire import generators
 from rolewire.errors import NoEligibleNodesError, ParseError, SelfLoopError
@@ -24,7 +25,7 @@ from rolewire.graph import (
     graph_from_edges,
     two_hop_neighbors,
 )
-from rolewire.metrics import two_hop_class_similarity
+from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
 from rolewire.partition import (
     Partition,
     block_degree_matrix,
@@ -35,6 +36,8 @@ from rolewire.partition import (
     validate_aep,
 )
 from rolewire.rewire import Variant, build_rewired
+
+from conftest import largest_component
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -413,3 +416,20 @@ def test_build_rewired_matches_dense_fill(graph, eps, variant):
     assert got.has_sorted_indices
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_rewiring_never_raises_effective_resistance(graph, eps, variant):
+    """Virtual nodes only add conductance, so by Rayleigh monotonicity the
+    mean resistance over the original nodes cannot rise. All-singleton
+    blocks add pendant nodes only and leave it unchanged, hence a relative
+    tolerance instead of a strict decrease."""
+    graph = largest_component(graph)
+    assume(graph.num_nodes >= 2)
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    base = mean_effective_resistance(graph.adjacency)
+    after = mean_effective_resistance(rewired.adjacency, origin_count=graph.num_nodes)
+    assert after <= base * (1 + 1e-9)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolewire.errors import DimensionMismatchError, DivergenceError
 from rolewire.generators import make_graph
-from rolewire.graph import bfs_distances, graph_from_edges
+from rolewire.graph import graph_from_edges
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import normalized_shift
@@ -30,7 +30,9 @@ from rolewire.teacher_student import (
     train_students,
 )
 
-from conftest import crop_to_observed, cycle_graph, path_graph, star_graph
+from conftest import (
+    crop_to_observed, cycle_graph, largest_component, path_graph, star_graph,
+)
 
 
 def naive_forward(shift, x, weights):
@@ -317,21 +319,6 @@ def reference_train_student(graph, x, y_true, config, num_layers):
                 raise DivergenceError(t)
             trace.append(loss)
     return layers, trace
-
-
-def largest_component(graph):
-    """The largest connected component, relabelled 0..size-1."""
-    unseen = np.ones(graph.num_nodes, dtype=bool)
-    best = np.zeros(0, dtype=np.int64)
-    while unseen.any():
-        comp = np.flatnonzero(bfs_distances(graph.indptr, graph.indices,
-                                            int(np.argmax(unseen))) >= 0)
-        unseen[comp] = False
-        if comp.size > best.size:
-            best = comp
-    index = {int(u): i for i, u in enumerate(best)}
-    return graph_from_edges(best.size, [(index[u], index[v]) for u, v in graph.edges()
-                                        if u in index and v in index])
 
 
 @st.composite
