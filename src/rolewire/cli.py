@@ -193,6 +193,12 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             raise UsageError("one of --eps or --percentile is required")
         if ns.eps is not None and not ns.eps >= 0:    # also rejects nan
             raise UsageError("--eps must be a nonnegative number or inf")
+    if ns.verb == "effres":
+        tolerance = ns.eps is not None or ns.percentile is not None
+        if ns.variant is None and tolerance:
+            raise UsageError("effres with a tolerance needs --variant")
+        if ns.variant is not None and not tolerance:
+            raise UsageError("effres with --variant needs --eps or --percentile")
     for verb, flag, low in (("srl", "layers", 1), ("gen", "classes", 0),
                             ("ts-sim", "classes", 1), ("ts-sim", "epochs", 1)):
         if ns.verb == verb and getattr(ns, flag) < low:
@@ -309,11 +315,11 @@ def _run_gen(ns) -> int:
 
 
 def _run_partition(ns) -> int:
-    out = _outdir(ns.out)
     graph, remap = _load_graph(ns.graph)
     eps, perc = _resolve_eps(graph, ns)
     part = refine_eps_be(graph, eps)
     qp = quotient(graph, part)
+    out = _outdir(ns.out)
     with open(out / "partition.csv", "w") as fh:
         dump_partition_csv(part, fh)
     with open(out / "quotient.csv", "w") as fh:
@@ -327,13 +333,13 @@ def _run_partition(ns) -> int:
 
 
 def _run_rewire(ns) -> int:
-    out = _outdir(ns.out)
     graph, remap = _load_graph(ns.graph)
     eps, perc = _resolve_eps(graph, ns)
     variant = Variant(ns.variant)
     part = _partition_for(graph, eps, variant)
     features = _load_features(graph, ns.features)
     rewired = build_rewired(graph, part, variant, features=features, eps=eps)
+    out = _outdir(ns.out)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
@@ -349,7 +355,6 @@ def _run_rewire(ns) -> int:
 
 
 def _run_srl(ns) -> int:
-    out = _outdir(ns.out)
     graph, _ = _load_graph(ns.graph)
     data = _load_labels(graph, ns.labels)
     eps, _ = _resolve_eps(graph, ns)
@@ -358,6 +363,7 @@ def _run_srl(ns) -> int:
     rewired = build_rewired(graph, part, variant, eps=eps)
     y = one_hot_labels(data.labels, data.train_mask)
     report = srl_report(rewired, y, h_degree=ns.layers)
+    out = _outdir(ns.out)
     with open(out / "srl.csv", "w") as fh:
         dump_srl_csv(report, fh)
     return 0
@@ -380,14 +386,10 @@ def _run_select_eps(ns) -> int:
 
 
 def _run_effres(ns) -> int:
-    if ns.variant is None and (ns.eps is not None or ns.percentile is not None):
-        raise UsageError("effres with a tolerance needs --variant")
     graph, _ = _load_graph(ns.graph)
     baseline = mean_effective_resistance(graph.adjacency)
     lines = [("baseline", baseline)]
     if ns.variant is not None:
-        if ns.eps is None and ns.percentile is None:
-            raise UsageError("effres with --variant needs --eps or --percentile")
         eps, _ = _resolve_eps(graph, ns)
         variant = Variant(ns.variant)
         part = _partition_for(graph, eps, variant)
@@ -406,18 +408,17 @@ def _run_effres(ns) -> int:
 
 
 def _run_ts_sim(ns) -> int:
-    datasets = [(fam, make_graph(fam, ns.n, seed=ns.seed), None)
-                for fam in ns.families]
+    graphs = [(fam, make_graph(fam, ns.n, seed=ns.seed)) for fam in ns.families]
     variant = Variant(ns.variant)
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
-        datasets, [variant], ns.percentiles, config, d_out=ns.classes)
+        graphs, variant, ns.percentiles, config, d_out=ns.classes)
     out = _outdir(ns.out)
     with open(out / "ts.csv", "w") as fh:
         fh.write("dataset,variant,percentile,eps,srl,mse,seed\n")
-        cells = list(product(ns.families, [variant], ns.percentiles))
-        for (fam, var, perc), res in zip(cells, results):
-            fh.write(f"{fam},{var.value},{perc},{res.eps:.6f},"
+        cells = product(ns.families, ns.percentiles)
+        for (fam, perc), res in zip(cells, results):
+            fh.write(f"{fam},{variant.value},{perc},{res.eps:.6f},"
                      f"{res.srl:.6f},{res.mse_final:.6f},{res.seed}\n")
         fh.write(f"# pearson={corr:.6f}\n")
     print(f"pearson {corr:.6f}")

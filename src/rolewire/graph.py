@@ -263,6 +263,11 @@ def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 def load_features_csv(stream: IO[str], num_nodes: int) -> np.ndarray:
+    """Read `node,f0,f1,...` rows into an (num_nodes, d) array.
+
+    Every node 0..num_nodes-1 is listed once, in any order, with finite
+    values. Malformed input raises a ParseError naming the line or node.
+    """
     header = stream.readline().strip()
     cols = header.split(",")
     if not cols or cols[0] != "node":
@@ -284,6 +289,10 @@ def load_features_csv(stream: IO[str], num_nodes: int) -> np.ndarray:
             raise ParseError(f"line {lineno}: bad numeric token") from None
         if not (0 <= u < num_nodes):
             raise ParseError(f"line {lineno}: node {u} out of range")
+        if seen[u]:
+            raise ParseError(f"line {lineno}: node {u} listed twice")
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(f"line {lineno}: non-finite feature value")
         x[u] = vals
         seen[u] = True
     if not seen.all():
@@ -302,11 +311,18 @@ _SPLITS = ("train", "val", "test", "none")
 
 
 def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
+    """Read `node,label,split` rows into a NodeData.
+
+    Each node is listed at most once; unlisted nodes are unlabeled and in
+    no split, and a node in a split needs a label. Malformed input raises
+    a ParseError naming the line.
+    """
     header = stream.readline().strip()
     if header != "node,label,split":
         raise ParseError(f"label header must be 'node,label,split', got {header!r}")
     labels = np.full(num_nodes, UNLABELED, dtype=np.int64)
     masks = {s: np.zeros(num_nodes, dtype=bool) for s in _SPLITS[:3]}
+    seen = np.zeros(num_nodes, dtype=bool)
     for lineno, raw in enumerate(stream, start=2):
         line = raw.strip()
         if not line:
@@ -329,6 +345,12 @@ def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
             raise ParseError(f"line {lineno}: unknown split {split!r}")
         if not (0 <= u < num_nodes):
             raise ParseError(f"line {lineno}: node {u} out of range")
+        if seen[u]:
+            raise ParseError(f"line {lineno}: node {u} listed twice")
+        if split != "none" and lab == UNLABELED:
+            raise ParseError(f"line {lineno}: node {u} is in split {split!r} "
+                             "but has no label")
+        seen[u] = True
         labels[u] = lab
         if split != "none":
             masks[split][u] = True

@@ -8,17 +8,19 @@ running this model on an augmented graph and keeping only the original
 nodes' outputs; the student trains the same architecture on the original
 graph against those labels with full-batch Adam.
 
-Students whose chains share a shape (n, d_in, layers, d_out) train in
-lockstep: one stacked Adam loop updates all of them with one set of numpy
-calls per epoch. Every per-student operation keeps its operands and order,
-so each student's loss trace and final weights are bit-identical to
-training it alone; `train_student` is the one-student case of that loop.
+`train_students` is the one trainer. It groups its students by input and
+target shape and runs one stacked Adam loop per group, which updates the
+whole group with one set of numpy calls per epoch. Every per-student
+operation keeps its operands and order, so each student's loss trace and
+final weights are bit-identical to training it alone; `train_student` is
+its one-student call, and the experiment trains all its points with one
+call once every teacher is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import math
 
@@ -90,7 +92,6 @@ class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 5000
     seed: int = 0
-    sigmas: Optional[tuple[float, ...]] = None   # None: unit scale per layer
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -273,9 +274,9 @@ def _adam_lockstep(
     """
     p, d_in, d_out = len(seeds), propagated.shape[2], ys.shape[2]
     dims = [d_in] * num_layers + [d_out]
-    sigmas = config.sigmas if config.sigmas is not None else (1.0,) * num_layers
     theta = np.stack([
-        np.concatenate([w.ravel() for w in gaussian_init(dims, sigmas, seed).layers])
+        np.concatenate([w.ravel()
+                        for w in gaussian_init(dims, (1.0,) * num_layers, seed).layers])
         for seed in seeds])
     offsets = np.cumsum([a * b for a, b in zip(dims, dims[1:])])[:-1]
 
@@ -322,45 +323,54 @@ def _adam_lockstep(
     return layers, traces, diverged
 
 
-def _student_result(traces: np.ndarray, index: int, seed: int) -> TsResult:
-    trace = traces[:, index]
-    trace.setflags(write=False)
-    return TsResult(srl=float("nan"), mse_final=float(trace[-1]), loss_trace=trace,
-                    seed=seed)
-
-
 def train_students(
-    propagated: np.ndarray,
-    ys: np.ndarray,
+    propagated: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
     seeds: Sequence[int],
     config: TrainConfig,
     num_layers: int = 2,
 ) -> list[tuple[LinearGnnWeights, TsResult]]:
-    """Train P same-shape students in lockstep, one stacked Adam loop.
+    """Train students in lockstep, one stacked Adam loop per shape.
 
-    `propagated` (P, n, d_in) holds each student's S^L X and `ys`
-    (P, n, d_out) its targets; student i initializes from seeds[i], and
-    `config.seed` is not used. Each returned (weights, result) pair is
+    Student i has S^L X `propagated[i]` (n, d_in), targets `ys[i]`
+    (n, d_out) and initializes from seeds[i] at unit scale; `config.seed`
+    is not used. Students whose inputs and targets share their shapes
+    train as one group. Each returned (weights, result) pair is
     bit-identical to `train_student` on that student alone. If any
     student diverges, raises the DivergenceError that training them one
     after another in order would have raised first: the one of the
     lowest-index diverging student.
     """
-    if propagated.ndim != 3 or ys.ndim != 3 or ys.shape[:2] != propagated.shape[:2]:
+    if not len(propagated) == len(ys) == len(seeds) or not seeds:
         raise DimensionMismatchError(
-            f"inputs {propagated.shape} and targets {ys.shape} must stack as "
-            "(P, n, d_in) and (P, n, d_out)")
-    if len(seeds) != len(ys) or not seeds:
-        raise DimensionMismatchError(f"{len(ys)} students need as many seeds, "
-                                     f"got {len(seeds)}")
-    layers, traces, diverged = _adam_lockstep(propagated, ys, seeds, config,
-                                              num_layers)
-    bad = np.flatnonzero(diverged)
-    if bad.size:
-        raise DivergenceError(int(diverged[bad[0]]))
-    return [(LinearGnnWeights(layers=tuple(w[i] for w in layers)),
-             _student_result(traces, i, seed))
-            for i, seed in enumerate(seeds)]
+            f"{len(propagated)} inputs, {len(ys)} targets and {len(seeds)} seeds: "
+            "need one of each per student, at least one student")
+    groups: dict[tuple, list[int]] = {}
+    for i, (x, y) in enumerate(zip(propagated, ys)):
+        if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
+            raise DimensionMismatchError(
+                f"student {i}: inputs {x.shape} and targets {y.shape} must be "
+                "(n, d_in) and (n, d_out)")
+        groups.setdefault((x.shape, y.shape), []).append(i)
+    trained: list = [None] * len(seeds)
+    divergences = []    # (student index, epoch)
+    for members in groups.values():
+        layers, traces, diverged = _adam_lockstep(
+            np.stack([propagated[i] for i in members]),
+            np.stack([ys[i] for i in members]),
+            [seeds[i] for i in members], config, num_layers)
+        for j, i in enumerate(members):
+            if diverged[j]:
+                divergences.append((i, int(diverged[j])))
+                continue
+            trace = traces[:, j]
+            trace.setflags(write=False)
+            trained[i] = (LinearGnnWeights(layers=tuple(w[j] for w in layers)),
+                          TsResult(srl=float("nan"), mse_final=float(trace[-1]),
+                                   loss_trace=trace, seed=seeds[i]))
+    if divergences:
+        raise DivergenceError(min(divergences)[1])
+    return trained
 
 
 def train_student(
@@ -375,15 +385,13 @@ def train_student(
     Hidden widths default to the input feature width; the output width
     follows y_true. The loss trace records the objective after each
     update, so its last entry is the final training error. Deterministic
-    for a fixed config. This is the one-student call of the stacked loop
-    behind `train_students`, so training a student alone or in a group
-    gives the same bits.
+    for a fixed config. This is the one-student call of `train_students`,
+    so training a student alone or in a group gives the same bits.
     """
     if y_true.shape[0] != graph.num_nodes:
         raise DimensionMismatchError("y_true must have one row per node")
-    propagated = _propagate(graph.shift, x, num_layers)
-    [(weights, result)] = train_students(propagated[None], y_true[None],
-                                         [config.seed], config, num_layers)
+    [(weights, result)] = train_students([_propagate(graph.shift, x, num_layers)],
+                                         [y_true], [config.seed], config, num_layers)
     return weights, result
 
 
@@ -395,94 +403,46 @@ TEACHER_SIGMAS = (1.0, 40.0)
 
 
 def run_ts_experiment(
-    datasets: Sequence[tuple[str, Graph, Optional[np.ndarray]]],
-    variants: Sequence[Variant],
+    graphs: Sequence[tuple[str, Graph]],
+    variant: Variant,
     percentiles: Sequence[int],
     config: TrainConfig,
     d_out: int = 3,
 ) -> tuple[list[TsResult], float]:
-    """One point per (dataset, variant, percentile): rewire, draw a
-    teacher, train a student on the original graph, record the lift and
-    the final error. Returns all points plus their Pearson correlation.
+    """One point per (graph, percentile): rewire, draw a teacher, train a
+    student on the original graph, record the lift and the final error.
+    Returns all points plus their Pearson correlation.
 
-    Dataset entries are (tag, graph, features-or-None); missing features
-    fall back to the constant column. Teacher draws and student
-    initializations take their own sub-seeds per task index. Teacher,
-    student and lift all use one layer per entry of TEACHER_SIGMAS.
+    Graph entries are (tag, graph); every graph carries the constant
+    feature column. Teacher draws and student initializations take their
+    own sub-seeds per task index. Teacher, student and lift all use one
+    layer per entry of TEACHER_SIGMAS.
 
-    The first phase builds every point's teacher, labels and lift in task
-    order; the second trains the students of all points that share a
-    chain shape in one lockstep group. Results, and the error raised when
-    something fails, are those of handling the points one after another.
+    Every point's teacher, labels and lift are built in task order before
+    any student trains, so an input error there is raised first; then one
+    `train_students` call trains all the students.
     """
-    points = []
-    try:
-        for point in _teacher_points(datasets, variants, percentiles, config, d_out):
-            points.append(point)
-    except Exception:
-        # One at a time, the students before the failing point would have
-        # trained first: a divergence among them is the error to report.
-        _train_points(points, config)
-        raise
-    results = _train_points(points, config)
+    num_layers = len(TEACHER_SIGMAS)
+    points, inputs, targets, seeds = [], [], [], []
+    task = 0
+    for tag, graph in graphs:
+        propagated = _propagate(graph.shift, np.ones((graph.num_nodes, 1)), num_layers)
+        for p in percentiles:
+            eps = degree_percentile(graph, p)
+            part = refine_eps_be(graph, eps)
+            rewired = build_rewired(graph, part, variant, eps=eps)
+            teacher_dims = [1 + part.k] * num_layers + [d_out]
+            teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS,
+                                    derive_seed(config.seed, task))
+            y_true = teacher_labels(rewired, teacher)
+            report = srl_report(rewired, y_true, h_degree=num_layers)
+            points.append((f"{tag}:{variant.value}", eps, report.srl))
+            inputs.append(propagated)
+            targets.append(y_true)
+            seeds.append(derive_seed(config.seed, task + 1))
+            task += 2
+    trained = train_students(inputs, targets, seeds, config, num_layers)
+    results = [replace(result, srl=srl, dataset_tag=tag, eps=eps)
+               for (tag, eps, srl), (_, result) in zip(points, trained)]
     corr = pearson([r.srl for r in results], [r.mse_final for r in results])
     return results, corr
-
-
-def _teacher_points(datasets, variants, percentiles, config: TrainConfig, d_out: int):
-    """Yield (result without its training fields, S^L X, y_true) per point,
-    in task order."""
-    num_layers = len(TEACHER_SIGMAS)
-    task = 0
-    for tag, graph, features in datasets:
-        x = features if features is not None else np.ones((graph.num_nodes, 1))
-        d = x.shape[1]
-        for variant in variants:
-            for p in percentiles:
-                eps = degree_percentile(graph, p)
-                part = refine_eps_be(graph, eps)
-                rewired = build_rewired(graph, part, variant,
-                                        features=features, eps=eps)
-                k = part.k
-                teacher_dims = [d + k] + [d + k] * (num_layers - 1) + [d_out]
-                teacher_seed = derive_seed(config.seed, task)
-                teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS, teacher_seed)
-                y_true = teacher_labels(rewired, teacher)
-
-                report = srl_report(rewired, y_true, h_degree=num_layers)
-                pending = TsResult(
-                    srl=report.srl, mse_final=float("nan"), loss_trace=np.empty(0),
-                    seed=derive_seed(config.seed, task + 1),
-                    dataset_tag=f"{tag}:{variant.value}", eps=eps,
-                )
-                yield pending, _propagate(graph.shift, x, num_layers), y_true
-                task += 2
-
-
-def _train_points(points, config: TrainConfig) -> list[TsResult]:
-    """Train each point's student, one lockstep group per chain shape.
-
-    Raises the DivergenceError of the lowest-index diverging point, which
-    is the one a point-by-point loop would have raised.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, propagated, y_true) in enumerate(points):
-        groups.setdefault((propagated.shape, y_true.shape), []).append(i)
-    results: list[TsResult] = [None] * len(points)
-    divergences = []    # (point index, epoch)
-    for members in groups.values():
-        seeds = [points[i][0].seed for i in members]
-        _, traces, diverged = _adam_lockstep(
-            np.stack([points[i][1] for i in members]),
-            np.stack([points[i][2] for i in members]),
-            seeds, config, len(TEACHER_SIGMAS))
-        for j, i in enumerate(members):
-            if diverged[j]:
-                divergences.append((i, int(diverged[j])))
-                continue
-            trained = _student_result(traces, j, seeds[j])
-            results[i] = replace(points[i][0], mse_final=trained.mse_final,
-                                 loss_trace=trained.loss_trace)
-    if divergences:
-        raise DivergenceError(min(divergences)[1])
-    return results

@@ -250,10 +250,9 @@ def test_criterion_9_teacher_student_correlation():
     # pinned desk-scale configuration
     from rolewire.generators import make_graph
     families = ["star", "path", "cycle", "grid", "ladder", "tree"]
-    datasets = [(fam, make_graph(fam, 24, seed=0), None) for fam in families]
+    graphs = [(fam, make_graph(fam, 24, seed=0)) for fam in families]
     config = TrainConfig(seed=0)
-    results, corr = run_ts_experiment(datasets, [Variant.FULL], [0, 50, 100],
-                                      config)
+    results, corr = run_ts_experiment(graphs, Variant.FULL, [0, 50, 100], config)
     elapsed = time.monotonic() - start
     assert len(results) == 18
     assert corr >= 0.5

@@ -217,6 +217,19 @@ class TestExitCodes:
         assert err.startswith("ERR:USAGE:") and "--p" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--graph", "{tmp}/nope.txt", "--eps", "0"],
+        ["rewire", "--graph", "{tmp}/nope.txt", "--eps", "0", "--variant", "repnodes"],
+        ["srl", "--graph", "{g}/graph.txt", "--labels", "{tmp}/nope.csv", "--eps", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_input_leaves_no_out(self, tmp_path, capsys, star_files, argv):
+        out = tmp_path / "o"
+        argv = [a.format(g=star_files, tmp=tmp_path) for a in argv] + ["--out", out]
+        code, stdout, err = run(argv, capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: cannot read") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("big", [2**63, 10**20])
     def test_node_id_too_large_is_3(self, tmp_path, capsys, big):
         graph = tmp_path / "g.txt"
@@ -267,6 +280,74 @@ class TestExitCodes:
         assert got == code and stdout == ""
         assert err.startswith(kind) and err.count("\n") == 1
         assert not out.exists()
+
+
+# Malformed inputs per verb: {g} is a good generated star (nodes 0..3), {bad}
+# a directory of the files in BAD_FILES. Every case must end in one ERR: line
+# with the documented exit code, print nothing to stdout and create no --out.
+BAD_FILES = {
+    "word.txt": "0 1\n1 x\n",
+    "loop.txt": "0 1\n1 1\n",
+    "empty.txt": "# no edges\n",
+    "negative.txt": "0 1\n0 -1\n",
+    "split.txt": "0 1\n2 3\n",
+    "labels-header.csv": "node,class,split\n0,0,train\n",
+    "labels-twice.csv": "node,label,split\n0,0,train\n0,1,test\n",
+    "labels-range.csv": "node,label,split\n9,0,train\n",
+    "labels-unlabeled.csv": "node,label,split\n0,,train\n",
+    "features-nan.csv": "node,f0\n0,1\n1,nan\n2,1\n3,1\n",
+    "features-twice.csv": "node,f0\n0,1\n1,1\n1,2\n2,1\n3,1\n",
+    "features-short.csv": "node,f0\n0,1\n1,1\n",
+    "table-short.csv": "percentile,srl_star\n0\n",
+    "table-flat.csv": "percentile,srl_star\n0,0.5\n50,0.5\n100,0.5\n",
+    "accuracy.csv": "percentile,accuracy\n0,0.1\n50,0.2\n100,0.3\n",
+}
+MALFORMED = [
+    ("gen-no-edges", ["gen", "--family", "path", "--n", "1"], 3),
+    ("gen-bad-family", ["gen", "--family", "bogus", "--n", "4"], 2),
+    ("partition-word", ["partition", "--graph", "{bad}/word.txt", "--eps", "0"], 3),
+    ("partition-loop", ["partition", "--graph", "{bad}/loop.txt", "--eps", "0"], 3),
+    ("partition-empty", ["partition", "--graph", "{bad}/empty.txt", "--eps", "0"], 3),
+    ("partition-no-eps", ["partition", "--graph", "{g}/graph.txt"], 2),
+    ("rewire-negative", ["rewire", "--graph", "{bad}/negative.txt", "--eps", "0",
+                         "--variant", "full"], 3),
+    *((f"rewire-{name}", ["rewire", "--graph", "{g}/graph.txt", "--eps", "0",
+                          "--variant", "full", "--features", f"{{bad}}/{name}.csv"], 3)
+      for name in ("features-nan", "features-twice", "features-short")),
+    *((f"srl-{name}", ["srl", "--graph", "{g}/graph.txt", "--eps", "0",
+                       "--labels", f"{{bad}}/{name}.csv"], 3)
+      for name in ("labels-header", "labels-twice", "labels-range", "labels-unlabeled")),
+    ("select-eps-word", ["select-eps", "--graph", "{bad}/word.txt",
+                         "--labels", "{g}/labels.csv"], 3),
+    ("select-eps-labels", ["select-eps", "--graph", "{g}/graph.txt",
+                           "--labels", "{bad}/labels-twice.csv"], 3),
+    ("effres-disconnected", ["effres", "--graph", "{bad}/split.txt"], 3),
+    ("effres-no-tolerance", ["effres", "--graph", "{g}/graph.txt",
+                             "--variant", "full"], 2),
+    ("ts-sim-family", ["ts-sim", "--families", "star,bogus", "--n", "6",
+                       "--epochs", "5"], 3),
+    ("ts-sim-diverges", ["ts-sim", "--n", "6", "--epochs", "5", "--lr", "1e300"], 4),
+    ("srl-correlate-short", ["srl-correlate", "--table", "{bad}/table-short.csv",
+                             "--accuracy", "{bad}/accuracy.csv"], 3),
+    ("srl-correlate-flat", ["srl-correlate", "--table", "{bad}/table-flat.csv",
+                            "--accuracy", "{bad}/accuracy.csv"], 4),
+]
+ERR_KIND = {2: "ERR:USAGE: ", 3: "ERR:INPUT: ", 4: "ERR:NUMERIC: "}
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_gives_one_err_line(tmp_path, capsys, star_files, argv, code):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name, text in BAD_FILES.items():
+        (bad / name).write_text(text)
+    out = tmp_path / "o"
+    argv = [a.format(g=star_files, bad=bad) for a in argv] + ["--out", out]
+    got, stdout, err = run(argv, capsys)
+    assert got == code and stdout == ""
+    assert err.startswith(ERR_KIND[code]) and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestGenPartition:
@@ -359,6 +440,12 @@ class TestEffres:
                             "--eps", "1"], capsys)
         assert code == 2
         assert err.startswith("ERR:USAGE:")
+
+    def test_variant_without_tolerance_rejected_before_reading(self, tmp_path, capsys):
+        code, out, err = run(["effres", "--graph", tmp_path / "nope.txt",
+                              "--variant", "repnodes"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("ERR:USAGE:") and "--eps" in err and err.count("\n") == 1
 
     def test_rewired_reported(self, tmp_path, capsys, star_files):
         code, out, _ = run(["effres", "--graph", star_files / "graph.txt",

@@ -1,12 +1,15 @@
 """Graph container, parsing, percentiles, and neighborhoods."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rolewire.errors import EmptyGraphError, ParseError, SelfLoopError
+from rolewire.errors import EmptyGraphError, InputError, ParseError, SelfLoopError
 from rolewire.graph import (
+    MAX_NODE_ID,
     NodeData,
     UNLABELED,
     compact_ids,
@@ -172,6 +175,28 @@ class TestNodeData:
         with pytest.raises(ParseError, match="line 3"):
             load_labels_csv(io.StringIO(text), 2)
 
+    @pytest.mark.parametrize("second", ["0,1,test", "0,1,train", "0,0,none"])
+    def test_label_row_listed_twice_rejected(self, second):
+        text = f"node,label,split\n0,0,train\n{second}\n"
+        with pytest.raises(ParseError, match="^line 3: node 0 listed twice"):
+            load_labels_csv(io.StringIO(text), 2)
+
+    def test_split_needs_a_label(self):
+        text = "node,label,split\n0,1,none\n1,,val\n"
+        with pytest.raises(ParseError, match="^line 3: node 1 is in split 'val'"):
+            load_labels_csv(io.StringIO(text), 2)
+
+    def test_feature_row_listed_twice_rejected(self):
+        text = "node,f0\n0,1.0\n1,2.0\n0,3.0\n"
+        with pytest.raises(ParseError, match="^line 4: node 0 listed twice"):
+            load_features_csv(io.StringIO(text), 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_rejected(self, value):
+        text = f"node,f0,f1\n0,1.0,2.0\n1,0.5,{value}\n"
+        with pytest.raises(ParseError, match="^line 3: non-finite"):
+            load_features_csv(io.StringIO(text), 2)
+
     def test_features_csv_round_trip(self):
         x = np.array([[1.25, -2.0], [0.0, 3.5]])
         out = io.StringIO()
@@ -198,3 +223,77 @@ class TestConnectivity:
 
     def test_single_node(self):
         assert is_connected(graph_from_edges(1, []))
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzz: any text gives a result or an InputError, never another error
+# ---------------------------------------------------------------------------
+
+# Valid ids stay small, so no draw allocates a large graph; the ids just
+# above the limits check the range errors.
+IDS = ["0", "1", "2", "-1", "x", "1.5", "", str(MAX_NODE_ID + 1), str(2**63), "\u0663"]
+VALUES = ["0", "2", "-1.5", "", "x", "nan", "inf", "-inf", "1e400", str(2**63)]
+SPLITS = ["train", "val", "test", "none", "", "bogus"]
+ANY = st.sampled_from(IDS + VALUES + SPLITS + ["#"])
+
+
+@st.composite
+def node_rows(draw, *fields):
+    """One row per node 0..n-1 in a drawn order, the other fields drawn from
+    `fields`, then up to two edits: a junk row inserted, a node listed
+    again with fresh fields, or a row dropped."""
+    n = draw(st.integers(1, 3))
+    rows = [[str(u)] + [draw(st.sampled_from(f)) for f in fields]
+            for u in draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["junk", "again", "drop"]))
+        at = draw(st.integers(0, len(rows)))
+        if edit == "junk":
+            rows.insert(at, draw(st.lists(ANY, max_size=4)))
+        elif edit == "again":
+            rows.insert(at, [str(draw(st.integers(0, n - 1)))]
+                        + [draw(st.sampled_from(f)) for f in fields])
+        elif rows:
+            rows.pop(at % len(rows))
+    return n, "".join(",".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(st.tuples(ANY, ANY).map(list), st.lists(ANY, max_size=4)),
+                     max_size=6),
+       sep=st.sampled_from([" ", "\t", ","]))
+def test_any_text_gives_edge_list_or_input_error(rows, sep):
+    text = "".join(sep.join(r) + "\n" for r in rows)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # collapsed duplicate mentions
+            g = load(text)
+    except InputError:
+        return
+    assert all(0 <= u < v < g.num_nodes for u, v in g.edges())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=node_rows(VALUES, SPLITS))
+def test_any_text_gives_labels_or_input_error(case):
+    n, body = case
+    try:
+        data = load_labels_csv(io.StringIO("node,label,split\n" + body), n)
+    except InputError:
+        return
+    assert len(data.labels) == n
+    assert not (data.train_mask & data.val_mask).any()
+    assert (data.labels[data.train_mask | data.val_mask | data.test_mask]
+            != UNLABELED).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.sampled_from(["node,f0", "node", "id,f0", ""]), case=node_rows(VALUES))
+def test_any_text_gives_features_or_input_error(header, case):
+    n, body = case
+    try:
+        x = load_features_csv(io.StringIO(header + "\n" + body), n)
+    except InputError:
+        return
+    assert x.shape == (n, len(header.split(",")) - 1)
+    assert np.isfinite(x).all()

@@ -426,8 +426,7 @@ class TestShiftOwners:
         assert shift_orders.count(8) == 1       # rewired shifts have order n + k > n
 
     def test_ts_experiment_builds_one_shift_per_graph(self, shift_orders):
-        datasets = [("path", path_graph(6), None), ("star", star_graph(5), None)]
-        run_ts_experiment(datasets, [Variant.FULL], [0, 100],
-                          TrainConfig(epochs=3))
+        graphs = [("path", path_graph(6)), ("star", star_graph(5))]
+        run_ts_experiment(graphs, Variant.FULL, [0, 100], TrainConfig(epochs=3))
         assert len(shift_orders) == 2 + 2 * 2   # graphs + rewired graphs
         assert shift_orders.count(6) == 2
