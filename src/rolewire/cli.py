@@ -39,6 +39,7 @@ from .errors import (
 )
 from .generators import FAMILIES, make_dataset, make_graph
 from .graph import (
+    PERCENTILE_GRID,
     Graph,
     NodeData,
     compact_ids,
@@ -52,7 +53,6 @@ from .graph import (
     one_hot_labels,
 )
 from .metrics import (
-    PERCENTILE_GRID,
     dump_candidates_csv,
     evaluate_candidates,
     mean_effective_resistance,
@@ -425,7 +425,7 @@ def _run_ts_sim(ns) -> int:
     return 0
 
 
-def _read_csv_columns(path: str, wanted: Sequence[str]) -> dict[str, list]:
+def _read_percentile_table(path: str, column: str) -> dict[int, float]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -435,26 +435,30 @@ def _read_csv_columns(path: str, wanted: Sequence[str]) -> dict[str, list]:
     if not lines:
         raise InputError(f"{path!r} is empty")
     header = lines[0][1].split(",")
-    for col in wanted:
+    for col in ("percentile", column):
         if col not in header:
             raise InputError(f"{path!r} lacks a {col!r} column")
-    idx = {col: header.index(col) for col in wanted}
-    out: dict[str, list] = {col: [] for col in wanted}
+    at_p, at_value = header.index("percentile"), header.index(column)
+    rows: dict[int, float] = {}
     for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(header):
             raise InputError(f"{path!r} line {lineno}: expected {len(header)} "
                              f"fields, got {len(parts)}")
-        for col in wanted:
-            out[col].append(parts[idx[col]])
-    return out
+        try:
+            p, value = int(parts[at_p]), float(parts[at_value])
+        except ValueError:
+            raise InputError(f"{path!r} line {lineno}: bad percentile or "
+                             f"{column} value") from None
+        if p in rows:
+            raise InputError(f"{path!r} line {lineno}: percentile {p} listed twice")
+        rows[p] = value
+    return rows
 
 
 def _run_srl_correlate(ns) -> int:
-    table = _read_csv_columns(ns.table, ["percentile", "srl_star"])
-    acc = _read_csv_columns(ns.accuracy, ["percentile", "accuracy"])
-    scores = {int(p): float(s) for p, s in zip(table["percentile"], table["srl_star"])}
-    accuracies = {int(p): float(a) for p, a in zip(acc["percentile"], acc["accuracy"])}
+    scores = _read_percentile_table(ns.table, "srl_star")
+    accuracies = _read_percentile_table(ns.accuracy, "accuracy")
     shared = sorted(set(scores) & set(accuracies))
     if len(shared) < 2:
         raise InputError("need at least two shared percentiles to correlate")

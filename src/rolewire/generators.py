@@ -108,8 +108,8 @@ def lobster(n: int, rng) -> Graph:
 def erdos_renyi(n: int, rng, p: float = 0.1) -> Graph:
     if n < 1:
         raise InputError("er needs n >= 1")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
+    edges = [(u, int(v)) for u in range(n)
+             for v in u + 1 + np.flatnonzero(rng.random(n - u - 1) < p)]
     return graph_from_edges(n, edges)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Optional
 
@@ -48,6 +48,7 @@ __all__ = [
     "load_labels_csv",
     "dump_labels_csv",
     "one_hot_labels",
+    "PERCENTILE_GRID",
     "degree_percentile",
     "two_hop_neighbors",
     "bfs_distances",
@@ -123,43 +124,26 @@ class Graph:
 
 @dataclass
 class NodeData:
-    """Optional per-node payload: class labels and split masks.
+    """Per-node payload: class labels and split masks.
 
     Labels use UNLABELED (-1) as the "no label" sentinel. The three masks
     are pairwise disjoint and every masked node must carry a label.
     """
 
     num_nodes: int
-    labels: Optional[np.ndarray] = None
-    train_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    val_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    test_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    labels: np.ndarray
+    train_mask: np.ndarray
+    val_mask: np.ndarray
+    test_mask: np.ndarray
 
     def __post_init__(self):
-        n = self.num_nodes
-        if self.train_mask is None:
-            self.train_mask = np.zeros(n, dtype=bool)
-        if self.val_mask is None:
-            self.val_mask = np.zeros(n, dtype=bool)
-        if self.test_mask is None:
-            self.test_mask = np.zeros(n, dtype=bool)
-        if self.labels is not None and len(self.labels) != n:
+        if len(self.labels) != self.num_nodes:
             raise ValueError("label count must equal num_nodes")
-        if np.any(self.train_mask & self.val_mask) or \
-           np.any(self.train_mask & self.test_mask) or \
-           np.any(self.val_mask & self.test_mask):
+        splits = self.train_mask.astype(np.int64) + self.val_mask + self.test_mask
+        if np.any(splits > 1):
             raise ValueError("train/val/test masks must be pairwise disjoint")
-        masked = self.train_mask | self.val_mask | self.test_mask
-        if np.any(masked):
-            if self.labels is None or np.any(self.labels[masked] == UNLABELED):
-                raise ValueError("every masked node must carry a label")
-
-    @property
-    def num_classes(self) -> int:
-        if self.labels is None:
-            return 0
-        valid = self.labels[self.labels != UNLABELED]
-        return int(valid.max()) + 1 if len(valid) else 0
+        if np.any(self.labels[splits > 0] == UNLABELED):
+            raise ValueError("every masked node must carry a label")
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +349,6 @@ def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
 
 def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:
     stream.write("node,label,split\n")
-    labels = data.labels if data.labels is not None else \
-        np.full(data.num_nodes, UNLABELED, dtype=np.int64)
     for u in range(data.num_nodes):
         if data.train_mask[u]:
             split = "train"
@@ -376,7 +358,7 @@ def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:
             split = "test"
         else:
             split = "none"
-        lab = "" if labels[u] == UNLABELED else str(int(labels[u]))
+        lab = "" if data.labels[u] == UNLABELED else str(int(data.labels[u]))
         stream.write(f"{u},{lab},{split}\n")
 
 
@@ -385,32 +367,31 @@ def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def one_hot_labels(
-    labels: Optional[np.ndarray],
+    labels: np.ndarray,
     mask: np.ndarray,
     num_classes: Optional[int] = None,
 ) -> np.ndarray:
     """One-hot matrix over masked labeled nodes; other rows stay zero."""
-    n = len(mask)
-    if labels is None:
-        return np.zeros((n, max(1, num_classes or 1)))
     active = mask & (labels != UNLABELED)
     if num_classes is None:
         num_classes = int(labels[active].max()) + 1 if active.any() else 1
-    y = np.zeros((n, num_classes))
-    for u in np.flatnonzero(active):
-        y[u, labels[u]] = 1.0
+    y = np.zeros((len(mask), num_classes))
+    y[active, labels[active]] = 1.0
     return y
+
+
+PERCENTILE_GRID = (0, 25, 50, 75, 100)
 
 
 def degree_percentile(graph: Graph, p: int) -> float:
     """Nearest-rank percentile of the degree sequence.
 
-    p must lie in {0, 25, 50, 75, 100}. p=0 is pinned to 0.0 (the exact
+    p must lie in PERCENTILE_GRID. p=0 is pinned to 0.0 (the exact
     refinement limit) rather than the minimum degree; p=100 returns the
     maximum degree; interior values use the nearest-rank index
     ceil(p/100 * n) - 1 on the ascending degree sequence.
     """
-    if p not in (0, 25, 50, 75, 100):
+    if p not in PERCENTILE_GRID:
         raise ValueError(f"percentile must be one of 0,25,50,75,100, got {p}")
     if p == 0:
         return 0.0

@@ -21,7 +21,8 @@ from .errors import (
     NumericError,
 )
 from .graph import (
-    Graph, NodeData, UNLABELED, degree_percentile, is_connected, one_hot_labels,
+    PERCENTILE_GRID, Graph, NodeData, UNLABELED, degree_percentile, is_connected,
+    one_hot_labels,
 )
 from .partition import refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
@@ -38,8 +39,6 @@ __all__ = [
     "dump_candidates_csv",
 ]
 
-PERCENTILE_GRID = (0, 25, 50, 75, 100)
-
 
 # ---------------------------------------------------------------------------
 # Effective resistance
@@ -52,28 +51,26 @@ def mean_effective_resistance(
     """Mean pairwise effective resistance of a sparse weighted graph.
 
     Treats each weighted edge as a conductance; self-loops are dropped
-    (they never carry current). The Laplacian pseudoinverse comes from
-    deflating the all-ones nullvector, inverting, and restoring. With
-    `origin_count`, only unordered pairs among the first origin_count
-    nodes are averaged, which makes augmented graphs comparable to their
-    source; without it, all pairs are.
+    (they never carry current). One inverse X = (L + J/m)^-1 = L^+ + J/m
+    gives the pair sum over a node set S of size s as s * tr(X_SS) -
+    1^T X_SS 1, in which the J/m terms cancel (Klein and Randic 1993). With
+    `origin_count`, only unordered pairs among the first origin_count nodes
+    are averaged, which makes augmented graphs comparable to their source;
+    without it, all pairs are.
     """
     pattern = _loopless_pattern(adjacency)
     if not is_connected(Graph(indptr=pattern.indptr, indices=pattern.indices)):
         raise DisconnectedError("effective resistance needs a connected graph")
-    a = adjacency.astype(np.float64).toarray()
-    np.fill_diagonal(a, 0.0)
-    m = a.shape[0]
+    m = adjacency.shape[0]
     span = m if origin_count is None else origin_count
     if span < 2:
         raise ValueError("need at least two nodes in the pair set")
-    lap = np.diag(a.sum(axis=1)) - a
-    ones = np.full((m, m), 1.0 / m)
-    lplus = np.linalg.inv(lap + ones) - ones
-    diag = np.diag(lplus)
-    r = diag[:span, None] + diag[None, :span] - 2.0 * lplus[:span, :span]
-    iu = np.triu_indices(span, k=1)
-    return float(r[iu].mean())
+    lap = (-adjacency.astype(np.float64)).toarray()
+    np.fill_diagonal(lap, 0.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    lap += 1.0 / m
+    x = np.linalg.inv(lap)[:span, :span]
+    return (span * float(np.trace(x)) - float(x.sum())) / (span * (span - 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +241,13 @@ def dump_candidates_csv(
 # ---------------------------------------------------------------------------
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation of samples scaled by 2**-e, e the binary exponent
+    of each one's largest magnitude: exact, and no square can overflow."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if len(x) != len(y) or len(x) < 2:
         raise ValueError("pearson needs two same-length samples of size >= 2")
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())

@@ -16,7 +16,7 @@ it, so the roles it lifts are always the blocks the rewiring was built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -220,14 +220,12 @@ class SrlReport:
     omega: np.ndarray
     rho: float
     srl: float
-    srl_per_class: np.ndarray
     e_tot: float
     commutator_norm: float
     kappa0: float
     kappa_max: float
     bound_rhs: float
     negative_delta_count: int
-    h_degree: int
 
     @property
     def k(self) -> int:
@@ -239,7 +237,10 @@ def _filter_and_derivative(h_degree: int, s: float) -> tuple[float, float]:
 
 
 def bound_error(
-    report: SrlReport,
+    mu_obs: np.ndarray,
+    lambda_plus: np.ndarray,
+    e_tot: float,
+    srl: float,
     h_degree: int,
     beta_obs: Optional[np.ndarray] = None,
 ) -> tuple[float, float, float]:
@@ -252,19 +253,19 @@ def bound_error(
     """
     kappa0 = 0.0
     kappa_max = 0.0
-    for j in range(report.k):
-        h_lam, _ = _filter_and_derivative(h_degree, float(report.lambda_plus[j]))
+    for j in range(len(lambda_plus)):
+        h_lam, _ = _filter_and_derivative(h_degree, float(lambda_plus[j]))
         if abs(h_lam) < 1e-12:
             if beta_obs is not None:
                 kappa0 += float((beta_obs[j] ** 2).sum())
             continue
         slopes = [
-            abs(_filter_and_derivative(h_degree, float(report.mu_obs[j]))[1]),
-            abs(_filter_and_derivative(h_degree, float(report.lambda_plus[j]))[1]),
+            abs(_filter_and_derivative(h_degree, float(mu_obs[j]))[1]),
+            abs(_filter_and_derivative(h_degree, float(lambda_plus[j]))[1]),
         ]
         kappa_j = max(slopes) ** 2 / (h_lam * h_lam)
         kappa_max = max(kappa_max, kappa_j)
-    return kappa0, kappa_max, kappa0 + kappa_max * report.e_tot * report.srl
+    return kappa0, kappa_max, kappa0 + kappa_max * e_tot * srl
 
 
 def srl_report(
@@ -298,30 +299,19 @@ def srl_report(
                       for j in range(k)])
     mu_obs, mu_rew, tau, nu, lam_plus, delta = lifts.T
 
-    rho, omega, e_tot, beta = role_energies(c, y)
+    rho, omega, e_tot, _ = role_energies(c, y)
     srl = rho * float((omega * delta ** 2).sum())
 
-    e_c = (y * y).sum(axis=0)
-    role_c = (beta * beta).sum(axis=0)
-    num_classes = y.shape[1]
-    srl_per_class = np.zeros(num_classes)
-    for cls in range(num_classes):
-        if e_c[cls] > 0.0 and role_c[cls] > 0.0:
-            rho_c = role_c[cls] / e_c[cls]
-            omega_c = beta[:, cls] ** 2 / role_c[cls]
-            srl_per_class[cls] = rho_c * float((omega_c * delta ** 2).sum())
-
-    partial = SrlReport(
+    kappa0, kappa_max, bound_rhs = bound_error(mu_obs, lam_plus, e_tot, srl,
+                                               h_degree, beta_obs)
+    return SrlReport(
         mu_obs=mu_obs, mu_rewired=mu_rew, tau=tau, nu=nu,
         lambda_plus=lam_plus, delta=delta, omega=omega,
-        rho=rho, srl=srl, srl_per_class=srl_per_class, e_tot=e_tot,
+        rho=rho, srl=srl, e_tot=e_tot,
         commutator_norm=commutator_norm(c, s_obs, s_oo),
-        kappa0=0.0, kappa_max=0.0, bound_rhs=0.0,
+        kappa0=kappa0, kappa_max=kappa_max, bound_rhs=bound_rhs,
         negative_delta_count=int((delta < 0).sum()),
-        h_degree=h_degree,
     )
-    kappa0, kappa_max, bound_rhs = bound_error(partial, h_degree, beta_obs)
-    return replace(partial, kappa0=kappa0, kappa_max=kappa_max, bound_rhs=bound_rhs)
 
 
 def rotated_role_basis(graph: Graph, partition: Partition) -> np.ndarray:

@@ -41,6 +41,20 @@ def largest_component(graph):
                                         if u in index and v in index])
 
 
+def pairwise_resistance(adj, span):
+    """Effective resistance of every pair among the first span nodes.
+
+    Dense oracle: the diagonal of the weighted adjacency is dropped and the
+    Laplacian pseudoinverse is formed by deflating the all-ones nullvector."""
+    a = np.asarray(adj, dtype=float).copy()
+    np.fill_diagonal(a, 0.0)
+    m = a.shape[0]
+    ones = np.full((m, m), 1.0 / m)
+    lp = np.linalg.inv(np.diag(a.sum(axis=1)) - a + ones) - ones
+    d = np.diag(lp)
+    return d[:span, None] + d[None, :span] - 2.0 * lp[:span, :span]
+
+
 def grid_graph(rows: int, cols: int) -> Graph:
     edges = []
     for i in range(rows):

@@ -1,6 +1,7 @@
 """Command parsing, verb behavior, exit codes, and reproducibility."""
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,24 @@ class TestExitCodes:
         assert err.startswith("ERR:USAGE:") and named in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, lineno", [
+        ("0,0.5\n0,0.7\n50,0.2\n", 3),
+        ("x,0.5\n50,0.2\n", 2),
+        ("0,abc\n50,0.2\n", 2),
+    ], ids=["percentile-twice", "percentile-not-int", "score-not-number"])
+    def test_bad_table_row_names_file_and_line(self, tmp_path, capsys, rows, lineno):
+        table = tmp_path / "t.csv"
+        table.write_text("percentile,srl_star\n" + rows)
+        acc = tmp_path / "a.csv"
+        acc.write_text("percentile,accuracy\n0,0.1\n50,0.2\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(["srl-correlate", "--table", table,
+                                 "--accuracy", acc, "--out", out], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+        assert str(table) in err and f"line {lineno}:" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, code, kind", [
         (["--n", "1"], 3, "ERR:INPUT:"),
         (["--families", "star,bogus"], 3, "ERR:INPUT:"),
@@ -497,6 +516,16 @@ class TestTsSimAndCorrelate:
         assert len([l for l in lines if not l.startswith("#")]) == 5
         assert lines[-1].startswith("# pearson=")
         assert stdout.startswith("pearson ")
+
+    def test_huge_mse_correlates_without_warning(self, tmp_path, capsys):
+        # lr 1e70 trains to mse values near 1e280 without diverging
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(["ts-sim", "--n", "6", "--epochs", "5",
+                                     "--lr", "1e70", "--out", out], capsys)
+        assert code == 0 and err == ""
+        assert stdout.startswith("pearson ") and stdout != "pearson -0.000000\n"
 
     def test_srl_correlate(self, tmp_path, capsys, star_files):
         out = tmp_path / "e"

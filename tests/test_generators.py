@@ -85,4 +85,4 @@ class TestLabels:
         g, data = make_dataset("tree", 31, num_classes=3, seed=0)
         masked = data.train_mask | data.val_mask | data.test_mask
         assert (data.labels[masked] >= 0).all()
-        assert data.num_classes <= 3
+        assert data.labels.max() + 1 <= 3

@@ -139,12 +139,13 @@ class TestNodeData:
         both = np.array([True, False])
         with pytest.raises(ValueError):
             NodeData(num_nodes=2, labels=np.array([0, 0]),
-                     train_mask=both, val_mask=both)
+                     train_mask=both, val_mask=both, test_mask=np.zeros(2, dtype=bool))
 
     def test_masked_needs_label(self):
         with pytest.raises(ValueError):
             NodeData(num_nodes=2, labels=np.array([0, UNLABELED]),
-                     train_mask=np.array([False, True]))
+                     train_mask=np.array([False, True]),
+                     val_mask=np.zeros(2, dtype=bool), test_mask=np.zeros(2, dtype=bool))
 
     def test_labels_csv_round_trip(self):
         data = NodeData(

@@ -27,7 +27,7 @@ from rolewire.graph import NodeData
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, pairwise_resistance, path_graph, star_graph
 
 
 class TestEffectiveResistance:
@@ -63,22 +63,13 @@ class TestEffectiveResistance:
                     assert base - after > 1e-6, name
 
     def test_rayleigh_per_pair(self):
-        def pairwise(adj, span):
-            a = np.asarray(adj, dtype=float).copy()
-            np.fill_diagonal(a, 0.0)
-            m = a.shape[0]
-            ones = np.full((m, m), 1.0 / m)
-            lp = np.linalg.inv(np.diag(a.sum(axis=1)) - a + ones) - ones
-            d = np.diag(lp)
-            return d[:span, None] + d[None, :span] - 2.0 * lp[:span, :span]
-
         for g in (star_graph(4), path_graph(6), cycle_graph(6)):
             n = g.num_nodes
-            base = pairwise(g.dense_adjacency(), n)
+            base = pairwise_resistance(g.dense_adjacency(), n)
             part = refine_eps_be(g, 0)
             for variant in (Variant.REP_NODES, Variant.REP_EDGES):
                 rg = build_rewired(g, part, variant)
-                after = pairwise(rg.adjacency.toarray(), n)
+                after = pairwise_resistance(rg.adjacency.toarray(), n)
                 assert (after <= base + 1e-9).all()
 
     def test_pendant_virtual_nodes_keep_resistance(self, p3):
@@ -227,8 +218,9 @@ class TestEvaluateCandidates:
     def test_csv_has_one_selected_row(self):
         g = star_graph(5)
         labels = eccentricity_labels(g, 2)
-        data = NodeData(num_nodes=6, labels=labels,
-                        train_mask=np.ones(6, dtype=bool))
+        none = np.zeros(6, dtype=bool)
+        data = NodeData(num_nodes=6, labels=labels, train_mask=np.ones(6, dtype=bool),
+                        val_mask=none, test_mask=none)
         cands = evaluate_candidates(g, data)
         chosen = select_epsilon(cands)
         out = io.StringIO()
@@ -253,3 +245,8 @@ class TestPearson:
     def test_short_sample_rejected(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
+
+    def test_huge_sample_keeps_the_bits_of_its_scaled_copy(self):
+        # 2**1000-scaled squares overflow unless each sample is rescaled first
+        big = pearson(np.ldexp([1.0, 2.0, 4.0], 1000), [1, 2, 3])
+        assert big.hex() == pearson([1, 2, 4], [1, 2, 3]).hex()

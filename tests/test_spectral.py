@@ -18,7 +18,6 @@ from rolewire.metrics import evaluate_candidates
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import (
-    SrlReport,
     bound_error,
     commutator_norm,
     normalized_shift,
@@ -291,40 +290,29 @@ class TestCommutator:
 
 
 class TestBoundError:
-    def _report(self, mu_obs, lam, srl, e_tot):
-        k = len(mu_obs)
-        return SrlReport(
-            mu_obs=np.array(mu_obs), mu_rewired=np.zeros(k), tau=np.zeros(k),
-            nu=np.zeros(k), lambda_plus=np.array(lam),
-            delta=np.array(lam) - np.array(mu_obs), omega=np.full(k, 1.0 / k),
-            rho=1.0, srl=srl, srl_per_class=np.zeros(1), e_tot=e_tot,
-            commutator_norm=0.0, kappa0=0.0, kappa_max=0.0, bound_rhs=0.0,
-            negative_delta_count=0, h_degree=2,
-        )
-
     def test_linear_filter_inverse_square(self):
-        rep = self._report([0.5], [0.8], srl=0.09, e_tot=2.0)
-        kappa0, kappa_max, rhs = bound_error(rep, h_degree=1)
+        kappa0, kappa_max, rhs = bound_error(np.array([0.5]), np.array([0.8]),
+                                             e_tot=2.0, srl=0.09, h_degree=1)
         assert kappa0 == 0.0
         assert kappa_max == pytest.approx(1.0 / 0.64)
         assert rhs == pytest.approx(kappa_max * 2.0 * 0.09)
 
     def test_quadratic_filter_uses_worst_endpoint(self):
-        rep = self._report([0.9], [0.6], srl=0.01, e_tot=1.0)
-        _, kappa_max, _ = bound_error(rep, h_degree=2)
+        _, kappa_max, _ = bound_error(np.array([0.9]), np.array([0.6]),
+                                      e_tot=1.0, srl=0.01, h_degree=2)
         # h' = 2s peaks at the larger endpoint 0.9; h(0.6)^2 = 0.1296
         assert kappa_max == pytest.approx((2 * 0.9) ** 2 / 0.6 ** 4)
 
     def test_dead_response_feeds_kappa0(self):
-        rep = self._report([0.5, 0.2], [0.8, 0.0], srl=0.0, e_tot=1.0)
         beta_obs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        kappa0, _, rhs = bound_error(rep, h_degree=2, beta_obs=beta_obs)
+        kappa0, _, rhs = bound_error(np.array([0.5, 0.2]), np.array([0.8, 0.0]),
+                                     e_tot=1.0, srl=0.0, h_degree=2, beta_obs=beta_obs)
         assert kappa0 == pytest.approx(9.0 + 16.0)
         assert rhs == pytest.approx(kappa0)
 
     def test_no_lift_no_bound(self):
-        rep = self._report([0.5], [0.5], srl=0.0, e_tot=3.0)
-        kappa0, _, rhs = bound_error(rep, h_degree=2)
+        kappa0, _, rhs = bound_error(np.array([0.5]), np.array([0.5]),
+                                     e_tot=3.0, srl=0.0, h_degree=2)
         assert kappa0 == 0.0 and rhs == 0.0
 
 
@@ -374,15 +362,6 @@ class TestSrlPipeline:
             assert -1e-12 <= rep.rho <= 1.0 + 1e-12
             assert rep.omega.sum() == pytest.approx(1.0, abs=1e-12)
             assert rep.e_tot == pytest.approx((y ** 2).sum())
-            assert rep.srl_per_class.shape == (y.shape[1],)
-
-    def test_per_class_aggregation(self, star4):
-        part, rg, y = labeled_case(star4, 0, Variant.REP_NODES)
-        rep = srl_report(rg, y)
-        # energy-weighted average of the class lifts recovers the global one
-        e_c = (y ** 2).sum(axis=0)
-        blended = (rep.srl_per_class * e_c).sum() / e_c.sum()
-        assert blended == pytest.approx(rep.srl, rel=1e-9)
 
     def test_labels_need_one_row_per_node(self, star4):
         _, rg, y = labeled_case(star4, 0, Variant.REP_NODES)

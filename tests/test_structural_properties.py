@@ -5,6 +5,8 @@ here is an integer count, a ratio of two, or a value copied from the
 quotient, so results must match exactly (floats compared through
 float.hex or array equality), on random graphs and tolerances. The one
 inequality is the paper's: rewiring never raises effective resistance.
+Effective resistance, a float sum in another order than its per-pair
+oracle, is compared within a relative 1e-9.
 """
 
 import math
@@ -36,8 +38,9 @@ from rolewire.partition import (
     validate_aep,
 )
 from rolewire.rewire import Variant, build_rewired
+from rolewire.seeding import rng_for
 
-from conftest import largest_component
+from conftest import largest_component, pairwise_resistance
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -120,6 +123,11 @@ def reference_two_hop(graph, origin_count, labels, mask):
     if not fractions:
         raise NoEligibleNodesError("no centers")
     return float(np.mean(fractions))
+
+
+def reference_erdos_renyi_edges(n, rng, p):
+    """One rng.random() per pair in row-major order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
 def reference_eccentricity_labels(graph, num_classes):
@@ -433,3 +441,35 @@ def test_rewiring_never_raises_effective_resistance(graph, eps, variant):
     base = mean_effective_resistance(graph.adjacency)
     after = mean_effective_resistance(rewired.adjacency, origin_count=graph.num_nodes)
     assert after <= base * (1 + 1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=30), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_effective_resistance_matches_per_pair_oracle(graph, eps, variant):
+    """The trace and block-sum identity equals the mean of the per-pair
+    resistances, on the graph and on its rewiring, over the original nodes
+    and over all nodes. FULL rewirings carry weighted virtual edges and
+    virtual self-loops, which must be dropped."""
+    graph = largest_component(graph)
+    assume(graph.num_nodes >= 2)
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    n, m = graph.num_nodes, rewired.adjacency.shape[0]
+    for adjacency, origin_count, span in ((graph.adjacency, None, n),
+                                          (rewired.adjacency, n, n),
+                                          (rewired.adjacency, None, m)):
+        r = pairwise_resistance(adjacency.toarray(), span)
+        want = r[np.triu_indices(span, k=1)].mean()
+        got = mean_effective_resistance(adjacency, origin_count=origin_count)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 80), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_erdos_renyi_matches_per_pair_draws(n, p, seed):
+    rng, reference_rng = rng_for(seed, 0), rng_for(seed, 0)
+    want = graph_from_edges(n, reference_erdos_renyi_edges(n, reference_rng, p))
+    assert_same_graph(generators.erdos_renyi(n, rng, p), want)
+    assert rng.random() == reference_rng.random()   # the same stream was consumed
