@@ -41,7 +41,6 @@ from .graph import (
 from .partition import (
     Partition,
     QuotientPair,
-    block_degree_matrix,
     color_refinement_oracle,
     quotient,
     random_partition,

@@ -66,7 +66,7 @@ from .partition import (
     quotient,
     refine_eps_be,
 )
-from .rewire import Variant, build_rewired, dump_rewired
+from .rewire import Variant, augment_features, build_rewired, dump_rewired
 from .spectral import dump_srl_csv, srl_report
 from .teacher_student import TrainConfig, run_ts_experiment
 
@@ -337,13 +337,14 @@ def _run_rewire(ns) -> int:
     eps, perc = _resolve_eps(graph, ns)
     variant = Variant(ns.variant)
     part = _partition_for(graph, eps, variant)
-    features = _load_features(graph, ns.features)
-    rewired = build_rewired(graph, part, variant, features=features, eps=eps)
+    features = augment_features(_load_features(graph, ns.features),
+                                graph.num_nodes, part.k)
+    rewired = build_rewired(graph, part, variant, eps=eps)
     out = _outdir(ns.out)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
-        dump_features_csv(rewired.features, fh)
+        dump_features_csv(features, fh)
     with open(out / "partition.csv", "w") as fh:
         dump_partition_csv(part, fh)
     _write_meta(out / "meta.txt", {
@@ -450,6 +451,8 @@ def _read_percentile_table(path: str, column: str) -> dict[int, float]:
         except ValueError:
             raise InputError(f"{path!r} line {lineno}: bad percentile or "
                              f"{column} value") from None
+        if not math.isfinite(value):
+            raise InputError(f"{path!r} line {lineno}: non-finite {column} value")
         if p in rows:
             raise InputError(f"{path!r} line {lineno}: percentile {p} listed twice")
         rows[p] = value

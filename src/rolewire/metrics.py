@@ -65,6 +65,8 @@ def mean_effective_resistance(
     span = m if origin_count is None else origin_count
     if span < 2:
         raise ValueError("need at least two nodes in the pair set")
+    if span > m:
+        raise ValueError(f"origin_count {span} exceeds the graph's {m} nodes")
     lap = (-adjacency.astype(np.float64)).toarray()
     np.fill_diagonal(lap, 0.0)
     np.fill_diagonal(lap, -lap.sum(axis=1))

@@ -8,7 +8,10 @@ counts to differ by at most eps (infinity norm over the count vector).
 cross-check the eps=0 case.
 
 A `Partition` stores only its canonical label array and block count;
-the sparse `membership_matrix` is its one indicator R.
+the sparse `membership_matrix` is its one indicator R. `validate_aep`
+and `quotient` both read one per-(block, column) summary of the sparse
+counts A @ R, so neither forms an n x k or k x k dense array, and the
+quotient Q is a k x k CSR matrix with at most nnz(A) entries.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "Partition",
     "QuotientPair",
     "membership_matrix",
-    "block_degree_matrix",
     "refine_eps_be",
     "validate_aep",
     "quotient",
@@ -99,7 +101,7 @@ class QuotientPair:
     partition's membership indicator.
     """
 
-    Q: np.ndarray       # k x k, real; its 0/1 pattern is Q > 0
+    Q: sp.csr_matrix    # k x k, float64; its 0/1 pattern is Q > 0
     residual: float
 
 
@@ -114,10 +116,26 @@ def membership_matrix(partition: Partition) -> sp.csr_matrix:
                          shape=(n, partition.k))
 
 
-def block_degree_matrix(graph: Graph, partition: Partition) -> np.ndarray:
-    """n x k integer matrix A @ R; entry (u, j) counts u's neighbors in
-    block j, so row u sums to deg(u)."""
-    return (graph.adjacency @ membership_matrix(partition)).toarray()
+def _block_counts(graph: Graph, partition: Partition):
+    """Summary of the counts A @ R over each block's members.
+
+    Returns (block, column, sums, hi, lo) for every (block, column) pair
+    where some member has a neighbor in the column, in ascending pair
+    order: the sum, max and min of the member counts, with lo = 0 when a
+    member has no neighbor there. Every other pair counts 0 throughout.
+    """
+    k = partition.k
+    counts = (graph.adjacency @ membership_matrix(partition)).tocoo()
+    key = partition.block_of[counts.row] * k + counts.col
+    order = np.argsort(key)
+    key, data = key[order], counts.data[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    block, column = np.divmod(key[starts], k)
+    lo = np.minimum.reduceat(data, starts)
+    stored = np.diff(np.append(starts, len(key)))
+    lo[stored < partition.block_sizes()[block]] = 0
+    return (block, column, np.add.reduceat(data, starts),
+            np.maximum.reduceat(data, starts), lo)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +196,25 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
-    counts = block_degree_matrix(graph, partition)
-    order = np.argsort(partition.block_of, kind="stable")
-    rows = counts[order]
-    starts = np.flatnonzero(np.diff(partition.block_of[order], prepend=-1))
-    spread = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
-    return not spread.max(initial=0) > eps
+    _, _, _, hi, lo = _block_counts(graph, partition)
+    return not (hi - lo).max(initial=0) > eps
 
 
 def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     """Block-averaged quotient matrix with its residual.
 
     Q[i, j] is the mean neighbor count toward block j over nodes of block
-    i, and the residual is max |A R - R Q| entrywise.
+    i, and the residual is max |A R - R Q| entrywise. Each stored pair's
+    largest deviation is at its max or min count (fl(c - q) is monotone
+    in c); a pair with no stored count has q = 0 and deviation 0.
     """
-    counts = block_degree_matrix(graph, partition)
+    block, column, sums, hi, lo = _block_counts(graph, partition)
     k = partition.k
-    sums = np.zeros((k, k), dtype=np.int64)
-    np.add.at(sums, partition.block_of, counts)
-    sizes = partition.block_sizes().astype(float)
-    q = sums / sizes[:, None]
-    residual = float(np.abs(counts - q[partition.block_of]).max(initial=0.0))
-    return QuotientPair(Q=q, residual=residual)
+    q = sums / partition.block_sizes()[block]
+    residual = float(np.maximum(hi - q, q - lo).max(initial=0.0))
+    indptr = np.searchsorted(block, np.arange(k + 1))   # pairs come row-major
+    return QuotientPair(Q=sp.csr_matrix((q, column, indptr), shape=(k, k)),
+                        residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -298,5 +313,9 @@ def load_partition_csv(stream: IO[str]) -> Partition:
 
 def dump_quotient_csv(pair: QuotientPair, eps: float, stream: IO[str]) -> None:
     stream.write(f"# eps={eps:.6f} residual={pair.residual:.6f}\n")
-    for row in pair.Q:
+    q = pair.Q
+    for i in range(q.shape[0]):
+        row = np.zeros(q.shape[1])
+        lo, hi = q.indptr[i], q.indptr[i + 1]
+        row[q.indices[lo:hi]] = q.data[lo:hi]
         stream.write(",".join(f"{v:.6f}" for v in row) + "\n")

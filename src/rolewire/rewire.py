@@ -5,13 +5,17 @@ augmented adjacency is assembled sparsely, block by block, with
 `scipy.sparse.bmat` from the graph's CSR adjacency A and the sparse
 membership indicator R:
 
-    [ A  R ]        virtual-virtual corner: Q    (full, weighted)
-    [ R' * ]                                 0    (repnodes)
-                                             Q>0  (repedges, unweighted)
+    [ A  R ]        virtual-virtual corner: (Q + Q')/2  (full, weighted)
+    [ R' * ]                                 empty       (repnodes)
+                                             Q > 0       (repedges, unweighted)
 
+Q is the partition's sparse quotient, so every block stays sparse.
 The master node (`mn`) is repnodes over the single block, which is the
 partition refinement returns at eps = infinity.
-Virtual-node features are one-hot, appended block-diagonally to X.
+
+A rewiring carries no node features. `augment_features` builds them,
+one-hot for the virtual nodes and appended block-diagonally to X, where
+they are read: the `rewire` verb's features.csv and the teacher.
 
 A `RewiredGraph` is the one record of a rewiring: it keeps the graph and
 the partition it was built from, and what is derived from the rewiring,
@@ -61,7 +65,6 @@ class RewiredGraph:
     partition: Partition
     variant: Variant
     adjacency: sp.csr_matrix          # (n+k) x (n+k), float64
-    features: np.ndarray              # (n+k) x (d+k)
     eps: float
     residual: float
 
@@ -97,7 +100,7 @@ def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
     d = x.shape[1]
     out = np.zeros((n + k, d + k))
     out[:n, :d] = x
-    out[n:, d:] = np.eye(k)
+    out[n + np.arange(k), d + np.arange(k)] = 1.0
     return out
 
 
@@ -105,15 +108,16 @@ def build_rewired(
     graph: Graph,
     partition: Partition,
     variant: Variant,
-    features: Optional[np.ndarray] = None,
     eps: float = 0.0,
 ) -> RewiredGraph:
-    """Assemble the augmented adjacency and features for one variant.
+    """Assemble the sparse augmented adjacency for one variant.
 
     Virtual node j is adjacent (weight 1) to exactly the nodes of block j.
-    The virtual-virtual corner is the partition's quotient Q for FULL,
-    zero for REP_NODES and MASTER_NODE, and the 0/1 pattern of Q for
-    REP_EDGES. MASTER_NODE requires the single-block partition.
+    The virtual-virtual corner is the symmetrized sparse quotient
+    (Q + Q')/2 for FULL, empty for REP_NODES and MASTER_NODE, and the 0/1
+    pattern of Q for REP_EDGES. MASTER_NODE requires the single-block
+    partition. Node features are not part of a rewiring; see
+    `augment_features`.
     """
     n, k = graph.num_nodes, partition.k
     if partition.num_nodes != n:
@@ -129,11 +133,11 @@ def build_rewired(
     elif variant is Variant.REP_EDGES:
         corner = (qpair.Q > 0).astype(float)
     else:
-        corner = np.zeros((k, k))
+        corner = None
     member = membership_matrix(partition)
     # The corner's diagonal is kept: it is the within-block degree.
     adjacency = sp.bmat([[graph.adjacency, member],
-                         [member.T, sp.csr_matrix(corner)]],
+                         [member.T, corner]],
                         format="csr", dtype=np.float64)
     adjacency.eliminate_zeros()
     adjacency.sort_indices()
@@ -142,7 +146,6 @@ def build_rewired(
         partition=partition,
         variant=variant,
         adjacency=adjacency,
-        features=augment_features(features, n, k),
         eps=eps,
         residual=qpair.residual,
     )

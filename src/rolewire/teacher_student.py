@@ -30,7 +30,7 @@ from .errors import DimensionMismatchError, DivergenceError
 from .graph import Graph, degree_percentile
 from .metrics import pearson
 from .partition import refine_eps_be
-from .rewire import RewiredGraph, Variant, build_rewired
+from .rewire import RewiredGraph, Variant, augment_features, build_rewired
 from .seeding import derive_seed
 from .spectral import srl_report
 
@@ -149,8 +149,10 @@ def forward(shift: np.ndarray, x: np.ndarray, weights: LinearGnnWeights) -> np.n
 
 
 def teacher_labels(rewired: RewiredGraph, weights: LinearGnnWeights) -> np.ndarray:
-    """Teacher outputs on the augmented graph, restricted to original nodes."""
-    full = forward(rewired.shift, rewired.features, weights)
+    """Teacher outputs on the augmented graph from its featureless inputs,
+    restricted to original nodes."""
+    x = augment_features(None, rewired.origin_count, rewired.virtual_count)
+    full = forward(rewired.shift, x, weights)
     return full[:rewired.origin_count, :]
 
 

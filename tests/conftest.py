@@ -55,6 +55,17 @@ def pairwise_resistance(adj, span):
     return d[:span, None] + d[None, :span] - 2.0 * lp[:span, :span]
 
 
+def block_degree_matrix(graph: Graph, partition) -> np.ndarray:
+    """Dense n x k integer counts A @ R: entry (u, j) counts u's neighbors
+    in block j, so row u sums to deg(u).
+
+    Dense oracle for the library's sparse per-block count summaries."""
+    counts = np.zeros((graph.num_nodes, partition.k), dtype=np.int64)
+    nodes = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+    np.add.at(counts, (nodes, partition.block_of[graph.indices]), 1)
+    return counts
+
+
 def grid_graph(rows: int, cols: int) -> Graph:
     edges = []
     for i in range(rows):

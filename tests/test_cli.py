@@ -273,7 +273,10 @@ class TestExitCodes:
         ("0,0.5\n0,0.7\n50,0.2\n", 3),
         ("x,0.5\n50,0.2\n", 2),
         ("0,abc\n50,0.2\n", 2),
-    ], ids=["percentile-twice", "percentile-not-int", "score-not-number"])
+        ("50,0.2\n0,nan\n", 3),
+        ("0,inf\n50,0.2\n", 2),
+    ], ids=["percentile-twice", "percentile-not-int", "score-not-number",
+            "score-nan", "score-inf"])
     def test_bad_table_row_names_file_and_line(self, tmp_path, capsys, rows, lineno):
         table = tmp_path / "t.csv"
         table.write_text("percentile,srl_star\n" + rows)
@@ -320,6 +323,8 @@ BAD_FILES = {
     "table-short.csv": "percentile,srl_star\n0\n",
     "table-flat.csv": "percentile,srl_star\n0,0.5\n50,0.5\n100,0.5\n",
     "accuracy.csv": "percentile,accuracy\n0,0.1\n50,0.2\n100,0.3\n",
+    "table-nan.csv": "percentile,srl_star\n0,nan\n50,0.2\n100,0.4\n",
+    "accuracy-inf.csv": "percentile,accuracy\n0,inf\n50,0.2\n100,0.3\n",
 }
 MALFORMED = [
     ("gen-no-edges", ["gen", "--family", "path", "--n", "1"], 3),
@@ -350,6 +355,10 @@ MALFORMED = [
                              "--accuracy", "{bad}/accuracy.csv"], 3),
     ("srl-correlate-flat", ["srl-correlate", "--table", "{bad}/table-flat.csv",
                             "--accuracy", "{bad}/accuracy.csv"], 4),
+    ("srl-correlate-nan", ["srl-correlate", "--table", "{bad}/table-nan.csv",
+                           "--accuracy", "{bad}/accuracy.csv"], 3),
+    ("srl-correlate-inf", ["srl-correlate", "--table", "{bad}/table-flat.csv",
+                           "--accuracy", "{bad}/accuracy-inf.csv"], 3),
 ]
 ERR_KIND = {2: "ERR:USAGE: ", 3: "ERR:INPUT: ", 4: "ERR:NUMERIC: "}
 

@@ -48,6 +48,13 @@ class TestEffectiveResistance:
         with pytest.raises(DisconnectedError):
             mean_effective_resistance(g.adjacency)
 
+    def test_pair_set_larger_than_graph_rejected(self):
+        path = path_graph(4)
+        assert mean_effective_resistance(path.adjacency, origin_count=4) == \
+            pytest.approx(5.0 / 3.0, abs=1e-9)
+        with pytest.raises(ValueError, match="origin_count 9"):
+            mean_effective_resistance(path.adjacency, origin_count=9)
+
     def test_rewiring_never_increases(self, corpus):
         for name, g in corpus:
             if g.num_nodes > 40 or not is_connected(g):

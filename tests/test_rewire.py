@@ -1,14 +1,24 @@
 """Augmented adjacency block structure, features, and the output format."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from rolewire.errors import DimensionMismatchError
+from rolewire.generators import erdos_renyi
 from rolewire.graph import bfs_distances
-from rolewire.partition import Partition, membership_matrix, refine_eps_be
+from rolewire.partition import (
+    Partition,
+    color_refinement_oracle,
+    membership_matrix,
+    quotient,
+    refine_eps_be,
+    validate_aep,
+)
+from rolewire.seeding import rng_for
 from rolewire.rewire import (
     Variant,
     augment_features,
@@ -20,9 +30,9 @@ from conftest import master_node_adjacency
 
 
 
-def rewire(graph, eps, variant, features=None):
+def rewire(graph, eps, variant):
     part = refine_eps_be(graph, eps)
-    return part, build_rewired(graph, part, variant, features=features, eps=eps)
+    return part, build_rewired(graph, part, variant, eps=eps)
 
 
 class TestRecord:
@@ -96,6 +106,27 @@ class TestBlockStructure:
             for j, block in enumerate(part.blocks):
                 attached = set(np.flatnonzero(a[n + j, :n]))
                 assert attached == set(block)
+
+
+class TestScale:
+    def test_exact_roles_stay_sparse(self):
+        # ER at eps = 0 has nearly one role per node: one dense n x k int64
+        # count array would take ~125 MB here.
+        n = 4000
+        graph = erdos_renyi(n, rng_for(0, 0), p=4 / n)
+        part = color_refinement_oracle(graph)
+        assert part.k > 0.9 * n
+        tracemalloc.start()
+        try:
+            qp = quotient(graph, part)
+            assert sp.issparse(qp.Q)
+            assert qp.Q.nnz <= graph.adjacency.nnz
+            assert validate_aep(graph, part, 0.0)
+            build_rewired(graph, part, Variant.FULL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * part.k * 8 / 20
 
 
 class TestVariantRelations:

@@ -30,7 +30,6 @@ from rolewire.graph import (
 from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
 from rolewire.partition import (
     Partition,
-    block_degree_matrix,
     color_refinement_oracle,
     membership_matrix,
     quotient,
@@ -40,7 +39,7 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import largest_component, pairwise_resistance
+from conftest import block_degree_matrix, largest_component, pairwise_resistance
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -190,9 +189,9 @@ def reference_rewired_adjacency(graph, partition, qpair, variant):
     a[:n, n:] = r
     a[n:, :n] = r.T
     if variant is Variant.FULL:
-        a[n:, n:] = (qpair.Q + qpair.Q.T) / 2.0
+        a[n:, n:] = (qpair.Q.toarray() + qpair.Q.toarray().T) / 2.0
     elif variant is Variant.REP_EDGES:
-        a[n:, n:] = qpair.Q > 0
+        a[n:, n:] = qpair.Q.toarray() > 0
     m = sp.csr_matrix(a)
     m.sort_indices()
     return m
@@ -319,6 +318,11 @@ def test_block_degree_rows_sum_to_degrees(graph, eps, seed):
     assert counts.shape == (graph.num_nodes, part.k)
     assert np.array_equal(counts.sum(axis=1), graph.degrees())
     assert validate_aep(graph, part, eps) == reference_validate_aep(graph, part, eps)
+    q = (np.eye(part.k, dtype=np.int64)[part.block_of].T @ counts
+         / part.block_sizes()[:, None].astype(float))
+    qp = quotient(graph, part)
+    assert np.array_equal(qp.Q.toarray(), q)
+    assert qp.residual == float(np.abs(counts - q[part.block_of]).max(initial=0.0))
 
 
 @st.composite

@@ -10,7 +10,7 @@ from rolewire.errors import DimensionMismatchError, DivergenceError
 from rolewire.generators import make_graph
 from rolewire.graph import graph_from_edges
 from rolewire.partition import refine_eps_be
-from rolewire.rewire import Variant, build_rewired
+from rolewire.rewire import Variant, augment_features, build_rewired
 from rolewire.spectral import normalized_shift
 import rolewire.teacher_student as teacher_student
 from rolewire.teacher_student import (
@@ -149,7 +149,7 @@ class TestTeacherLabels:
         x = np.ones((3, 1))
         s_obs = normalized_shift(p3.adjacency)
         via_crop = forward(s_obs, x, crop_to_observed(w, d))
-        signal = (rg.features @ layer_product(w.layers))[:3]
+        signal = (augment_features(None, 3, k) @ layer_product(w.layers))[:3]
         assert np.allclose(via_crop, s_obs @ s_obs @ signal, atol=1e-12)
 
 
