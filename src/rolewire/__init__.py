@@ -36,14 +36,12 @@ from .graph import (
     is_connected,
     load_edge_list,
     one_hot_labels,
-    two_hop_neighbors,
 )
 from .partition import (
     Partition,
     QuotientPair,
     color_refinement_oracle,
     quotient,
-    random_partition,
     refine_eps_be,
     validate_aep,
 )

@@ -45,7 +45,6 @@ from .graph import (
     compact_ids,
     degree_percentile,
     dump_edge_list,
-    dump_features_csv,
     dump_labels_csv,
     load_edge_list,
     load_features_csv,
@@ -66,7 +65,7 @@ from .partition import (
     quotient,
     refine_eps_be,
 )
-from .rewire import Variant, augment_features, build_rewired, dump_rewired
+from .rewire import Variant, build_rewired, dump_augmented_features_csv, dump_rewired
 from .spectral import dump_srl_csv, srl_report
 from .teacher_student import TrainConfig, run_ts_experiment
 
@@ -337,14 +336,13 @@ def _run_rewire(ns) -> int:
     eps, perc = _resolve_eps(graph, ns)
     variant = Variant(ns.variant)
     part = _partition_for(graph, eps, variant)
-    features = augment_features(_load_features(graph, ns.features),
-                                graph.num_nodes, part.k)
+    x = _load_features(graph, ns.features)
     rewired = build_rewired(graph, part, variant, eps=eps)
     out = _outdir(ns.out)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
-        dump_features_csv(features, fh)
+        dump_augmented_features_csv(x, graph.num_nodes, part.k, fh)
     with open(out / "partition.csv", "w") as fh:
         dump_partition_csv(part, fh)
     _write_meta(out / "meta.txt", {

@@ -50,7 +50,6 @@ __all__ = [
     "one_hot_labels",
     "PERCENTILE_GRID",
     "degree_percentile",
-    "two_hop_neighbors",
     "bfs_distances",
     "is_connected",
 ]
@@ -401,16 +400,6 @@ def degree_percentile(graph: Graph, p: int) -> float:
     n = graph.num_nodes
     idx = int(np.ceil(p / 100.0 * n)) - 1
     return float(sorted_degrees[idx])
-
-
-def two_hop_neighbors(graph: Graph, u: int) -> set[int]:
-    """Nodes at shortest-path distance exactly 2 from u."""
-    first = set(int(v) for v in graph.neighbors(u))
-    second = set()
-    for v in first:
-        second.update(int(w) for w in graph.neighbors(v))
-    second.discard(u)
-    return second - first
 
 
 def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyGraphError, ParseError, SizeMismatchError
+from .errors import EmptyGraphError, ParseError
 from .graph import Graph
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "validate_aep",
     "quotient",
     "color_refinement_oracle",
-    "random_partition",
     "load_partition_csv",
     "dump_partition_csv",
     "dump_quotient_csv",
@@ -247,22 +246,6 @@ def color_refinement_oracle(graph: Graph) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Random control partitions
-# ---------------------------------------------------------------------------
-
-def random_partition(n: int, block_sizes: Sequence[int], seed: int) -> Partition:
-    """Uniform random assignment with exactly the given block-size multiset."""
-    sizes = list(block_sizes)
-    if any(s <= 0 for s in sizes) or sum(sizes) != n:
-        raise SizeMismatchError(
-            f"block sizes {sizes} must be positive and sum to {n}")
-    rng = np.random.default_rng(seed)
-    labels = np.empty(n, dtype=np.int64)
-    labels[rng.permutation(n)] = np.repeat(np.arange(len(sizes)), sizes)
-    return Partition.from_assignment(labels)
-
-
-# ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
@@ -315,7 +298,8 @@ def dump_quotient_csv(pair: QuotientPair, eps: float, stream: IO[str]) -> None:
     stream.write(f"# eps={eps:.6f} residual={pair.residual:.6f}\n")
     q = pair.Q
     for i in range(q.shape[0]):
-        row = np.zeros(q.shape[1])
+        row = ["0.000000"] * q.shape[1]
         lo, hi = q.indptr[i], q.indptr[i + 1]
-        row[q.indices[lo:hi]] = q.data[lo:hi]
-        stream.write(",".join(f"{v:.6f}" for v in row) + "\n")
+        for j, v in zip(q.indices[lo:hi].tolist(), q.data[lo:hi].tolist()):
+            row[j] = f"{v:.6f}"
+        stream.write(",".join(row) + "\n")

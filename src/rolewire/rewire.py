@@ -14,8 +14,9 @@ The master node (`mn`) is repnodes over the single block, which is the
 partition refinement returns at eps = infinity.
 
 A rewiring carries no node features. `augment_features` builds them,
-one-hot for the virtual nodes and appended block-diagonally to X, where
-they are read: the `rewire` verb's features.csv and the teacher.
+one-hot for the virtual nodes and appended block-diagonally to X, for
+the teacher; `dump_augmented_features_csv` writes the same rows to the
+`rewire` verb's features.csv without building the dense array.
 
 A `RewiredGraph` is the one record of a rewiring: it keeps the graph and
 the partition it was built from, and what is derived from the rewiring,
@@ -46,6 +47,7 @@ __all__ = [
     "build_rewired",
     "augment_features",
     "dump_rewired",
+    "dump_augmented_features_csv",
 ]
 
 
@@ -89,14 +91,19 @@ class RewiredGraph:
         return shift
 
 
-def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
-    """Block-diagonal [X 0; 0 I_k]; a constant all-ones column stands in
-    for X in the featureless regime."""
+def _node_features(x: Optional[np.ndarray], n: int) -> np.ndarray:
     if x is None:
-        x = np.ones((n, 1))
+        return np.ones((n, 1))
     if x.shape[0] != n:
         raise DimensionMismatchError(
             f"feature rows {x.shape[0]} != node count {n}")
+    return x
+
+
+def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
+    """Block-diagonal [X 0; 0 I_k]; a constant all-ones column stands in
+    for X in the featureless regime."""
+    x = _node_features(x, n)
     d = x.shape[1]
     out = np.zeros((n + k, d + k))
     out[:n, :d] = x
@@ -165,3 +172,22 @@ def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -
     meta_stream.write(f"variant={rg.variant.value}\n")
     meta_stream.write(f"eps={rg.eps!r}\n")
     meta_stream.write(f"residual={rg.residual!r}\n")
+
+
+def dump_augmented_features_csv(x: Optional[np.ndarray], n: int, k: int,
+                                stream: IO[str]) -> None:
+    """Write `augment_features(x, n, k)` in the `node,f0,f1,...` format.
+
+    The bytes are those of `graph.dump_features_csv` on the dense array,
+    but only X's own values are formatted: the padding zeros and the
+    virtual nodes' one-hot entries are constant strings.
+    """
+    x = _node_features(x, n)
+    d = x.shape[1]
+    zero = "0.000000"
+    stream.write("node," + ",".join(f"f{j}" for j in range(d + k)) + "\n")
+    for u, row in enumerate(np.asarray(x, dtype=np.float64).tolist()):
+        stream.write(",".join([str(u)] + [f"{v:.6f}" for v in row] + [zero] * k) + "\n")
+    for j in range(k):
+        stream.write(",".join([str(n + j)] + [zero] * (d + j) + ["1.000000"]
+                              + [zero] * (k - 1 - j)) + "\n")

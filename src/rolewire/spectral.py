@@ -16,6 +16,7 @@ it, so the roles it lifts are always the blocks the rewiring was built on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -89,43 +90,73 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, so results are bit-deterministic for identical input. Columns
     come back sorted by ascending eigenvalue, each flipped so its first
     non-negligible component is positive.
+
+    The matrix is solved as its upper triangle mirrored onto the lower
+    one: an exactly symmetric input is taken as is, and a near-symmetric
+    one (within `_require_symmetric`'s tolerance) as that mirror. Exact
+    symmetry then holds after every rotation, because the column update
+    c*a_jp - s*a_jq of an entry outside the 2x2 pivot block is the row
+    update c*a_pj - s*a_qj of its mirror. So each pivot rotates rows
+    only: one rotation of rows p and q of the n x 2n work array
+    [A | V^T] updates A's rows and V's columns, the new rows are copied
+    into A's columns, and the pivot block is redone as the column-then-
+    row sequence computes it. Every entry gets the products and sums of
+    the two-sided rotation in the same order, without fused multiply-adds,
+    so the bits are those of rotating columns, then rows, then V.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError("matrix must be square")
     _require_symmetric(a, "matrix")
     n = a.shape[0]
-    v = np.eye(n)
+    a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
     norm = float(np.linalg.norm(a))
+    b = np.hstack([a, np.eye(n)])
+    a = b[:, :n]
     if n > 1 and norm > 0.0:
+        rows = list(b)
+        heads = [row[:n] for row in rows]
+        cols = [b[:, j] for j in range(n)]
+        c_bp, s_bq = np.empty(2 * n), np.empty(2 * n)
         for _ in range(_JACOBI_MAX_SWEEPS):
             off = np.linalg.norm(a - np.diag(np.diag(a)))
             if off <= _JACOBI_TOL * norm:
                 break
             for p in range(n - 1):
+                row_p = rows[p]
                 for q in range(p + 1, n):
-                    apq = a[p, q]
+                    apq = b.item(p, q)
                     if abs(apq) <= 1e-300:
                         continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
+                    app, aqq = b.item(p, p), b.item(q, q)
+                    theta = (aqq - app) / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)) \
                         if theta != 0.0 else 1.0
-                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    c = 1.0 / math.sqrt(t * t + 1.0)
                     s = t * c
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = a[q, p] = 0.0
-                    vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vcol_p - s * vcol_q
-                    v[:, q] = s * vcol_p + c * vcol_q
+                    # The pivot block after the column rotation.
+                    cpp, cqp = c * app - s * apq, c * apq - s * aqq
+                    cpq, cqq = s * app + c * apq, s * apq + c * aqq
+                    # Rows p, q <- (c b_p - s b_q, s b_p + c b_q), in place.
+                    row_q = rows[q]
+                    np.multiply(row_p, c, out=c_bp)
+                    np.multiply(row_q, s, out=s_bq)
+                    np.multiply(row_q, c, out=row_q)
+                    np.multiply(row_p, s, out=row_p)
+                    np.add(row_q, row_p, out=row_q)
+                    np.subtract(c_bp, s_bq, out=row_p)
+                    # The pivot block after the row rotation, then the
+                    # new rows mirrored into A's columns.
+                    row_p[p] = c * cpp - s * cqp
+                    row_q[q] = s * cpq + c * cqq
+                    row_p[q] = row_q[p] = 0.0
+                    cols[p][:] = heads[p]
+                    cols[q][:] = heads[q]
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     w = w[order]
-    v = v[:, order]
+    v = np.ascontiguousarray(b[order, n:].T)
     for j in range(n):
         nz = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
         if len(nz) and v[nz[0], j] < 0:

@@ -42,7 +42,6 @@ __all__ = [
     "forward",
     "teacher_labels",
     "layer_product",
-    "mse_loss",
     "gradients",
     "train_student",
     "train_students",
@@ -170,16 +169,6 @@ def _stacked_mse(propagated: np.ndarray, layers: Sequence[np.ndarray],
     resid = propagated @ layer_product(layers) - y_true
     return (resid * resid).reshape(len(resid), -1).sum(axis=1) / (
         y_true.shape[1] * y_true.shape[2])
-
-
-def mse_loss(propagated: np.ndarray, layers: Sequence[np.ndarray],
-             y_true: np.ndarray) -> float:
-    """Mean squared error of propagated @ W(1)...W(L) against y_true.
-
-    `layers` is the weight chain as arrays, e.g. `LinearGnnWeights.layers`.
-    """
-    return float(_stacked_mse(propagated[None], [w[None] for w in layers],
-                              y_true[None])[0])
 
 
 class _ChainGradient:

@@ -6,8 +6,11 @@ import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
 from rolewire.graph import Graph, bfs_distances, graph_from_edges
+from rolewire.errors import NonSymmetricError, SizeMismatchError
+from rolewire.partition import Partition
 from rolewire.seeding import rng_for
-from rolewire.teacher_student import LinearGnnWeights
+from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, _require_symmetric
+from rolewire.teacher_student import LinearGnnWeights, _stacked_mse
 
 
 def star_graph(leaves: int) -> Graph:
@@ -24,6 +27,37 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def two_hop_neighbors(graph: Graph, u: int) -> set[int]:
+    """Nodes at shortest-path distance exactly 2 from u."""
+    first = set(int(v) for v in graph.neighbors(u))
+    second = set()
+    for v in first:
+        second.update(int(w) for w in graph.neighbors(v))
+    second.discard(u)
+    return second - first
+
+
+def random_partition(n: int, block_sizes, seed: int) -> Partition:
+    """Uniform random assignment with exactly the given block-size multiset."""
+    sizes = list(block_sizes)
+    if any(s <= 0 for s in sizes) or sum(sizes) != n:
+        raise SizeMismatchError(
+            f"block sizes {sizes} must be positive and sum to {n}")
+    rng = np.random.default_rng(seed)
+    labels = np.empty(n, dtype=np.int64)
+    labels[rng.permutation(n)] = np.repeat(np.arange(len(sizes)), sizes)
+    return Partition.from_assignment(labels)
+
+
+def mse_loss(propagated: np.ndarray, layers, y_true: np.ndarray) -> float:
+    """Mean squared error of propagated @ W(1)...W(L) against y_true.
+
+    `layers` is the weight chain as arrays, e.g. `LinearGnnWeights.layers`.
+    """
+    return float(_stacked_mse(propagated[None], [w[None] for w in layers],
+                              y_true[None])[0])
 
 
 def largest_component(graph):
@@ -64,6 +98,55 @@ def block_degree_matrix(graph: Graph, partition) -> np.ndarray:
     nodes = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
     np.add.at(counts, (nodes, partition.block_of[graph.indices]), 1)
     return counts
+
+
+def jacobi_eig_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi with a two-sided rotation of A and a column rotation of V.
+
+    Reference for `spectral.symmetric_eig`: the same pivot order, skip
+    rule, convergence test, sort and sign rule, with every pivot updating
+    A's columns, then A's rows, then V's columns as separate numpy ops."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSymmetricError("matrix must be square")
+    _require_symmetric(a, "matrix")
+    n = a.shape[0]
+    v = np.eye(n)
+    norm = float(np.linalg.norm(a))
+    if n > 1 and norm > 0.0:
+        for _ in range(_JACOBI_MAX_SWEEPS):
+            off = np.linalg.norm(a - np.diag(np.diag(a)))
+            if off <= _JACOBI_TOL * norm:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    if abs(apq) <= 1e-300:
+                        continue
+                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
+                        if theta != 0.0 else 1.0
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                    a[:, p] = c * col_p - s * col_q
+                    a[:, q] = s * col_p + c * col_q
+                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                    a[p, :] = c * row_p - s * row_q
+                    a[q, :] = s * row_p + c * row_q
+                    a[p, q] = a[q, p] = 0.0
+                    vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
+                    v[:, p] = c * vcol_p - s * vcol_q
+                    v[:, q] = s * vcol_p + c * vcol_q
+    w = np.diag(a).copy()
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for j in range(n):
+        nz = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
+        if len(nz) and v[nz[0], j] < 0:
+            v[:, j] = -v[:, j]
+    return w, v
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

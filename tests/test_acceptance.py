@@ -31,7 +31,6 @@ from rolewire.partition import (
     color_refinement_oracle,
     membership_matrix,
     quotient,
-    random_partition,
     refine_eps_be,
     validate_aep,
 )
@@ -48,13 +47,12 @@ from rolewire.teacher_student import (
     forward,
     gaussian_init,
     gradients,
-    mse_loss,
     run_ts_experiment,
     teacher_labels,
 )
 
 from conftest import (complete_graph, crop_to_observed, cycle_graph, master_node_adjacency,
-                      path_graph)
+                      mse_loss, path_graph, random_partition)
 from test_spectral import oracle_srl
 
 PERCENTILES = (0, 25, 50, 75, 100)

@@ -23,10 +23,9 @@ from rolewire.graph import (
     load_features_csv,
     load_labels_csv,
     one_hot_labels,
-    two_hop_neighbors,
 )
 
-from conftest import cycle_graph, star_graph
+from conftest import cycle_graph, star_graph, two_hop_neighbors
 
 
 def load(text):

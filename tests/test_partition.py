@@ -9,6 +9,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rolewire.errors import (
@@ -20,19 +21,19 @@ from rolewire.errors import (
 from rolewire.graph import graph_from_edges
 from rolewire.partition import (
     Partition,
+    QuotientPair,
     color_refinement_oracle,
     dump_partition_csv,
     dump_quotient_csv,
     load_partition_csv,
     membership_matrix,
     quotient,
-    random_partition,
     refine_eps_be,
     validate_aep,
 )
 
 from conftest import (
-    block_degree_matrix, complete_graph, cycle_graph, path_graph, star_graph,
+    block_degree_matrix, complete_graph, cycle_graph, path_graph, random_partition, star_graph,
 )
 
 
@@ -276,6 +277,26 @@ class TestPartitionIo:
         dump_quotient_csv(qp, 0.0, out)
         first = out.getvalue().splitlines()[0]
         assert first.startswith("#") and "eps=" in first and "residual=" in first
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quotient_bytes_match_dense_formatting(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 12
+        dense = rng.uniform(-3.0, 3.0, (k, k)) * (rng.random((k, k)) < 0.3)
+        dense[0, :4] = [4e-7, 6e-7, -4e-7, 1e-300]   # stored, but print as zeros
+        q = sp.csr_matrix(dense)
+        q.data[-1] = -0.0                             # a stored signed zero
+        q.sort_indices()
+        qp = QuotientPair(Q=q, residual=0.25)
+        out = io.StringIO()
+        dump_quotient_csv(qp, 1.5, out)
+        cells = np.zeros((k, k))
+        stored = q.tocoo()
+        cells[stored.row, stored.col] = stored.data   # keeps the -0.0 toarray() drops
+        expected = "# eps=1.500000 residual=0.250000\n" + "".join(
+            ",".join(f"{v:.6f}" for v in row) + "\n" for row in cells)
+        assert out.getvalue() == expected
+        assert "-0.000000" in expected
 
 
 class TestCanonicalOrder:

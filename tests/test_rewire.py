@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from rolewire.errors import DimensionMismatchError
 from rolewire.generators import erdos_renyi
-from rolewire.graph import bfs_distances
+from rolewire.graph import bfs_distances, dump_features_csv
 from rolewire.partition import (
     Partition,
     color_refinement_oracle,
@@ -23,6 +23,7 @@ from rolewire.rewire import (
     Variant,
     augment_features,
     build_rewired,
+    dump_augmented_features_csv,
     dump_rewired,
 )
 
@@ -181,6 +182,20 @@ class TestFeatures:
     def test_row_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             augment_features(np.zeros((3, 2)), 2, 1)
+        with pytest.raises(DimensionMismatchError):
+            dump_augmented_features_csv(np.zeros((3, 2)), 2, 1, io.StringIO())
+
+    @pytest.mark.parametrize("x", [
+        None,
+        np.array([[-0.0, 1.25], [3e-7, -2.5], [0.0, -7e-7]]),
+        np.zeros((3, 0)),
+    ], ids=["featureless", "signed-zero-and-tiny", "no-columns"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_csv_bytes_match_dense_array(self, x, k):
+        expected, out = io.StringIO(), io.StringIO()
+        dump_features_csv(augment_features(x, 3, k), expected)
+        dump_augmented_features_csv(x, 3, k, out)
+        assert out.getvalue() == expected.getvalue()
 
 
 class TestRewiredIo:

@@ -9,11 +9,12 @@ then evaluates the lift formula symbol by symbol.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from rolewire import spectral
 from rolewire.errors import EmptyLabelsError, NonSymmetricError
-from rolewire.generators import assign_splits, eccentricity_labels
-from rolewire.graph import NodeData, one_hot_labels
+from rolewire.generators import FAMILIES, assign_splits, eccentricity_labels, make_dataset
+from rolewire.graph import NodeData, degree_percentile, one_hot_labels
 from rolewire.metrics import evaluate_candidates
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
@@ -30,7 +31,7 @@ from rolewire.spectral import (
 )
 from rolewire.teacher_student import TrainConfig, run_ts_experiment
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, jacobi_eig_oracle, path_graph, star_graph
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,75 @@ class TestSymmetricEig:
         w, v = symmetric_eig(np.zeros((3, 3)))
         assert np.array_equal(w, np.zeros(3))
         assert np.array_equal(v, np.eye(3))
+
+
+def assert_same_bits(got, expected):
+    (w, v), (w_ref, v_ref) = got, expected
+    assert w.tobytes() == w_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+    assert v.flags.c_contiguous        # so c @ v multiplies as before
+
+
+@st.composite
+def exactly_symmetric_matrices(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["gaussian", "integer", "sparse", "repeated", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        m = rng.standard_normal((n, n))
+    elif kind == "integer":
+        m = rng.integers(-3, 4, (n, n)).astype(float)
+    elif kind == "sparse":
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    elif kind == "repeated":
+        size = draw(st.integers(1, n))
+        m = rng.standard_normal() * np.kron(np.eye(n // size), np.ones((size, size)))
+    else:
+        m = np.zeros((n, n))
+    return (m + m.T) / 2.0
+
+
+class TestSymmetricEigMatchesOracle:
+    """The row-only rotation gives the two-sided rotation's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exactly_symmetric_matrices())
+    def test_exactly_symmetric_input(self, m):
+        assert_same_bits(symmetric_eig(m), jacobi_eig_oracle(m))
+
+    @pytest.mark.parametrize("family", [f for f in sorted(FAMILIES) if f != "line"])
+    def test_pipeline_restrictions(self, family):
+        # "line" is an alias of "path". The matrices are rotate_basis's
+        # inputs C^T S C at the partitions the pipeline builds.
+        for seed in (0, 1, 2):
+            graph, _ = make_dataset(family, 40, seed=seed)
+            for percentile in (0, 25, 50, 100):
+                c = role_basis(refine_eps_be(graph, degree_percentile(graph, percentile)))
+                t = c.T @ graph.shift @ c
+                t = (t + t.T) / 2.0
+                assert_same_bits(symmetric_eig(t), jacobi_eig_oracle(t))
+
+    def test_near_symmetric_input_is_its_mirrored_upper_triangle(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((6, 6))
+        m = (m + m.T) / 2.0
+        mirrored = m.copy()
+        m[np.tril_indices(6, -1)] += 1e-13
+        assert_same_bits(symmetric_eig(m), jacobi_eig_oracle(mirrored))
+
+    def test_lower_entries_under_a_zero_upper_row_are_dropped(self):
+        # Row 0's pivots are skipped in the first sweep, so without the
+        # mirror its column's lower entries would be rotated into the
+        # other rows, and enough of them to keep the sweeps going.
+        t = 0.3 * np.random.default_rng(4).standard_normal((5, 5))
+        mirrored = np.zeros((6, 6))
+        mirrored[0, 0] = 1.0
+        mirrored[1:, 1:] = (t + t.T) / 2.0
+        m = mirrored.copy()
+        m[1:, 0] = 0.9e-12
+        w, v = symmetric_eig(m)
+        assert_same_bits((w, v), jacobi_eig_oracle(mirrored))
+        assert v[0].tolist() == [0.0 if w_j != 1.0 else 1.0 for w_j in w]
 
 
 class TestRotateBasis:

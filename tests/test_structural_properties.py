@@ -25,7 +25,6 @@ from rolewire.graph import (
     bfs_distances,
     compact_ids,
     graph_from_edges,
-    two_hop_neighbors,
 )
 from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
 from rolewire.partition import (
@@ -39,7 +38,8 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import block_degree_matrix, largest_component, pairwise_resistance
+from conftest import (block_degree_matrix, largest_component, pairwise_resistance,
+                      two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 

@@ -23,7 +23,6 @@ from rolewire.teacher_student import (
     gaussian_init,
     gradients,
     layer_product,
-    mse_loss,
     run_ts_experiment,
     teacher_labels,
     train_student,
@@ -31,7 +30,7 @@ from rolewire.teacher_student import (
 )
 
 from conftest import (
-    crop_to_observed, cycle_graph, largest_component, path_graph, star_graph,
+    crop_to_observed, cycle_graph, largest_component, mse_loss, path_graph, star_graph,
 )
 
 
