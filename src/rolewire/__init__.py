@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     RolewireError,
     SelfLoopError,
-    SizeMismatchError,
     UsageError,
 )
 from .graph import (

@@ -35,10 +35,6 @@ class EmptyGraphError(InputError):
     """An edge list or graph description yielded no nodes."""
 
 
-class SizeMismatchError(InputError):
-    """Requested block sizes do not sum to the node count."""
-
-
 class DimensionMismatchError(InputError):
     """Matrix dimensions are inconsistent with the graph or weight chain."""
 

@@ -44,7 +44,6 @@ __all__ = [
     "dump_edge_list",
     "compact_ids",
     "load_features_csv",
-    "dump_features_csv",
     "load_labels_csv",
     "dump_labels_csv",
     "one_hot_labels",
@@ -281,13 +280,6 @@ def load_features_csv(stream: IO[str], num_nodes: int) -> np.ndarray:
     if not seen.all():
         raise ParseError(f"features missing for node {int(np.flatnonzero(~seen)[0])}")
     return x
-
-
-def dump_features_csv(x: np.ndarray, stream: IO[str]) -> None:
-    d = x.shape[1]
-    stream.write("node," + ",".join(f"f{j}" for j in range(d)) + "\n")
-    for u in range(x.shape[0]):
-        stream.write(f"{u}," + ",".join(f"{v:.6f}" for v in x[u]) + "\n")
 
 
 _SPLITS = ("train", "val", "test", "none")

@@ -44,6 +44,9 @@ __all__ = [
 # Effective resistance
 # ---------------------------------------------------------------------------
 
+RESISTANCE_SOLVE_COLUMNS = 128   # identity columns per grounded solve
+
+
 def mean_effective_resistance(
     adjacency: sp.spmatrix,
     origin_count: Optional[int] = None,
@@ -51,12 +54,21 @@ def mean_effective_resistance(
     """Mean pairwise effective resistance of a sparse weighted graph.
 
     Treats each weighted edge as a conductance; self-loops are dropped
-    (they never carry current). One inverse X = (L + J/m)^-1 = L^+ + J/m
-    gives the pair sum over a node set S of size s as s * tr(X_SS) -
-    1^T X_SS 1, in which the J/m terms cancel (Klein and Randic 1993). With
-    `origin_count`, only unordered pairs among the first origin_count nodes
-    are averaged, which makes augmented graphs comparable to their source;
-    without it, all pairs are.
+    (they never carry current). With the last node g grounded, X is the
+    inverse of the Laplacian without g's row and column, padded with
+    zeros at g, and R_ij = X_ii + X_jj - 2 X_ij for every pair. So the
+    pair sum over a node set S of size s is s * tr(X_SS) - 1^T X_SS 1
+    (Klein and Randic 1993). With `origin_count`, only unordered pairs
+    among the first origin_count nodes are averaged, which makes
+    augmented graphs comparable to their source; without it, all pairs
+    are. For a rewiring the grounded node is virtual and lies outside S.
+
+    The grounded Laplacian is factored once by sparse LU
+    (`scipy.sparse.linalg.splu`) on the minimum-degree ordering of
+    L + L^T, which keeps the fill near nnz(L) on trees and their
+    rewirings. The diagonal over S comes from identity solves of at most
+    RESISTANCE_SOLVE_COLUMNS columns at a time, and 1^T X_SS 1 from one
+    solve, so no dense m x m matrix is formed.
     """
     pattern = _loopless_pattern(adjacency)
     if not is_connected(Graph(indptr=pattern.indptr, indices=pattern.indices)):
@@ -67,12 +79,23 @@ def mean_effective_resistance(
         raise ValueError("need at least two nodes in the pair set")
     if span > m:
         raise ValueError(f"origin_count {span} exceeds the graph's {m} nodes")
-    lap = (-adjacency.astype(np.float64)).toarray()
-    np.fill_diagonal(lap, 0.0)
-    np.fill_diagonal(lap, -lap.sum(axis=1))
-    lap += 1.0 / m
-    x = np.linalg.inv(lap)[:span, :span]
-    return (span * float(np.trace(x)) - float(x.sum())) / (span * (span - 1) / 2)
+    from scipy.sparse.linalg import splu   # several MB of RSS; only this function needs it
+
+    weights = sp.csr_matrix(adjacency, dtype=np.float64)
+    weights = weights - sp.diags(weights.diagonal())     # self-loops carry no current
+    lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
+    grounded = splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A")
+    inside = min(span, m - 1)          # nodes of S other than the grounded one
+    trace = 0.0
+    for lo in range(0, inside, RESISTANCE_SOLVE_COLUMNS):
+        hi = min(lo + RESISTANCE_SOLVE_COLUMNS, inside)
+        unit = np.zeros((m - 1, hi - lo), order="F")    # the layout SuperLU solves in
+        unit[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        trace += float(np.trace(grounded.solve(unit)[lo:hi]))
+    ones = np.zeros(m - 1)
+    ones[:inside] = 1.0
+    total = float(grounded.solve(ones)[:inside].sum())
+    return (span * trace - total) / (span * (span - 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +222,15 @@ def evaluate_candidates(
     data: NodeData,
     variant: Variant = Variant.REP_NODES,
 ) -> list[EpsCandidate]:
-    """Score the percentile grid: one rewiring and one report per entry.
+    """Score the percentile grid: one rewiring and one report per distinct
+    partition.
+
+    Neighbouring tolerances often refine to the same partition, and a
+    rewiring's scores depend on the partition alone, not on the ε that
+    produced it. Partitions are canonical, so equal ones have equal label
+    arrays, and each distinct one is rewired and scored once; every grid
+    entry keeps its own percentile, ε and k. Each rewiring (and its dense
+    shift) is released before the next is built.
 
     Label information is restricted to the training mask throughout, both
     for the role energies and for the two-hop similarity.
@@ -207,21 +238,32 @@ def evaluate_candidates(
     if variant is Variant.MASTER_NODE:
         raise ValueError("the master-node variant has no tolerance to select")
     y = one_hot_labels(data.labels, data.train_mask)
+    scores: dict[bytes, tuple[float, float, float]] = {}
     candidates = []
     for p in PERCENTILE_GRID:
         eps = degree_percentile(graph, p)
         part = refine_eps_be(graph, eps)
-        rewired = build_rewired(graph, part, variant, eps=eps)
-        report = srl_report(rewired, y)
-        try:
-            ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
-        except NoEligibleNodesError:
-            ncs2 = 0.0
+        key = part.block_of.tobytes()
+        if key not in scores:
+            scores[key] = _partition_scores(
+                build_rewired(graph, part, variant, eps=eps), y, data)
+        srl, rho, ncs2 = scores[key]
         candidates.append(EpsCandidate(
-            percentile=int(p), eps=eps, k=part.k,
-            srl=report.srl, rho=report.rho, ncs2=ncs2,
+            percentile=int(p), eps=eps, k=part.k, srl=srl, rho=rho, ncs2=ncs2,
         ))
     return srl_star(candidates)
+
+
+def _partition_scores(
+    rewired: RewiredGraph, y: np.ndarray, data: NodeData,
+) -> tuple[float, float, float]:
+    """(srl, rho, ncs2) of one rewiring on the training labels."""
+    report = srl_report(rewired, y)
+    try:
+        ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
+    except NoEligibleNodesError:
+        ncs2 = 0.0
+    return report.srl, report.rho, ncs2
 
 
 def dump_candidates_csv(

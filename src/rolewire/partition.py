@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
@@ -62,23 +61,6 @@ class Partition:
         members = np.argsort(self.block_of, kind="stable")
         ends = np.cumsum(self.block_sizes())
         return tuple(tuple(b.tolist()) for b in np.split(members, ends)[:-1])
-
-    def as_block_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(b) for b in self.blocks)
-
-    @classmethod
-    def from_blocks(cls, n: int, raw_blocks: Sequence[Sequence[int]]) -> "Partition":
-        """Canonicalize arbitrary disjoint covering blocks."""
-        nodes = np.fromiter(chain.from_iterable(raw_blocks), dtype=np.int64)
-        repeated = np.flatnonzero(np.bincount(nodes, minlength=n) > 1)
-        if len(repeated):
-            raise ValueError(f"node {repeated[0]} assigned to two blocks")
-        labels = np.full(n, -1, dtype=np.int64)
-        labels[nodes] = np.repeat(np.arange(len(raw_blocks)),
-                                  [len(b) for b in raw_blocks])
-        if np.any(labels < 0):
-            raise ValueError("blocks do not cover all nodes")
-        return cls.from_assignment(labels)
 
     @classmethod
     def from_assignment(cls, block_of: Sequence[int]) -> "Partition":

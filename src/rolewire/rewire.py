@@ -178,9 +178,9 @@ def dump_augmented_features_csv(x: Optional[np.ndarray], n: int, k: int,
                                 stream: IO[str]) -> None:
     """Write `augment_features(x, n, k)` in the `node,f0,f1,...` format.
 
-    The bytes are those of `graph.dump_features_csv` on the dense array,
-    but only X's own values are formatted: the padding zeros and the
-    virtual nodes' one-hot entries are constant strings.
+    The bytes are those of formatting every cell of the dense array, but
+    only X's own values are formatted: the padding zeros and the virtual
+    nodes' one-hot entries are constant strings.
     """
     x = _node_features(x, n)
     d = x.shape[1]

@@ -45,6 +45,7 @@ __all__ = [
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
+_SYMMETRIZE_BLOCK = 256         # side of the blocks normalized_shift averages in place
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> None:
@@ -61,17 +62,37 @@ def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
     """Self-loop-normalized propagation matrix of a sparse weighted adjacency.
 
     With B = A + I and D the diagonal of B's row sums, returns the dense
-    D^{-1/2} B D^{-1/2}. Every diagonal of B is at least 1, so D is
-    invertible without special cases.
+    D^{-1/2} B D^{-1/2}, symmetrized as (S + S^T)/2. Every diagonal of B
+    is at least 1, so D is invertible without special cases.
+
+    The symmetry and sign checks run on the sparse entries, and the
+    result is built in one n x n buffer: A is densified once (from zeros,
+    so an explicit -0.0 weight lands as +0.0, as in A + I), the identity
+    is added on the diagonal, both scalings and the symmetrization act in
+    place, the latter a block pair at a time. The bits are those of
+    (dinv[:, None] * (A + I)) * dinv[None, :] averaged with its transpose.
     """
-    a = adjacency.astype(np.float64).toarray()
-    _require_symmetric(a, "adjacency")
-    if a.min(initial=0.0) < 0:
+    a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    scale = max(1.0, float(np.abs(a.data).max(initial=0.0)))
+    if np.abs((a - a.T).data).max(initial=0.0) > 1e-12 * scale:
+        raise NonSymmetricError("adjacency is not symmetric")
+    if a.data.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
-    b = a + np.eye(a.shape[0])
-    dinv = 1.0 / np.sqrt(b.sum(axis=1))
-    s = dinv[:, None] * b * dinv[None, :]
-    return (s + s.T) / 2.0
+    s = a.toarray()
+    n = s.shape[0]
+    s.flat[::n + 1] += 1.0
+    dinv = 1.0 / np.sqrt(s.sum(axis=1))
+    s *= dinv[:, None]
+    s *= dinv[None, :]
+    for lo in range(0, n, _SYMMETRIZE_BLOCK):
+        rows = slice(lo, lo + _SYMMETRIZE_BLOCK)
+        for co in range(lo, n, _SYMMETRIZE_BLOCK):
+            cols = slice(co, co + _SYMMETRIZE_BLOCK)
+            mean = (s[rows, cols] + s[cols, rows].T) / 2.0
+            s[rows, cols] = mean
+            s[cols, rows] = mean.T
+    return s
 
 
 def role_basis(partition: Partition) -> np.ndarray:

@@ -1,16 +1,54 @@
 """Shared fixtures: small named graphs and the seeded evaluation corpus."""
 
+from itertools import chain
+from typing import IO, Sequence
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
-from rolewire.graph import Graph, bfs_distances, graph_from_edges
-from rolewire.errors import NonSymmetricError, SizeMismatchError
-from rolewire.partition import Partition
+from rolewire.graph import (PERCENTILE_GRID, Graph, bfs_distances, degree_percentile,
+                            graph_from_edges, one_hot_labels)
+from rolewire.errors import InputError, NoEligibleNodesError, NonSymmetricError
+from rolewire.metrics import EpsCandidate, srl_star, two_hop_class_similarity
+from rolewire.partition import Partition, refine_eps_be
+from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
-from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, _require_symmetric
+from rolewire.spectral import (_JACOBI_MAX_SWEEPS, _JACOBI_TOL, _require_symmetric,
+                               srl_report)
 from rolewire.teacher_student import LinearGnnWeights, _stacked_mse
+
+
+class SizeMismatchError(InputError):
+    """Requested block sizes do not sum to the node count."""
+
+
+def from_blocks(n: int, raw_blocks: Sequence[Sequence[int]]) -> Partition:
+    """Canonical partition of arbitrary disjoint covering blocks."""
+    nodes = np.fromiter(chain.from_iterable(raw_blocks), dtype=np.int64)
+    repeated = np.flatnonzero(np.bincount(nodes, minlength=n) > 1)
+    if len(repeated):
+        raise ValueError(f"node {repeated[0]} assigned to two blocks")
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[nodes] = np.repeat(np.arange(len(raw_blocks)),
+                              [len(b) for b in raw_blocks])
+    if np.any(labels < 0):
+        raise ValueError("blocks do not cover all nodes")
+    return Partition.from_assignment(labels)
+
+
+def as_block_set(partition: Partition) -> frozenset[frozenset[int]]:
+    """The partition's blocks as a set of node sets, for order-free equality."""
+    return frozenset(frozenset(b) for b in partition.blocks)
+
+
+def dump_features_csv(x: np.ndarray, stream: IO[str]) -> None:
+    """Every cell of a dense feature array in the `node,f0,f1,...` format."""
+    d = x.shape[1]
+    stream.write("node," + ",".join(f"f{j}" for j in range(d)) + "\n")
+    for u in range(x.shape[0]):
+        stream.write(f"{u}," + ",".join(f"{v:.6f}" for v in x[u]) + "\n")
 
 
 def star_graph(leaves: int) -> Graph:
@@ -87,6 +125,62 @@ def pairwise_resistance(adj, span):
     lp = np.linalg.inv(np.diag(a.sum(axis=1)) - a + ones) - ones
     d = np.diag(lp)
     return d[:span, None] + d[None, :span] - 2.0 * lp[:span, :span]
+
+
+def normalized_shift_oracle(adjacency: sp.spmatrix) -> np.ndarray:
+    """Dense (A + I)-normalized shift, symmetrized, from n x n temporaries.
+
+    Dense oracle for `spectral.normalized_shift`, which must give the same
+    bytes from one buffer."""
+    a = adjacency.astype(np.float64).toarray()
+    _require_symmetric(a, "adjacency")
+    if a.min(initial=0.0) < 0:
+        raise ValueError("adjacency weights must be nonnegative")
+    b = a + np.eye(a.shape[0])
+    dinv = 1.0 / np.sqrt(b.sum(axis=1))
+    s = dinv[:, None] * b * dinv[None, :]
+    return (s + s.T) / 2.0
+
+
+def mean_effective_resistance_oracle(adjacency: sp.spmatrix, origin_count=None) -> float:
+    """Mean pair resistance among the first origin_count nodes (all nodes
+    without it) from the dense inverse X = (L + J/m)^-1 and the pair-sum
+    identity |S| tr(X_SS) - 1^T X_SS 1; self-loops are dropped.
+
+    Dense oracle for the grounded sparse LU in
+    `metrics.mean_effective_resistance`."""
+    m = adjacency.shape[0]
+    span = m if origin_count is None else origin_count
+    lap = (-adjacency.astype(np.float64)).toarray()
+    np.fill_diagonal(lap, 0.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    lap += 1.0 / m
+    x = np.linalg.inv(lap)[:span, :span]
+    return (span * float(np.trace(x)) - float(x.sum())) / (span * (span - 1) / 2)
+
+
+def evaluate_candidates_oracle(graph: Graph, data, variant=Variant.REP_NODES):
+    """The percentile grid scored entry by entry: one rewiring, one SRL
+    report and one two-hop similarity per grid entry, repeats included.
+
+    Reference for `metrics.evaluate_candidates`, which scores each
+    distinct partition once."""
+    y = one_hot_labels(data.labels, data.train_mask)
+    candidates = []
+    for p in PERCENTILE_GRID:
+        eps = degree_percentile(graph, p)
+        part = refine_eps_be(graph, eps)
+        rewired = build_rewired(graph, part, variant, eps=eps)
+        report = srl_report(rewired, y)
+        try:
+            ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
+        except NoEligibleNodesError:
+            ncs2 = 0.0
+        candidates.append(EpsCandidate(
+            percentile=int(p), eps=eps, k=part.k,
+            srl=report.srl, rho=report.rho, ncs2=ncs2,
+        ))
+    return srl_star(candidates)
 
 
 def block_degree_matrix(graph: Graph, partition) -> np.ndarray:

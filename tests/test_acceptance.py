@@ -51,8 +51,8 @@ from rolewire.teacher_student import (
     teacher_labels,
 )
 
-from conftest import (complete_graph, crop_to_observed, cycle_graph, master_node_adjacency,
-                      mse_loss, path_graph, random_partition)
+from conftest import (as_block_set, complete_graph, crop_to_observed, cycle_graph,
+                      master_node_adjacency, mse_loss, path_graph, random_partition)
 from test_spectral import oracle_srl
 
 PERCENTILES = (0, 25, 50, 75, 100)
@@ -80,7 +80,7 @@ def test_criterion_1_exact_ep_against_oracle(corpus):
     for name, g in corpus:
         part = refine_eps_be(g, 0)
         oracle = color_refinement_oracle(g)
-        assert part.as_block_set() == oracle.as_block_set(), name
+        assert as_block_set(part) == as_block_set(oracle), name
         qp = quotient(g, part)
         assert qp.residual <= 1e-12, name
         a = g.dense_adjacency()

@@ -1,14 +1,24 @@
 """Command parsing, verb behavior, exit codes, and reproducibility."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rolewire
 from rolewire.cli import main, parse_args
 from rolewire.errors import UsageError
-from rolewire.graph import Graph
+from rolewire.generators import make_graph
+from rolewire.graph import Graph, dump_edge_list
+from rolewire.partition import refine_eps_be
+from rolewire.rewire import Variant, build_rewired
+
+from conftest import mean_effective_resistance_oracle
 
 
 def run(argv, capsys=None):
@@ -475,6 +485,26 @@ class TestEffres:
         assert code == 2 and out == ""
         assert err.startswith("ERR:USAGE:") and "--eps" in err and err.count("\n") == 1
 
+    def test_no_dense_inverse(self, tmp_path, capsys, monkeypatch):
+        """effres factors the grounded Laplacian sparsely: it gives the dense
+        inverse's values with numpy's inverse disabled."""
+        graph = tmp_path / "tree.txt"
+        tree = make_graph("tree", 63)
+        with open(graph, "w") as fh:
+            dump_edge_list(tree, fh)
+        rewired = build_rewired(tree, refine_eps_be(tree, 1.0), Variant.FULL)
+        want = [f"baseline {mean_effective_resistance_oracle(tree.adjacency):.6f}",
+                f"rewired {mean_effective_resistance_oracle(rewired.adjacency, 63):.6f}"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        code, out, _ = run(["effres", "--graph", graph, "--eps", "1",
+                            "--variant", "full", "--out", tmp_path / "e"], capsys)
+        assert code == 0
+        assert out.splitlines() == want
+
     def test_rewired_reported(self, tmp_path, capsys, star_files):
         code, out, _ = run(["effres", "--graph", star_files / "graph.txt",
                             "--percentile", "0", "--variant", "repnodes"],
@@ -586,6 +616,32 @@ class TestReproducibility:
                 assert run(argv) == 0
             digests.append(tree_digest(base))
         assert digests[0] == digests[1]
+
+    def test_only_effres_imports_sparse_linalg(self, tmp_path, star_files):
+        """`select-eps` and `srl` never load scipy.sparse.linalg, whose import
+        alone adds several MB of resident memory; effres does load it."""
+        g, labels = star_files / "graph.txt", star_files / "labels.csv"
+        script = (
+            "import sys\n"
+            "from rolewire.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split()) == 0, argv\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        src = str(Path(rolewire.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def loads_linalg(*argvs):
+            done = subprocess.run([sys.executable, "-c", script, *argvs], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()[-1] == "True"
+
+        assert not loads_linalg(
+            f"select-eps --graph {g} --labels {labels} --out {tmp_path / 'e'}",
+            f"srl --graph {g} --labels {labels} --percentile 0 --variant full "
+            f"--out {tmp_path / 's'}")
+        assert loads_linalg(f"effres --graph {g} --percentile 25 --variant repnodes")
 
     def test_golden_cases_never_densify_a_graph(self, tmp_path, monkeypatch):
         """No library path builds a graph's dense adjacency: every verb of

@@ -15,7 +15,6 @@ from rolewire.graph import (
     compact_ids,
     degree_percentile,
     dump_edge_list,
-    dump_features_csv,
     dump_labels_csv,
     graph_from_edges,
     is_connected,
@@ -25,7 +24,7 @@ from rolewire.graph import (
     one_hot_labels,
 )
 
-from conftest import cycle_graph, star_graph, two_hop_neighbors
+from conftest import cycle_graph, dump_features_csv, star_graph, two_hop_neighbors
 
 
 def load(text):

@@ -1,9 +1,12 @@
 """Effective resistance, two-hop similarity, starred scores, selection."""
 
 import io
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from rolewire.errors import (
     DisconnectedError,
@@ -11,8 +14,9 @@ from rolewire.errors import (
     NoEligibleNodesError,
     NumericError,
 )
-from rolewire.generators import assign_splits, eccentricity_labels
-from rolewire.graph import graph_from_edges, is_connected
+from rolewire import metrics
+from rolewire.generators import assign_splits, eccentricity_labels, erdos_renyi, make_graph
+from rolewire.graph import PERCENTILE_GRID, degree_percentile, graph_from_edges, is_connected
 from rolewire.metrics import (
     EpsCandidate,
     dump_candidates_csv,
@@ -26,8 +30,16 @@ from rolewire.metrics import (
 from rolewire.graph import NodeData
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
+from rolewire.seeding import rng_for
 
-from conftest import cycle_graph, pairwise_resistance, path_graph, star_graph
+from conftest import (cycle_graph, evaluate_candidates_oracle, from_blocks, largest_component,
+                      mean_effective_resistance_oracle, pairwise_resistance, path_graph,
+                      star_graph)
+
+
+def mean_pair_resistance(adjacency, span):
+    r = pairwise_resistance(adjacency.toarray(), span)
+    return r[np.triu_indices(span, k=1)].mean()
 
 
 class TestEffectiveResistance:
@@ -81,11 +93,64 @@ class TestEffectiveResistance:
 
     def test_pendant_virtual_nodes_keep_resistance(self, p3):
         # all-singleton partition: hubs are pendant, original pairs unchanged
-        from rolewire.partition import Partition
-        part = Partition.from_blocks(3, [[0], [1], [2]])
+        part = from_blocks(3, [[0], [1], [2]])
         rg = build_rewired(p3, part, Variant.REP_NODES)
         after = mean_effective_resistance(rg.adjacency, origin_count=3)
         assert after == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    def test_two_nodes(self):
+        adjacency = sp.csr_matrix(np.array([[0.0, 2.5], [2.5, 0.0]]))
+        assert mean_effective_resistance(adjacency) == pytest.approx(0.4, rel=1e-12)
+        assert mean_effective_resistance(adjacency, origin_count=2) == \
+            pytest.approx(0.4, rel=1e-12)
+
+    def test_two_origin_nodes_in_a_larger_graph(self):
+        g = path_graph(6)
+        for origin_count in (2, 3):
+            got = mean_effective_resistance(g.adjacency, origin_count=origin_count)
+            assert got == pytest.approx(mean_pair_resistance(g.adjacency, origin_count),
+                                        rel=1e-12)
+        assert mean_effective_resistance(g.adjacency, origin_count=2) == \
+            pytest.approx(1.0, rel=1e-12)
+
+    def test_weighted_full_corner_drops_self_loops(self):
+        g = cycle_graph(6)
+        rg = build_rewired(g, refine_eps_be(g, 0), Variant.FULL)
+        assert rg.adjacency.diagonal()[6:].max() > 0      # within-block self-loops
+        loopless = rg.adjacency - sp.diags(rg.adjacency.diagonal())
+        for origin_count, span in ((6, 6), (None, 7)):
+            got = mean_effective_resistance(rg.adjacency, origin_count=origin_count)
+            assert got == mean_effective_resistance(loopless, origin_count=origin_count)
+            assert got == pytest.approx(mean_pair_resistance(rg.adjacency, span),
+                                        rel=1e-12)
+
+    def test_grounded_node_inside_and_outside_the_pair_set(self):
+        # baseline: the grounded last node is one of S; rewired: it is a
+        # virtual node outside S
+        g = make_graph("tree", 15)
+        rg = build_rewired(g, refine_eps_be(g, 0), Variant.REP_NODES)
+        n, m = g.num_nodes, rg.size
+        for adjacency, origin_count, span in ((g.adjacency, None, n),
+                                              (rg.adjacency, n, n),
+                                              (rg.adjacency, None, m)):
+            got = mean_effective_resistance(adjacency, origin_count=origin_count)
+            assert got == pytest.approx(mean_pair_resistance(adjacency, span), rel=1e-12)
+            assert got == pytest.approx(
+                mean_effective_resistance_oracle(adjacency, origin_count), rel=1e-12)
+
+    def test_checks_come_before_the_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorized")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        with pytest.raises(DisconnectedError):
+            mean_effective_resistance(graph_from_edges(4, [(0, 1), (2, 3)]).adjacency)
+        path = path_graph(4)
+        for origin_count in (1, 9):
+            with pytest.raises(ValueError, match="pair set|origin_count 9"):
+                mean_effective_resistance(path.adjacency, origin_count=origin_count)
+        with pytest.raises(AssertionError, match="factorized"):
+            mean_effective_resistance(path.adjacency)
 
     def test_all_pairs_mode(self, p3):
         part = refine_eps_be(p3, 0)
@@ -236,6 +301,53 @@ class TestEvaluateCandidates:
         assert lines[0] == "percentile,eps,k,srl,rho,ncs2,srl_star,selected"
         assert len(lines) == 6
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
+
+
+def grid_data(graph, seed=0):
+    n = graph.num_nodes
+    train, val, test = assign_splits(n, seed=seed)
+    return NodeData(num_nodes=n, labels=eccentricity_labels(graph, 2),
+                    train_mask=train, val_mask=val, test_mask=test)
+
+
+def distinct_partitions(graph):
+    return len({refine_eps_be(graph, degree_percentile(graph, p)).block_of.tobytes()
+                for p in PERCENTILE_GRID})
+
+
+class TestDistinctPartitions:
+    """The grid scores each distinct partition once and equals scoring
+    every entry on its own, bit for bit."""
+
+    CASES = [
+        ("tree63", make_graph("tree", 63), 2),   # 0/25/50 and 75/100 coincide
+        ("path8", path_graph(8), 2),
+        ("er20", largest_component(erdos_renyi(20, rng_for(0, 0), p=0.15)), 5),
+    ]
+
+    @pytest.mark.parametrize("variant", [Variant.REP_NODES, Variant.FULL, Variant.REP_EDGES])
+    @pytest.mark.parametrize("name,graph,distinct", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_per_entry_loop(self, name, graph, distinct, variant):
+        assert distinct_partitions(graph) == distinct
+        data = grid_data(graph)
+        got = evaluate_candidates(graph, data, variant)
+        want = evaluate_candidates_oracle(graph, data, variant)
+        assert len(got) == len(want) == len(PERCENTILE_GRID)
+        for g, w in zip(got, want):
+            assert astuple(g) == astuple(w)
+
+    @pytest.mark.parametrize("name,graph,distinct", CASES, ids=[c[0] for c in CASES])
+    def test_one_report_per_distinct_partition(self, monkeypatch, name, graph, distinct):
+        calls = []
+        original = metrics.srl_report
+
+        def counting(rewired, y, *args, **kwargs):
+            calls.append(rewired.partition.k)
+            return original(rewired, y, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "srl_report", counting)
+        evaluate_candidates(graph, grid_data(graph))
+        assert len(calls) == distinct
 
 
 class TestPearson:

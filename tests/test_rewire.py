@@ -9,9 +9,8 @@ import scipy.sparse as sp
 
 from rolewire.errors import DimensionMismatchError
 from rolewire.generators import erdos_renyi
-from rolewire.graph import bfs_distances, dump_features_csv
+from rolewire.graph import bfs_distances
 from rolewire.partition import (
-    Partition,
     color_refinement_oracle,
     membership_matrix,
     quotient,
@@ -27,7 +26,7 @@ from rolewire.rewire import (
     dump_rewired,
 )
 
-from conftest import master_node_adjacency
+from conftest import dump_features_csv, from_blocks, master_node_adjacency
 
 
 
@@ -80,7 +79,7 @@ class TestBlockStructure:
         assert a[4, 4] == 2.0      # average within-block degree of the cycle
 
     def test_single_block_repnodes_is_master_node(self, c4):
-        part = Partition.from_blocks(4, [[0, 1, 2, 3]])
+        part = from_blocks(4, [[0, 1, 2, 3]])
         rg = build_rewired(c4, part, Variant.REP_NODES)
         explicit = master_node_adjacency(c4)
         assert np.array_equal(rg.adjacency.indptr, explicit.indptr)

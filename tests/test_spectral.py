@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from rolewire import spectral
 from rolewire.errors import EmptyLabelsError, NonSymmetricError
-from rolewire.generators import FAMILIES, assign_splits, eccentricity_labels, make_dataset
-from rolewire.graph import NodeData, degree_percentile, one_hot_labels
+from rolewire.generators import (FAMILIES, assign_splits, eccentricity_labels, make_dataset,
+                                 make_graph)
+from rolewire.graph import PERCENTILE_GRID, NodeData, degree_percentile, one_hot_labels
 from rolewire.metrics import evaluate_candidates
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
@@ -31,7 +32,8 @@ from rolewire.spectral import (
 )
 from rolewire.teacher_student import TrainConfig, run_ts_experiment
 
-from conftest import cycle_graph, jacobi_eig_oracle, path_graph, star_graph
+from conftest import (cycle_graph, from_blocks, jacobi_eig_oracle, normalized_shift_oracle,
+                      path_graph, star_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +132,80 @@ class TestNormalizedShift:
             normalized_shift(sp.csr_matrix([[0.0, 1.0], [0.0, 0.0]]))
 
 
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0, 1.0 / 3.0, 1e-300]),
+                    st.floats(0.0, 1e3, allow_nan=False))
+
+
+@st.composite
+def weighted_adjacencies(draw, max_nodes=12):
+    """Symmetric nonnegative sparse matrices: isolated nodes, self-loops,
+    explicitly stored 0.0 and -0.0 weights, float or integer entries."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows, cols, data = [], [], []
+    for (u, v), keep in zip(pairs, present):
+        if keep:
+            w = draw(WEIGHTS)
+            rows += [u] if u == v else [u, v]
+            cols += [v] if u == v else [v, u]
+            data += [w] if u == v else [w, w]
+    data = np.array(data, dtype=np.float64)
+    if draw(st.booleans()):
+        data = np.floor(data).astype(np.int64)
+    fmt = draw(st.sampled_from(["csr", "csc", "coo"]))
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
+
+
+class TestNormalizedShiftMatchesOracle:
+    """The one-buffer shift gives the bytes of the dense formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency=weighted_adjacencies(), block=st.sampled_from([1, 2, 3, 256]))
+    def test_bytes_equal_the_dense_formula(self, adjacency, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_SYMMETRIZE_BLOCK", block)
+            got = normalized_shift(adjacency)
+        want = normalized_shift_oracle(adjacency)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_explicit_negative_zero_lands_positive(self):
+        adjacency = sp.csr_matrix((np.array([-0.0, -0.0, 1.0, 1.0]),
+                                   (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]))),
+                                  shape=(3, 3))
+        s = normalized_shift(adjacency)
+        assert np.signbit(s).sum() == 0
+        assert s.tobytes() == normalized_shift_oracle(adjacency).tobytes()
+
+    @pytest.mark.parametrize("variant", [Variant.FULL, Variant.REP_NODES])
+    def test_several_blocks_on_a_large_rewiring(self, variant):
+        g = make_graph("tree", 600)
+        rg = build_rewired(g, refine_eps_be(g, degree_percentile(g, 25)), variant)
+        for adjacency in (g.adjacency, rg.adjacency):
+            assert normalized_shift(adjacency).tobytes() == \
+                normalized_shift_oracle(adjacency).tobytes()
+
+    @pytest.mark.parametrize("matrix,error", [
+        ([[0.0, 1.0], [0.0, 0.0]], NonSymmetricError),
+        ([[0.0, 1.0], [1.0 + 1e-9, 0.0]], NonSymmetricError),
+        ([[0.0, -1.0], [-1.0, 0.0]], ValueError),
+        ([[-1.0, 0.0], [0.0, 0.0]], ValueError),
+    ])
+    def test_rejects_what_the_dense_formula_rejects(self, matrix, error):
+        for shift in (normalized_shift, normalized_shift_oracle):
+            with pytest.raises(error):
+                shift(sp.csr_matrix(matrix))
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        adjacency = sp.csr_matrix([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        assert normalized_shift(adjacency).tobytes() == \
+            normalized_shift_oracle(adjacency).tobytes()
+
+
 class TestRoleBasis:
     def test_closed_form(self):
-        c = role_basis(Partition.from_blocks(4, [[0], [1, 2, 3]]))
+        c = role_basis(from_blocks(4, [[0], [1, 2, 3]]))
         assert np.allclose(c[:, 0], [1, 0, 0, 0])
         assert np.allclose(c[1:, 1], 1.0 / np.sqrt(3.0))
 
@@ -471,7 +544,9 @@ class TestShiftOwners:
         data = NodeData(num_nodes=8, labels=eccentricity_labels(g, 2),
                         train_mask=train, val_mask=val, test_mask=test)
         evaluate_candidates(g, data)
-        assert len(shift_orders) == 6           # one original + five rewired
+        distinct = {refine_eps_be(g, degree_percentile(g, p)).block_of.tobytes()
+                    for p in PERCENTILE_GRID}
+        assert len(shift_orders) == 1 + len(distinct)   # one original + one per partition
         assert shift_orders.count(8) == 1       # rewired shifts have order n + k > n
 
     def test_ts_experiment_builds_one_shift_per_graph(self, shift_orders):

@@ -38,7 +38,8 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import (block_degree_matrix, largest_component, pairwise_resistance,
+from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
+                      mean_effective_resistance_oracle, pairwise_resistance,
                       two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -51,7 +52,7 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 def reference_refine_eps_be(graph, eps):
     """Per-block greedy splitting loop, one splitter and one block at a time."""
     n = graph.num_nodes
-    part = Partition.from_blocks(n, [list(range(n))])
+    part = from_blocks(n, [list(range(n))])
     while True:
         splitters = part.blocks
         current = [list(b) for b in part.blocks]
@@ -75,7 +76,7 @@ def reference_refine_eps_be(graph, eps):
                         groups[-1].append(u)
                 next_blocks.extend(groups)
             current = next_blocks
-        refined = Partition.from_blocks(n, current)
+        refined = from_blocks(n, current)
         if refined.blocks == part.blocks:
             return refined
         part = refined
@@ -277,7 +278,7 @@ def test_from_assignment_matches_dict_construction(labels):
 def test_from_blocks_matches_dict_construction(case):
     n, raw_blocks = case
     block_of, blocks = reference_partition_blocks(n, raw_blocks)
-    part = Partition.from_blocks(n, raw_blocks)
+    part = from_blocks(n, raw_blocks)
     assert np.array_equal(part.block_of, block_of)
     assert part.k == len(blocks) and part.blocks == blocks
 
@@ -295,8 +296,8 @@ def test_refine_matches_greedy_loop(graph, eps):
 @PROPERTY_SETTINGS
 @given(graph=graphs(max_nodes=20))
 def test_exact_refine_matches_color_refinement(graph):
-    assert refine_eps_be(graph, 0.0).as_block_set() == \
-        color_refinement_oracle(graph).as_block_set()
+    assert as_block_set(refine_eps_be(graph, 0.0)) == \
+        as_block_set(color_refinement_oracle(graph))
 
 
 @PROPERTY_SETTINGS
@@ -306,7 +307,7 @@ def test_exact_refine_is_relabelling_invariant(graph, data):
     perm = data.draw(st.permutations(range(n)))         # node u becomes perm[u]
     permuted = graph_from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges()])
     want = {frozenset(perm[u] for u in b) for b in refine_eps_be(graph, 0.0).blocks}
-    assert refine_eps_be(permuted, 0.0).as_block_set() == want
+    assert as_block_set(refine_eps_be(permuted, 0.0)) == want
 
 
 @PROPERTY_SETTINGS
@@ -358,7 +359,7 @@ def test_two_hop_matches_reference_on_graphs(case):
 def test_two_hop_matches_reference_on_rewired(case, eps, variant):
     graph, labels, mask = case
     n = graph.num_nodes
-    part = Partition.from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
+    part = from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
         else refine_eps_be(graph, eps)
     rewired = build_rewired(graph, part, variant, eps=eps)
     _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
@@ -467,6 +468,26 @@ def test_effective_resistance_matches_per_pair_oracle(graph, eps, variant):
         want = r[np.triu_indices(span, k=1)].mean()
         got = mean_effective_resistance(adjacency, origin_count=origin_count)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=30), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_effective_resistance_matches_dense_inverse_oracle(graph, eps, variant):
+    """The grounded sparse LU agrees with the dense inverse of L + J/m within
+    1e-10 relative, on the graph and its rewiring, with and without
+    origin_count: the grounded last node lies inside the pair set on the
+    graph and in all-pairs mode, and outside it (virtual) otherwise."""
+    graph = largest_component(graph)
+    assume(graph.num_nodes >= 2)
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    n = graph.num_nodes
+    for adjacency, origin_count in ((graph.adjacency, None), (graph.adjacency, n),
+                                    (rewired.adjacency, n), (rewired.adjacency, None)):
+        got = mean_effective_resistance(adjacency, origin_count=origin_count)
+        want = mean_effective_resistance_oracle(adjacency, origin_count)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 @PROPERTY_SETTINGS
