@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import (
     EmptyGraphError,
     InputError,
     NumericError,
+    ParseError,
     RolewireError,
     UsageError,
 )
@@ -50,6 +52,8 @@ from .graph import (
     load_features_csv,
     load_labels_csv,
     one_hot_labels,
+    parse_column,
+    table_rows,
 )
 from .metrics import (
     dump_candidates_csv,
@@ -59,13 +63,13 @@ from .metrics import (
     select_epsilon,
 )
 from .partition import (
-    Partition,
     dump_partition_csv,
     dump_quotient_csv,
     quotient,
     refine_eps_be,
 )
-from .rewire import Variant, build_rewired, dump_augmented_features_csv, dump_rewired
+from .rewire import (RewiredGraph, Variant, build_rewired, dump_augmented_features_csv,
+                     dump_rewired)
 from .spectral import dump_srl_csv, srl_report
 from .teacher_student import TrainConfig, run_ts_experiment
 
@@ -217,32 +221,20 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _opened(what: str, path: str) -> Iterator[IO[str]]:
+    """The input file at `path`, open for reading; an OSError becomes an
+    InputError naming what the file is and its path."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from None
+
+
 def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
-    try:
-        with open(path) as fh:
-            raw = load_edge_list(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read graph {path!r}: {exc}") from None
-    graph, remap = compact_ids(raw)
-    return graph, remap
-
-
-def _load_labels(graph: Graph, path: str) -> NodeData:
-    try:
-        with open(path) as fh:
-            return load_labels_csv(fh, graph.num_nodes)
-    except OSError as exc:
-        raise InputError(f"cannot read labels {path!r}: {exc}") from None
-
-
-def _load_features(graph: Graph, path: Optional[str]) -> Optional[np.ndarray]:
-    if path is None:
-        return None
-    try:
-        with open(path) as fh:
-            return load_features_csv(fh, graph.num_nodes)
-    except OSError as exc:
-        raise InputError(f"cannot read features {path!r}: {exc}") from None
+    with _opened("graph", path) as fh:
+        return compact_ids(load_edge_list(fh))
 
 
 def _resolve_eps(graph: Graph, ns: argparse.Namespace) -> tuple[float, Optional[int]]:
@@ -269,12 +261,15 @@ def _remap_repr(remap: dict[int, int]) -> str:
     return ";".join(f"{old}:{new}" for old, new in sorted(remap.items()))
 
 
-def _partition_for(graph: Graph, eps: float, variant: Variant) -> Partition:
-    """The master node is the single block, which is what refinement
-    returns at eps = infinity (no count spread exceeds it)."""
-    if variant is Variant.MASTER_NODE:
-        eps = math.inf
-    return refine_eps_be(graph, eps)
+def _rewiring(graph: Graph, ns: argparse.Namespace) -> tuple[RewiredGraph, Optional[int]]:
+    """The rewiring the --variant and --eps/--percentile flags ask for, and
+    the percentile (None under --eps). The master node is the single
+    block, which is what refinement returns at eps = infinity (no count
+    spread exceeds it)."""
+    eps, percentile = _resolve_eps(graph, ns)
+    variant = Variant(ns.variant)
+    part = refine_eps_be(graph, math.inf if variant is Variant.MASTER_NODE else eps)
+    return build_rewired(graph, part, variant, eps=eps), percentile
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +328,21 @@ def _run_partition(ns) -> int:
 
 def _run_rewire(ns) -> int:
     graph, remap = _load_graph(ns.graph)
-    eps, perc = _resolve_eps(graph, ns)
-    variant = Variant(ns.variant)
-    part = _partition_for(graph, eps, variant)
-    x = _load_features(graph, ns.features)
-    rewired = build_rewired(graph, part, variant, eps=eps)
+    x = None
+    if ns.features is not None:
+        with _opened("features", ns.features) as fh:
+            x = load_features_csv(fh, graph.num_nodes)
+    rewired, perc = _rewiring(graph, ns)
     out = _outdir(ns.out)
     with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
         dump_rewired(rewired, efh, mfh)
     with open(out / "features.csv", "w") as fh:
-        dump_augmented_features_csv(x, graph.num_nodes, part.k, fh)
+        dump_augmented_features_csv(x, graph.num_nodes, rewired.partition.k, fh)
     with open(out / "partition.csv", "w") as fh:
-        dump_partition_csv(part, fh)
+        dump_partition_csv(rewired.partition, fh)
     _write_meta(out / "meta.txt", {
-        "n": graph.num_nodes, "k": part.k, "variant": variant.value,
-        "eps": repr(eps), "percentile": perc if perc is not None else "",
+        "n": graph.num_nodes, "k": rewired.partition.k, "variant": rewired.variant.value,
+        "eps": repr(rewired.eps), "percentile": perc if perc is not None else "",
         "residual": repr(rewired.residual), "remap": _remap_repr(remap),
     })
     return 0
@@ -355,11 +350,9 @@ def _run_rewire(ns) -> int:
 
 def _run_srl(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    data = _load_labels(graph, ns.labels)
-    eps, _ = _resolve_eps(graph, ns)
-    variant = Variant(ns.variant)
-    part = _partition_for(graph, eps, variant)
-    rewired = build_rewired(graph, part, variant, eps=eps)
+    with _opened("labels", ns.labels) as fh:
+        data = load_labels_csv(fh, graph.num_nodes)
+    rewired, _ = _rewiring(graph, ns)
     y = one_hot_labels(data.labels, data.train_mask)
     report = srl_report(rewired, y, h_degree=ns.layers)
     out = _outdir(ns.out)
@@ -370,7 +363,8 @@ def _run_srl(ns) -> int:
 
 def _run_select_eps(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    data = _load_labels(graph, ns.labels)
+    with _opened("labels", ns.labels) as fh:
+        data = load_labels_csv(fh, graph.num_nodes)
     candidates = evaluate_candidates(graph, data, Variant(ns.variant))
     chosen = select_epsilon(candidates)
     if ns.out is not None:
@@ -389,10 +383,7 @@ def _run_effres(ns) -> int:
     baseline = mean_effective_resistance(graph.adjacency)
     lines = [("baseline", baseline)]
     if ns.variant is not None:
-        eps, _ = _resolve_eps(graph, ns)
-        variant = Variant(ns.variant)
-        part = _partition_for(graph, eps, variant)
-        rewired = build_rewired(graph, part, variant, eps=eps)
+        rewired, _ = _rewiring(graph, ns)
         lines.append(("rewired", mean_effective_resistance(
             rewired.adjacency, origin_count=graph.num_nodes)))
     for name, value in lines:
@@ -425,36 +416,32 @@ def _run_ts_sim(ns) -> int:
 
 
 def _read_percentile_table(path: str, column: str) -> dict[int, float]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from None
-    lines = [(lineno, l) for lineno, l in enumerate(text.splitlines(), start=1)
-             if l and not l.startswith("#")]
-    if not lines:
-        raise InputError(f"{path!r} is empty")
-    header = lines[0][1].split(",")
-    for col in ("percentile", column):
-        if col not in header:
-            raise InputError(f"{path!r} lacks a {col!r} column")
-    at_p, at_value = header.index("percentile"), header.index(column)
-    rows: dict[int, float] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise InputError(f"{path!r} line {lineno}: expected {len(header)} "
-                             f"fields, got {len(parts)}")
+    """The `percentile` and `column` fields of a CSV table, by percentile.
+    Rows follow `graph.table_rows`; every error names the file."""
+    with _opened("table", path) as fh:
         try:
-            p, value = int(parts[at_p]), float(parts[at_value])
-        except ValueError:
-            raise InputError(f"{path!r} line {lineno}: bad percentile or "
-                             f"{column} value") from None
-        if not math.isfinite(value):
-            raise InputError(f"{path!r} line {lineno}: non-finite {column} value")
-        if p in rows:
-            raise InputError(f"{path!r} line {lineno}: percentile {p} listed twice")
-        rows[p] = value
-    return rows
+            rows = table_rows(fh)
+            _, header = next(rows, (0, None))
+            if header is None:
+                raise ParseError("is empty")
+            for col in ("percentile", column):
+                if col not in header:
+                    raise ParseError(f"lacks a {col!r} column")
+            body = list(rows)
+            percentiles = parse_column(body, header.index("percentile"), int,
+                                       "an integer percentile")
+            values = parse_column(body, header.index(column), float, "a number")
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ParseError(f"line {body[int(np.argmin(finite))][0]}: "
+                                 f"non-finite {column} value")
+            table = dict(zip(percentiles, values))
+            if len(table) < len(percentiles):
+                i = next(i for i, p in enumerate(percentiles) if p in percentiles[:i])
+                raise ParseError(f"line {body[i][0]}: percentile {percentiles[i]} listed twice")
+        except ParseError as exc:
+            raise ParseError(f"{path!r} {exc}") from None
+    return table
 
 
 def _run_srl_correlate(ns) -> int:
@@ -495,13 +482,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"ERR:USAGE: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ValueError) as exc:
-        print(f"ERR:INPUT: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"ERR:NUMERIC: {exc}", file=sys.stderr)
         return 4
-    except RolewireError as exc:
+    except (RolewireError, ValueError) as exc:    # InputError and the rest
         print(f"ERR:INPUT: {exc}", file=sys.stderr)
         return 3
 

@@ -4,9 +4,9 @@ Graphs are simple (no self-loops, no multi-edges), undirected and
 unweighted, stored in compressed sparse form: row offsets plus sorted
 neighbor lists. Node ids are dense 0-based integers.
 
-File formats
-------------
-edge list : plain text, one "u v" pair per line, '#' starts a comment
+File formats (their rows follow `table_rows`, their node ids `node_ids`)
+------------------------------------------------------------------------
+edge list : plain text, one "u v" pair per line
 features  : CSV with header "node,f0,f1,...", one row per node
 labels    : CSV with header "node,label,split", split in {train,val,test,none}
 """
@@ -18,7 +18,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,7 +161,8 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if num_nodes < 1:
         raise EmptyGraphError("graph must have at least one node")
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     bad = (u == v) | (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
     if bad.any():
@@ -180,38 +181,31 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def load_edge_list(stream: IO[str]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines starting with '#' are comments. Node ids must lie in
-    0..MAX_NODE_ID. The node set is 0..max_id, so
-    unmentioned ids below the maximum become isolated nodes (compact_ids
-    removes such gaps when wanted). Duplicate and reversed mentions of an
-    edge collapse to one undirected edge; duplicates emit a warning.
+    Rows follow `table_rows` with two fields, both node ids in
+    0..MAX_NODE_ID. The node set is 0..max_id, so unmentioned ids below
+    the maximum become isolated nodes (compact_ids removes such gaps when
+    wanted). Duplicate and reversed mentions of an edge collapse to one
+    undirected edge; duplicates emit a warning.
     """
-    edges = []
-    max_id = -1
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected two node ids, got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative node id in {line!r}")
-        if u > MAX_NODE_ID or v > MAX_NODE_ID:
-            raise ParseError(f"line {lineno}: node id above {MAX_NODE_ID} in {line!r}")
-        if u == v:
-            raise SelfLoopError(f"line {lineno}: self-loop at node {u}")
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+    body = list(table_rows(stream, width=2, sep=None))
+    if not body:
         raise EmptyGraphError("edge list holds no nodes")
-    graph = graph_from_edges(max_id + 1, edges)
-    if graph.num_edges < len(edges):
-        warnings.warn(f"collapsed {len(edges) - graph.num_edges} duplicate edge mentions")
+    ends = int_array([parse_column(body, 0, int, "a node id"),
+                      parse_column(body, 1, int, "a node id")]).T
+    negative = (ends < 0).any(axis=1)
+    above = (ends > MAX_NODE_ID).any(axis=1)
+    bad = negative | above | (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        lineno, fields = body[i]
+        if not (negative[i] or above[i]):
+            raise SelfLoopError(f"line {lineno}: self-loop at node {ends[i, 0]}")
+        what = "negative node id" if negative[i] else f"node id above {MAX_NODE_ID}"
+        raise ParseError(f"line {lineno}: {what} in {' '.join(fields)!r}")
+    ends = ends.astype(np.int64)
+    graph = graph_from_edges(int(ends.max()) + 1, ends)
+    if graph.num_edges < len(ends):
+        warnings.warn(f"collapsed {len(ends) - graph.num_edges} duplicate edge mentions")
     return graph
 
 
@@ -241,101 +235,136 @@ def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Feature / label CSV formats
+# Text tables: the one row reader and node-id check behind every loader
 # ---------------------------------------------------------------------------
+
+def table_rows(stream: IO[str], width: Optional[int] = None,
+               sep: Optional[str] = ",") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each row of a text table, under the
+    row rules of every input file: lines are numbered from 1 and stripped,
+    blank lines and lines starting with '#' are skipped, and every other
+    line splits on `sep` (None: runs of whitespace) into exactly `width`
+    fields, or a ParseError names its line. With `width` None the first
+    row, a CSV header, sets it; callers take the header with `next` and
+    check it before reading on."""
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split(sep)
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, got {line!r}")
+        yield lineno, fields
+
+
+def parse_column(body: Sequence[tuple[int, list[str]]], col: int, convert: Callable,
+                 what: str) -> list:
+    """convert(fields[col]) for every row; a field that convert rejects
+    with ValueError raises a ParseError naming its line."""
+    values: list = []
+    try:
+        values.extend(map(convert, [fields[col] for _, fields in body]))
+    except ValueError:
+        # extend keeps the values converted before the failure, so their
+        # count is the index of the bad row
+        lineno, fields = body[len(values)]
+        raise ParseError(f"line {lineno}: {fields[col]!r} is not {what}") from None
+    return values
+
+
+def int_array(values: list[int]) -> np.ndarray:
+    """int64 array of `values`, or an object array when one is outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def node_ids(body: Sequence[tuple[int, list[str]]], num_nodes: int,
+             require_all: bool = False) -> np.ndarray:
+    """The first column of a node table as int64 ids, under the id rules
+    of every node table: each id is an integer in 0..num_nodes-1, listed
+    at most once, and with `require_all` every node is listed. The first
+    line that breaks a rule is named in a ParseError."""
+    ids = int_array(parse_column(body, 0, int, "a node id"))
+    outside = (ids < 0) | (ids >= num_nodes)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ParseError(f"line {body[i][0]}: node {ids[i]} out of range")
+    ids = ids.astype(np.int64)
+    _, first = np.unique(ids, return_index=True)
+    if len(first) < len(ids):
+        repeat = np.ones(len(ids), dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))
+        raise ParseError(f"line {body[i][0]}: node {ids[i]} listed twice")
+    if require_all and len(ids) < num_nodes:
+        raise ParseError(f"no row for node {np.setdiff1d(np.arange(num_nodes), ids)[0]}")
+    return ids
+
 
 def load_features_csv(stream: IO[str], num_nodes: int) -> np.ndarray:
     """Read `node,f0,f1,...` rows into an (num_nodes, d) array.
 
-    Every node 0..num_nodes-1 is listed once, in any order, with finite
-    values. Malformed input raises a ParseError naming the line or node.
+    Rows follow `table_rows` and the ids `node_ids`; every node is listed,
+    in any order, with finite values.
     """
-    header = stream.readline().strip()
-    cols = header.split(",")
-    if not cols or cols[0] != "node":
-        raise ParseError(f"feature header must start with 'node', got {header!r}")
-    d = len(cols) - 1
-    x = np.zeros((num_nodes, d))
-    seen = np.zeros(num_nodes, dtype=bool)
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ParseError(f"line {lineno}: expected {d + 1} fields")
-        try:
-            u = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad numeric token") from None
-        if not (0 <= u < num_nodes):
-            raise ParseError(f"line {lineno}: node {u} out of range")
-        if seen[u]:
-            raise ParseError(f"line {lineno}: node {u} listed twice")
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError(f"line {lineno}: non-finite feature value")
-        x[u] = vals
-        seen[u] = True
-    if not seen.all():
-        raise ParseError(f"features missing for node {int(np.flatnonzero(~seen)[0])}")
-    return x
+    rows = table_rows(stream)
+    header = next(rows, (0, [""]))[1]
+    if header[0] != "node":
+        raise ParseError(f"feature header must start with 'node', got {','.join(header)!r}")
+    body = list(rows)
+    nodes = node_ids(body, num_nodes, require_all=True)
+    values = np.array([parse_column(body, j, float, "a number")
+                       for j in range(1, len(header))]).T.reshape(len(body), len(header) - 1)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"line {body[int(np.argmin(finite))][0]}: non-finite feature value")
+    return values[np.argsort(nodes)]   # every node listed once: a permutation
 
 
 _SPLITS = ("train", "val", "test", "none")
 
 
+def _label(token: str) -> int:
+    """A label field: empty for an unlabeled node, else a class id in [0, 2**63)."""
+    label = int(token) if token else UNLABELED
+    if token and not 0 <= label < 2**63:
+        raise ValueError(token)
+    return label
+
+
 def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
     """Read `node,label,split` rows into a NodeData.
 
-    Each node is listed at most once; unlisted nodes are unlabeled and in
-    no split, and a node in a split needs a label. Malformed input raises
-    a ParseError naming the line.
+    Rows follow `table_rows` and the ids `node_ids`; unlisted nodes are
+    unlabeled and in no split, and a node in a split needs a label.
     """
-    header = stream.readline().strip()
+    rows = table_rows(stream)
+    header = ",".join(next(rows, (0, []))[1])
     if header != "node,label,split":
         raise ParseError(f"label header must be 'node,label,split', got {header!r}")
-    labels = np.full(num_nodes, UNLABELED, dtype=np.int64)
-    masks = {s: np.zeros(num_nodes, dtype=bool) for s in _SPLITS[:3]}
-    seen = np.zeros(num_nodes, dtype=bool)
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields")
-        try:
-            u = int(parts[0])
-            lab = UNLABELED if parts[1] == "" else int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad integer token") from None
-        if parts[1] != "" and lab < 0:
-            raise ParseError(f"line {lineno}: negative label {lab}; "
-                             "leave the field empty for an unlabeled node")
-        if lab >= 2**63:
-            raise ParseError(f"line {lineno}: label {lab} does not fit in int64")
-        split = parts[2]
-        if split not in _SPLITS:
-            raise ParseError(f"line {lineno}: unknown split {split!r}")
-        if not (0 <= u < num_nodes):
-            raise ParseError(f"line {lineno}: node {u} out of range")
-        if seen[u]:
-            raise ParseError(f"line {lineno}: node {u} listed twice")
-        if split != "none" and lab == UNLABELED:
-            raise ParseError(f"line {lineno}: node {u} is in split {split!r} "
-                             "but has no label")
-        seen[u] = True
-        labels[u] = lab
-        if split != "none":
-            masks[split][u] = True
-    return NodeData(
-        num_nodes=num_nodes,
-        labels=labels,
-        train_mask=masks["train"],
-        val_mask=masks["val"],
-        test_mask=masks["test"],
-    )
+    body = list(rows)
+    nodes = node_ids(body, num_nodes)
+    labels = np.array(parse_column(
+        body, 1, _label, "a label: a class id in [0, 2**63), or empty for none"),
+        dtype=np.int64)
+    splits = np.array(parse_column(body, 2, _SPLITS.index, f"one of the splits {_SPLITS}"),
+                      dtype=np.int64)
+    none = _SPLITS.index("none")
+    unlabeled = (splits != none) & (labels == UNLABELED)
+    if unlabeled.any():
+        i = int(np.argmax(unlabeled))
+        raise ParseError(f"line {body[i][0]}: node {nodes[i]} is in split "
+                         f"{_SPLITS[splits[i]]!r} but has no label")
+    node_labels = np.full(num_nodes, UNLABELED, dtype=np.int64)
+    node_labels[nodes] = labels
+    node_split = np.full(num_nodes, none)
+    node_split[nodes] = splits
+    return NodeData(num_nodes=num_nodes, labels=node_labels, train_mask=node_split == 0,
+                    val_mask=node_split == 1, test_mask=node_split == 2)
 
 
 def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:

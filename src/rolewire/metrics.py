@@ -24,7 +24,7 @@ from .graph import (
     PERCENTILE_GRID, Graph, NodeData, UNLABELED, degree_percentile, is_connected,
     one_hot_labels,
 )
-from .partition import refine_eps_be
+from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
 from .spectral import srl_report
 
@@ -222,15 +222,15 @@ def evaluate_candidates(
     data: NodeData,
     variant: Variant = Variant.REP_NODES,
 ) -> list[EpsCandidate]:
-    """Score the percentile grid: one rewiring and one report per distinct
-    partition.
+    """Score the percentile grid: one refinement per distinct ε, and one
+    rewiring and one report per distinct partition.
 
-    Neighbouring tolerances often refine to the same partition, and a
-    rewiring's scores depend on the partition alone, not on the ε that
-    produced it. Partitions are canonical, so equal ones have equal label
-    arrays, and each distinct one is rewired and scored once; every grid
-    entry keeps its own percentile, ε and k. Each rewiring (and its dense
-    shift) is released before the next is built.
+    Neighbouring percentiles often give the same ε, and neighbouring
+    tolerances often refine to the same partition, whose scores do not
+    depend on the ε that produced it. Partitions are canonical, so equal
+    ones have equal label arrays. Every grid entry keeps its own
+    percentile, ε and k. Each rewiring (and its dense shift) is released
+    before the next is built.
 
     Label information is restricted to the training mask throughout, both
     for the role energies and for the two-hop similarity.
@@ -238,11 +238,14 @@ def evaluate_candidates(
     if variant is Variant.MASTER_NODE:
         raise ValueError("the master-node variant has no tolerance to select")
     y = one_hot_labels(data.labels, data.train_mask)
+    partitions: dict[float, Partition] = {}
     scores: dict[bytes, tuple[float, float, float]] = {}
     candidates = []
     for p in PERCENTILE_GRID:
         eps = degree_percentile(graph, p)
-        part = refine_eps_be(graph, eps)
+        if eps not in partitions:
+            partitions[eps] = refine_eps_be(graph, eps)
+        part = partitions[eps]
         key = part.block_of.tobytes()
         if key not in scores:
             scores[key] = _partition_scores(

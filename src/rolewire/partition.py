@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyGraphError, ParseError
-from .graph import Graph
+from .graph import Graph, int_array, node_ids, parse_column, table_rows
 
 __all__ = [
     "Partition",
@@ -240,40 +240,24 @@ def dump_partition_csv(partition: Partition, stream: IO[str]) -> None:
 def load_partition_csv(stream: IO[str]) -> Partition:
     """Read `node,block` rows back into a Partition.
 
-    The node ids must be 0..n-1, each listed once in any order. Malformed
-    input raises an InputError subclass naming the line or node.
+    Rows follow `graph.table_rows` and the ids `graph.node_ids`, with n
+    the row count: every node 0..n-1 is listed once, in any order, and
+    block ids fit in int64.
     """
-    header = stream.readline().strip()
+    rows = table_rows(stream)
+    header = ",".join(next(rows, (0, []))[1])
     if header != "node,block":
         raise ParseError(f"partition header must be 'node,block', got {header!r}")
-    pairs = []
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields, got {line!r}")
-        try:
-            u, block = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
-        if not -2**63 <= block < 2**63:
-            raise ParseError(f"line {lineno}: block id {block} does not fit in int64")
-        pairs.append((u, block))
-    if not pairs:
+    body = list(rows)
+    if not body:
         raise EmptyGraphError("partition lists no nodes")
-    pairs.sort()
-    nodes = [u for u, _ in pairs]
-    if nodes[0] < 0:
-        raise ParseError(f"negative node id {nodes[0]}")
-    for u, nxt in zip(nodes, nodes[1:]):
-        if u == nxt:
-            raise ParseError(f"node {u} listed twice")
-    for expected, u in enumerate(nodes):
-        if u != expected:
-            raise ParseError(f"node {expected} missing from partition")
-    return Partition.from_assignment([b for _, b in pairs])
+    nodes = node_ids(body, len(body), require_all=True)
+    blocks = int_array(parse_column(body, 1, int, "a block id"))
+    wide = (blocks < -2**63) | (blocks >= 2**63)
+    if wide.any():
+        i = int(np.argmax(wide))
+        raise ParseError(f"line {body[i][0]}: block id {blocks[i]} does not fit in int64")
+    return Partition.from_assignment(blocks[np.argsort(nodes)])
 
 
 def dump_quotient_csv(pair: QuotientPair, eps: float, stream: IO[str]) -> None:

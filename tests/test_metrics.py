@@ -349,6 +349,26 @@ class TestDistinctPartitions:
         evaluate_candidates(graph, grid_data(graph))
         assert len(calls) == distinct
 
+    @pytest.mark.parametrize("name,graph,distinct", CASES, ids=[c[0] for c in CASES])
+    def test_one_refinement_per_distinct_eps(self, monkeypatch, name, graph, distinct):
+        grid_eps = [degree_percentile(graph, p) for p in PERCENTILE_GRID]
+        calls = []
+        original = metrics.refine_eps_be
+
+        def counting(graph, eps):
+            calls.append(eps)
+            return original(graph, eps)
+
+        monkeypatch.setattr(metrics, "refine_eps_be", counting)
+        got = evaluate_candidates(graph, grid_data(graph))
+        assert calls == list(dict.fromkeys(grid_eps))
+        assert [c.eps for c in got] == grid_eps
+
+    def test_tree_grid_repeats_two_tolerances(self):
+        """On a balanced binary tree, percentiles 25/50 and 75/100 share an ε."""
+        graph = make_graph("tree", 1023)
+        assert [degree_percentile(graph, p) for p in PERCENTILE_GRID] == [0, 1, 1, 3, 3]
+
 
 class TestPearson:
     def test_perfect_line(self):

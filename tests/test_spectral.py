@@ -9,13 +9,14 @@ then evaluates the lift formula symbol by symbol.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from rolewire import spectral
-from rolewire.errors import EmptyLabelsError, NonSymmetricError
+from rolewire.errors import EmptyLabelsError, InputError, NonSymmetricError
 from rolewire.generators import (FAMILIES, assign_splits, eccentricity_labels, make_dataset,
                                  make_graph)
-from rolewire.graph import PERCENTILE_GRID, NodeData, degree_percentile, one_hot_labels
+from rolewire.graph import (PERCENTILE_GRID, NodeData, degree_percentile, graph_from_edges,
+                            one_hot_labels)
 from rolewire.metrics import evaluate_candidates
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
@@ -510,6 +511,32 @@ class TestSrlPipeline:
         _, rg, y = labeled_case(star4, 0, Variant.REP_NODES)
         with pytest.raises(ValueError, match="rows"):
             srl_report(rg, y[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), n=st.sampled_from([12, 20, 31]),
+           seed=st.integers(0, 2),
+           variant=st.sampled_from([Variant.FULL, Variant.REP_NODES, Variant.REP_EDGES]),
+           data=st.data())
+    def test_relabelling_leaves_the_report_unchanged(self, family, n, seed, variant, data):
+        """At ε = 0 the partition is a graph invariant, so renaming the nodes
+        (node u becomes perm[u], its label row moving with it) leaves k, srl
+        and rho unchanged. The per-role rows may permute or rotate inside a
+        repeated eigenvalue, so they are not compared."""
+        try:
+            graph, labels = make_dataset(family, n, seed=seed)
+        except InputError:                  # a ladder needs an even n
+            reject()
+        y = one_hot_labels(labels.labels, labels.train_mask)
+        perm = np.array(data.draw(st.permutations(range(graph.num_nodes))))
+        renamed = graph_from_edges(graph.num_nodes, [(perm[u], perm[v]) for u, v in graph.edges()])
+        y_renamed = np.empty_like(y)
+        y_renamed[perm] = y
+        reports = [srl_report(build_rewired(g, refine_eps_be(g, 0.0), variant), labels_y)
+                   for g, labels_y in ((graph, y), (renamed, y_renamed))]
+        assert reports[0].k == reports[1].k
+        for field in ("srl", "rho"):
+            want, got = (getattr(r, field) for r in reports)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), field
 
 
 class TestShiftOwners:
