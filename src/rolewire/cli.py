@@ -48,12 +48,15 @@ from .graph import (
     degree_percentile,
     dump_edge_list,
     dump_labels_csv,
+    fixed,
     load_edge_list,
     load_features_csv,
     load_labels_csv,
     one_hot_labels,
     parse_column,
     table_rows,
+    write_meta,
+    write_table,
 )
 from .metrics import (
     dump_candidates_csv,
@@ -249,12 +252,6 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _write_meta(path: Path, entries: dict) -> None:
-    with open(path, "w") as fh:
-        for key, val in entries.items():
-            fh.write(f"{key}={val}\n")
-
-
 def _remap_repr(remap: dict[int, int]) -> str:
     if all(old == new for old, new in remap.items()):
         return "identity"
@@ -296,7 +293,7 @@ def _run_gen(ns) -> int:
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
             "classes": ns.classes}
     if ns.family == "er":
-        meta["p"] = repr(ns.p)
+        meta["p"] = ns.p
     if data is not None:
         kept = np.fromiter(remap, dtype=np.int64)
         data = NodeData(num_nodes=len(kept), labels=data.labels[kept],
@@ -304,7 +301,8 @@ def _run_gen(ns) -> int:
                         test_mask=data.test_mask[kept])
         with open(out / "labels.csv", "w") as fh:
             dump_labels_csv(data, fh)
-    _write_meta(out / "meta.txt", meta)
+    with open(out / "meta.txt", "w") as fh:
+        write_meta(fh, meta)
     return 0
 
 
@@ -318,11 +316,9 @@ def _run_partition(ns) -> int:
         dump_partition_csv(part, fh)
     with open(out / "quotient.csv", "w") as fh:
         dump_quotient_csv(qp, eps, fh)
-    _write_meta(out / "meta.txt", {
-        "n": graph.num_nodes, "k": part.k, "eps": repr(eps),
-        "percentile": perc if perc is not None else "",
-        "residual": repr(qp.residual), "remap": _remap_repr(remap),
-    })
+    with open(out / "meta.txt", "w") as fh:
+        write_meta(fh, {"n": graph.num_nodes, "k": part.k, "eps": eps, "percentile": perc,
+                        "residual": qp.residual, "remap": _remap_repr(remap)})
     return 0
 
 
@@ -340,11 +336,10 @@ def _run_rewire(ns) -> int:
         dump_augmented_features_csv(x, graph.num_nodes, rewired.partition.k, fh)
     with open(out / "partition.csv", "w") as fh:
         dump_partition_csv(rewired.partition, fh)
-    _write_meta(out / "meta.txt", {
-        "n": graph.num_nodes, "k": rewired.partition.k, "variant": rewired.variant.value,
-        "eps": repr(rewired.eps), "percentile": perc if perc is not None else "",
-        "residual": repr(rewired.residual), "remap": _remap_repr(remap),
-    })
+    with open(out / "meta.txt", "w") as fh:
+        write_meta(fh, {"n": graph.num_nodes, "k": rewired.partition.k,
+                        "variant": ns.variant, "eps": rewired.eps, "percentile": perc,
+                        "residual": rewired.residual, "remap": _remap_repr(remap)})
     return 0
 
 
@@ -373,27 +368,22 @@ def _run_select_eps(ns) -> int:
             dump_candidates_csv(candidates, chosen, fh)
     else:
         dump_candidates_csv(candidates, chosen, sys.stdout)
-    print(f"selected percentile={chosen.percentile} eps={chosen.eps:.6f} "
-          f"k={chosen.k} srl_star={chosen.srl_star:.6f}")
+    print(f"selected percentile={chosen.percentile} eps={fixed(chosen.eps)} "
+          f"k={chosen.k} srl_star={fixed(chosen.srl_star)}")
     return 0
 
 
 def _run_effres(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    baseline = mean_effective_resistance(graph.adjacency)
-    lines = [("baseline", baseline)]
+    rows = [("baseline", fixed(mean_effective_resistance(graph.adjacency)))]
     if ns.variant is not None:
         rewired, _ = _rewiring(graph, ns)
-        lines.append(("rewired", mean_effective_resistance(
-            rewired.adjacency, origin_count=graph.num_nodes)))
-    for name, value in lines:
-        print(f"{name} {value:.6f}")
+        rows.append(("rewired", fixed(mean_effective_resistance(
+            rewired.adjacency, origin_count=graph.num_nodes))))
+    write_table(sys.stdout, None, rows, sep=" ")
     if ns.out is not None:
-        out = _outdir(ns.out)
-        with open(out / "effres.csv", "w") as fh:
-            fh.write("which,value\n")
-            for name, value in lines:
-                fh.write(f"{name},{value:.6f}\n")
+        with open(_outdir(ns.out) / "effres.csv", "w") as fh:
+            write_table(fh, "which,value", rows)
     return 0
 
 
@@ -405,13 +395,12 @@ def _run_ts_sim(ns) -> int:
         graphs, variant, ns.percentiles, config, d_out=ns.classes)
     out = _outdir(ns.out)
     with open(out / "ts.csv", "w") as fh:
-        fh.write("dataset,variant,percentile,eps,srl,mse,seed\n")
-        cells = product(ns.families, ns.percentiles)
-        for (fam, perc), res in zip(cells, results):
-            fh.write(f"{fam},{variant.value},{perc},{res.eps:.6f},"
-                     f"{res.srl:.6f},{res.mse_final:.6f},{res.seed}\n")
-        fh.write(f"# pearson={corr:.6f}\n")
-    print(f"pearson {corr:.6f}")
+        write_table(fh, "dataset,variant,percentile,eps,srl,mse,seed", (
+            [fam, variant.value, str(perc), fixed(res.eps), fixed(res.srl),
+             fixed(res.mse_final), str(res.seed)]
+            for (fam, perc), res in zip(product(ns.families, ns.percentiles), results)),
+            footer=[("pearson", corr)])
+    print("pearson", fixed(corr))
     return 0
 
 
@@ -451,14 +440,12 @@ def _run_srl_correlate(ns) -> int:
     if len(shared) < 2:
         raise InputError("need at least two shared percentiles to correlate")
     corr = pearson([scores[p] for p in shared], [accuracies[p] for p in shared])
-    print(f"pearson {corr:.6f}")
+    print("pearson", fixed(corr))
     if ns.out is not None:
-        out = _outdir(ns.out)
-        with open(out / "correlation.csv", "w") as fh:
-            fh.write("percentile,srl_star,accuracy\n")
-            for p in shared:
-                fh.write(f"{p},{scores[p]:.6f},{accuracies[p]:.6f}\n")
-            fh.write(f"# pearson={corr:.6f}\n")
+        with open(_outdir(ns.out) / "correlation.csv", "w") as fh:
+            write_table(fh, "percentile,srl_star,accuracy",
+                        ([str(p), fixed(scores[p]), fixed(accuracies[p])] for p in shared),
+                        footer=[("pearson", corr)])
     return 0
 
 

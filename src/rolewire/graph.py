@@ -4,7 +4,7 @@ Graphs are simple (no self-loops, no multi-edges), undirected and
 unweighted, stored in compressed sparse form: row offsets plus sorted
 neighbor lists. Node ids are dense 0-based integers.
 
-File formats (their rows follow `table_rows`, their node ids `node_ids`)
+File formats (read through `table_rows`, written through `write_table`)
 ------------------------------------------------------------------------
 edge list : plain text, one "u v" pair per line
 features  : CSV with header "node,f0,f1,...", one row per node
@@ -18,7 +18,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,9 @@ __all__ = [
     "load_features_csv",
     "load_labels_csv",
     "dump_labels_csv",
+    "fixed",
+    "write_table",
+    "write_meta",
     "one_hot_labels",
     "PERCENTILE_GRID",
     "degree_percentile",
@@ -101,11 +104,10 @@ class Graph:
             shape=(n, n))
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u in range(self.num_nodes):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        """Each undirected edge once, as (u, v) with u < v, rows ascending."""
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def dense_adjacency(self) -> np.ndarray:
         """Dense float64 copy of `adjacency`, for tests; the library never calls it."""
@@ -161,8 +163,7 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if num_nodes < 1:
         raise EmptyGraphError("graph must have at least one node")
-    rows = edges if isinstance(edges, np.ndarray) else list(edges)
-    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    pairs = int_array(edges if isinstance(edges, np.ndarray) else list(edges)).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     bad = (u == v) | (u < 0) | (u >= num_nodes) | (v < 0) | (v >= num_nodes)
     if bad.any():
@@ -171,6 +172,7 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if bu == bv:
             raise SelfLoopError(f"self-loop at node {bu}")
         raise ParseError(f"edge ({bu},{bv}) outside node range 0..{num_nodes - 1}")
+    u, v = u.astype(np.int64), v.astype(np.int64)
     keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
     rows, indices = np.divmod(keys, num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -211,8 +213,7 @@ def load_edge_list(stream: IO[str]) -> Graph:
 
 def dump_edge_list(graph: Graph, stream: IO[str]) -> None:
     """Write the canonical edge list: one "u v" line per edge, u < v."""
-    for u, v in graph.edges():
-        stream.write(f"{u} {v}\n")
+    write_table(stream, None, (map(str, edge) for edge in graph.edges()), sep=" ")
 
 
 def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
@@ -235,8 +236,32 @@ def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Text tables: the one row reader and node-id check behind every loader
+# Text tables: the one reader and the one writer behind every file
 # ---------------------------------------------------------------------------
+
+def fixed(value: float) -> str:
+    """The one number format of every output table: six decimals."""
+    return f"{value:.6f}"
+
+
+def write_table(stream: IO[str], header: Optional[str], rows: Iterable[Iterable[str]],
+                footer: Iterable[tuple[str, float]] = (), sep: str = ",") -> None:
+    """Write the `header` line (unless None), each row's string cells
+    joined by `sep` (numbers become cells through `fixed` or `str`), then
+    a `# key=value` line per footer entry, its value a `fixed` cell."""
+    if header is not None:
+        stream.write(header + "\n")
+    stream.writelines(sep.join(row) + "\n" for row in rows)
+    stream.writelines(f"# {key}={fixed(value)}\n" for key, value in footer)
+
+
+def write_meta(stream: IO[str], entries: Mapping[str, object]) -> None:
+    """Write a `key=value` line per entry: a float as `repr(float(v))`, which
+    reads back exactly (never `np.float64(...)`), None as empty, else `str`."""
+    for key, v in entries.items():
+        v = "" if v is None else repr(float(v)) if isinstance(v, float) else v
+        stream.write(f"{key}={v}\n")
+
 
 def table_rows(stream: IO[str], width: Optional[int] = None,
                sep: Optional[str] = ",") -> Iterator[tuple[int, list[str]]]:
@@ -368,18 +393,11 @@ def load_labels_csv(stream: IO[str], num_nodes: int) -> NodeData:
 
 
 def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:
-    stream.write("node,label,split\n")
-    for u in range(data.num_nodes):
-        if data.train_mask[u]:
-            split = "train"
-        elif data.val_mask[u]:
-            split = "val"
-        elif data.test_mask[u]:
-            split = "test"
-        else:
-            split = "none"
-        lab = "" if data.labels[u] == UNLABELED else str(int(data.labels[u]))
-        stream.write(f"{u},{lab},{split}\n")
+    """Write a `node,label,split` row per node; an unlabeled node's label is empty."""
+    splits = np.select([data.train_mask, data.val_mask, data.test_mask], _SPLITS[:3], "none")
+    labels = ["" if label == UNLABELED else str(label) for label in data.labels.tolist()]
+    write_table(stream, "node,label,split",
+                zip(map(str, range(data.num_nodes)), labels, splits.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +443,17 @@ def degree_percentile(graph: Graph, p: int) -> float:
 
 def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
     """Unweighted BFS distances from source; unreachable nodes get -1."""
-    n = len(indptr) - 1
-    dist = np.full(n, -1, dtype=np.int64)
+    starts, neighbors = indptr.tolist(), indices.tolist()   # the loop reads Python ints
+    dist = [-1] * (len(starts) - 1)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in indices[indptr[u]:indptr[u + 1]]:
+        for v in neighbors[starts[u]:starts[u + 1]]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
+                queue.append(v)
+    return np.array(dist, dtype=np.int64)
 
 
 def is_connected(graph: Graph) -> bool:

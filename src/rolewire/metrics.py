@@ -21,8 +21,8 @@ from .errors import (
     NumericError,
 )
 from .graph import (
-    PERCENTILE_GRID, Graph, NodeData, UNLABELED, degree_percentile, is_connected,
-    one_hot_labels,
+    PERCENTILE_GRID, Graph, NodeData, UNLABELED, bfs_distances, degree_percentile, fixed,
+    one_hot_labels, write_table,
 )
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
@@ -71,7 +71,7 @@ def mean_effective_resistance(
     solve, so no dense m x m matrix is formed.
     """
     pattern = _loopless_pattern(adjacency)
-    if not is_connected(Graph(indptr=pattern.indptr, indices=pattern.indices)):
+    if (bfs_distances(pattern.indptr, pattern.indices, 0) < 0).any():
         raise DisconnectedError("effective resistance needs a connected graph")
     m = adjacency.shape[0]
     span = m if origin_count is None else origin_count
@@ -274,13 +274,10 @@ def dump_candidates_csv(
     chosen: EpsCandidate,
     stream: IO[str],
 ) -> None:
-    stream.write("percentile,eps,k,srl,rho,ncs2,srl_star,selected\n")
-    for c in candidates:
-        sel = 1 if c.percentile == chosen.percentile else 0
-        stream.write(
-            f"{c.percentile},{c.eps:.6f},{c.k},{c.srl:.6f},{c.rho:.6f},"
-            f"{c.ncs2:.6f},{c.srl_star:.6f},{sel}\n"
-        )
+    write_table(stream, "percentile,eps,k,srl,rho,ncs2,srl_star,selected", (
+        [str(c.percentile), fixed(c.eps), str(c.k), fixed(c.srl), fixed(c.rho),
+         fixed(c.ncs2), fixed(c.srl_star), str(int(c.percentile == chosen.percentile))]
+        for c in candidates))
 
 
 # ---------------------------------------------------------------------------

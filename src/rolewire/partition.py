@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyGraphError, ParseError
-from .graph import Graph, int_array, node_ids, parse_column, table_rows
+from .graph import Graph, fixed, int_array, node_ids, parse_column, table_rows, write_table
 
 __all__ = [
     "Partition",
@@ -232,9 +232,8 @@ def color_refinement_oracle(graph: Graph) -> Partition:
 # ---------------------------------------------------------------------------
 
 def dump_partition_csv(partition: Partition, stream: IO[str]) -> None:
-    stream.write("node,block\n")
-    for u in range(partition.num_nodes):
-        stream.write(f"{u},{int(partition.block_of[u])}\n")
+    write_table(stream, "node,block", zip(map(str, range(partition.num_nodes)),
+                                          map(str, partition.block_of.tolist())))
 
 
 def load_partition_csv(stream: IO[str]) -> Partition:
@@ -261,11 +260,16 @@ def load_partition_csv(stream: IO[str]) -> Partition:
 
 
 def dump_quotient_csv(pair: QuotientPair, eps: float, stream: IO[str]) -> None:
-    stream.write(f"# eps={eps:.6f} residual={pair.residual:.6f}\n")
+    """Write Q as k dense rows; only its stored entries are formatted."""
     q = pair.Q
-    for i in range(q.shape[0]):
-        row = ["0.000000"] * q.shape[1]
-        lo, hi = q.indptr[i], q.indptr[i + 1]
-        for j, v in zip(q.indices[lo:hi].tolist(), q.data[lo:hi].tolist()):
-            row[j] = f"{v:.6f}"
-        stream.write(",".join(row) + "\n")
+    starts, columns, values = q.indptr.tolist(), q.indices.tolist(), q.data.tolist()
+    zero = fixed(0.0)
+
+    def row(i: int) -> list[str]:
+        cells = [zero] * q.shape[1]
+        for at in range(starts[i], starts[i + 1]):
+            cells[columns[at]] = fixed(values[at])
+        return cells
+
+    write_table(stream, f"# eps={fixed(eps)} residual={fixed(pair.residual)}",
+                map(row, range(q.shape[0])))

@@ -32,13 +32,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
-from .graph import Graph
+from .graph import Graph, fixed, write_meta, write_table
 from .partition import Partition, membership_matrix, quotient
 
 __all__ = [
@@ -165,13 +166,12 @@ def build_rewired(
 def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -> None:
     coo = sp.triu(rg.adjacency, k=0).tocoo()   # k=0: virtual self-loop weights survive
     order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        edge_stream.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.6f}\n")
-    meta_stream.write(f"n={rg.origin_count}\n")
-    meta_stream.write(f"k={rg.virtual_count}\n")
-    meta_stream.write(f"variant={rg.variant.value}\n")
-    meta_stream.write(f"eps={rg.eps!r}\n")
-    meta_stream.write(f"residual={rg.residual!r}\n")
+    write_table(edge_stream, None, zip(map(str, coo.row[order].tolist()),
+                                       map(str, coo.col[order].tolist()),
+                                       map(fixed, coo.data[order].tolist())), sep=" ")
+    write_meta(meta_stream, {"n": rg.origin_count, "k": rg.virtual_count,
+                             "variant": rg.variant.value, "eps": rg.eps,
+                             "residual": rg.residual})
 
 
 def dump_augmented_features_csv(x: Optional[np.ndarray], n: int, k: int,
@@ -180,14 +180,13 @@ def dump_augmented_features_csv(x: Optional[np.ndarray], n: int, k: int,
 
     The bytes are those of formatting every cell of the dense array, but
     only X's own values are formatted: the padding zeros and the virtual
-    nodes' one-hot entries are constant strings.
+    nodes' one-hot entries are constant cells.
     """
     x = _node_features(x, n)
     d = x.shape[1]
-    zero = "0.000000"
-    stream.write("node," + ",".join(f"f{j}" for j in range(d + k)) + "\n")
-    for u, row in enumerate(np.asarray(x, dtype=np.float64).tolist()):
-        stream.write(",".join([str(u)] + [f"{v:.6f}" for v in row] + [zero] * k) + "\n")
-    for j in range(k):
-        stream.write(",".join([str(n + j)] + [zero] * (d + j) + ["1.000000"]
-                              + [zero] * (k - 1 - j)) + "\n")
+    zero, one = fixed(0.0), fixed(1.0)
+    original = ([str(u), *map(fixed, row), *[zero] * k]
+                for u, row in enumerate(np.asarray(x, dtype=np.float64).tolist()))
+    virtual = ([str(n + j), *[zero] * (d + j), one, *[zero] * (k - 1 - j)] for j in range(k))
+    write_table(stream, "node," + ",".join(f"f{j}" for j in range(d + k)),
+                chain(original, virtual))

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyLabelsError, NonSymmetricError
-from .graph import Graph
+from .graph import Graph, fixed, write_table
 from .partition import Partition
 from .rewire import RewiredGraph
 
@@ -45,12 +45,16 @@ __all__ = [
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
-_SYMMETRIZE_BLOCK = 256         # side of the blocks normalized_shift averages in place
 
 
-def _require_symmetric(m: np.ndarray, what: str) -> None:
+def _require_symmetric(m, what: str) -> None:
+    """No entry of m - m^T above 1e-12 * max(1, max |m|); a sparse m, its
+    duplicates summed, is checked on its stored entries."""
+    diff = m - m.T
+    if sp.issparse(m):
+        m, diff = m.data, diff.data
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
+    if np.abs(diff).max(initial=0.0) > 1e-12 * scale:
         raise NonSymmetricError(f"{what} is not symmetric")
 
 
@@ -66,33 +70,28 @@ def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
     is at least 1, so D is invertible without special cases.
 
     The symmetry and sign checks run on the sparse entries, and the
-    result is built in one n x n buffer: A is densified once (from zeros,
-    so an explicit -0.0 weight lands as +0.0, as in A + I), the identity
-    is added on the diagonal, both scalings and the symmetrization act in
-    place, the latter a block pair at a time. The bits are those of
+    result is built in one n x n buffer: B is densified once (from zeros,
+    so an explicit -0.0 weight lands as +0.0, as in A + I) and its dense
+    row sums give D. Off the stored entries, their mirrors and the
+    diagonal, the result is B's zero; on them, (b_ij d_i) d_j is averaged
+    with its mirror and written back. The bits are those of
     (dinv[:, None] * (A + I)) * dinv[None, :] averaged with its transpose.
     """
-    a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    a = sp.coo_matrix(adjacency, dtype=np.float64, copy=True)
     a.sum_duplicates()
-    scale = max(1.0, float(np.abs(a.data).max(initial=0.0)))
-    if np.abs((a - a.T).data).max(initial=0.0) > 1e-12 * scale:
-        raise NonSymmetricError("adjacency is not symmetric")
+    _require_symmetric(a, "adjacency")
     if a.data.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
-    s = a.toarray()
-    n = s.shape[0]
-    s.flat[::n + 1] += 1.0
-    dinv = 1.0 / np.sqrt(s.sum(axis=1))
-    s *= dinv[:, None]
-    s *= dinv[None, :]
-    for lo in range(0, n, _SYMMETRIZE_BLOCK):
-        rows = slice(lo, lo + _SYMMETRIZE_BLOCK)
-        for co in range(lo, n, _SYMMETRIZE_BLOCK):
-            cols = slice(co, co + _SYMMETRIZE_BLOCK)
-            mean = (s[rows, cols] + s[cols, rows].T) / 2.0
-            s[rows, cols] = mean
-            s[cols, rows] = mean.T
-    return s
+    b = a.toarray()
+    n = b.shape[0]
+    b.flat[::n + 1] += 1.0
+    dinv = 1.0 / np.sqrt(b.sum(axis=1))
+    i = np.concatenate([a.row, np.arange(n)])
+    j = np.concatenate([a.col, np.arange(n)])
+    mean = (b[i, j] * dinv[i] * dinv[j] + b[j, i] * dinv[j] * dinv[i]) / 2.0
+    b[i, j] = mean
+    b[j, i] = mean
+    return b
 
 
 def role_basis(partition: Partition) -> np.ndarray:
@@ -372,18 +371,11 @@ def rotated_role_basis(graph: Graph, partition: Partition) -> np.ndarray:
 
 
 def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:
-    stream.write("role,mu_obs,mu_rawr,tau,nu,lambda_plus,delta,omega\n")
-    for j in range(report.k):
-        stream.write(
-            f"{j},{report.mu_obs[j]:.6f},{report.mu_rewired[j]:.6f},"
-            f"{report.tau[j]:.6f},{report.nu[j]:.6f},"
-            f"{report.lambda_plus[j]:.6f},{report.delta[j]:.6f},"
-            f"{report.omega[j]:.6f}\n"
-        )
-    stream.write(f"# rho={report.rho:.6f}\n")
-    stream.write(f"# srl={report.srl:.6f}\n")
-    stream.write(f"# commutator_norm={report.commutator_norm:.6f}\n")
-    stream.write(f"# kappa0={report.kappa0:.6f}\n")
-    stream.write(f"# kappa_max={report.kappa_max:.6f}\n")
-    stream.write(f"# bound_rhs={report.bound_rhs:.6f}\n")
-    stream.write(f"# E_tot={report.e_tot:.6f}\n")
+    columns = (report.mu_obs, report.mu_rewired, report.tau, report.nu,
+               report.lambda_plus, report.delta, report.omega)
+    write_table(stream, "role,mu_obs,mu_rawr,tau,nu,lambda_plus,delta,omega",
+                zip(map(str, range(report.k)), *(map(fixed, c.tolist()) for c in columns)),
+                footer=[("rho", report.rho), ("srl", report.srl),
+                        ("commutator_norm", report.commutator_norm),
+                        ("kappa0", report.kappa0), ("kappa_max", report.kappa_max),
+                        ("bound_rhs", report.bound_rhs), ("E_tot", report.e_tot)])

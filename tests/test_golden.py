@@ -31,6 +31,12 @@ VARIANTS = ("full", "repnodes", "repedges", "mn")
 TREE_FEATURES = "node,f0,f1\n" + "".join(
     f"{u},{u % 3}.0,{(7 * u) % 5 / 4}\n" for u in range(31))
 
+# A one-column table for the same tree with cells at the edges of the
+# six-decimal format: a negative zero, a negative value that rounds to
+# zero, and a value with nine integer digits.
+EDGE_FEATURES = "node,f0\n" + "".join(
+    f"{u},{('-0.0', '-1e-9', '123456789.125')[u % 3]}\n" for u in range(31))
+
 ACCURACY = "percentile,accuracy\n0,0.9\n25,0.8\n50,0.75\n75,0.6\n100,0.5\n"
 
 # (case, argv); "{out}" is the case's output directory, "{tree}"/"{lobster}"
@@ -88,12 +94,22 @@ CASES += [
     ("srl-correlate", ["srl-correlate",
                        "--table", "{root}/select-eps-tree/candidates.csv",
                        "--accuracy", "{root}/accuracy.csv", "--out", "{out}"]),
+    ("gen-er-p", ["gen", "--family", "er", "--n", "30", "--p", "0.15",
+                  "--classes", "3", "--out", "{out}"]),
+    ("gen-grid-no-classes", ["gen", "--family", "grid", "--n", "12", "--out", "{out}"]),
+    ("partition-tree-eps1.5", ["partition", "--graph", "{tree}/graph.txt",
+                               "--eps", "1.5", "--out", "{out}"]),
+    ("rewire-tree-full-edge-features", ["rewire", "--graph", "{tree}/graph.txt",
+                                        "--percentile", "25", "--variant", "full",
+                                        "--features", "{root}/edge-features.csv",
+                                        "--out", "{out}"]),
 ]
 
 
 def run_cases(root: Path) -> dict[str, dict[str, str]]:
     """Run every case in order under `root`; return case -> {file: sha256}."""
     (root / "features.csv").write_text(TREE_FEATURES)
+    (root / "edge-features.csv").write_text(EDGE_FEATURES)
     (root / "accuracy.csv").write_text(ACCURACY)
     dirs = {"root": root, "tree": root / "gen-tree", "lobster": root / "gen-lobster"}
     digests = {}
@@ -397,6 +413,48 @@ GOLDEN: dict[str, dict[str, str]] = {
             "7f9a065436ab2c379d697415e19d15361a19e061933df7a899dd87e97f358bff",
         "correlation.csv":
             "2bd9af020f59195ca315cd384a78bae79143349ad77189e02e2a5a1eaf0bb8b0",
+    },
+    "gen-er-p": {
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "graph.txt":
+            "12bc5ef3cb93900e990a10963c6999bfc7c724987dafa0c3d991bacd72ef48a8",
+        "labels.csv":
+            "a127f12add4d285c6597cd689dc033b425ffa29bed7fcaf31c86cda4f8e9b984",
+        "meta.txt":
+            "5def0d27a6e53a127a8ef5e64787989b943ab77b01691ca065df3ac5f985340e",
+    },
+    "gen-grid-no-classes": {
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "graph.txt":
+            "1e8e04e28cad555cae85ab26718294a543060f67f60c83378f4834f5a2098e38",
+        "meta.txt":
+            "b2e5d94f619c5ed82d19149f2b82eda3d1c4dd0a9fa8948bcca03eadfd7c793d",
+    },
+    "partition-tree-eps1.5": {
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "meta.txt":
+            "6bb9c3b78c3fad14b9809882d0e3cd534f4a0c069458bd3b43988fda6670abd5",
+        "partition.csv":
+            "beda93246fcaab00ce100dc299c14bbeda0a57daf6f735905463d81a719cf71d",
+        "quotient.csv":
+            "60444b7185b6916ae3a1a00da0f96e7453b9d8d8c44298cd09473a32e7add78d",
+    },
+    "rewire-tree-full-edge-features": {
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "features.csv":
+            "43c4d1b7a7d080d48aa416180b6b33a0e1860db17aa94df14655cd0463f3311d",
+        "meta.txt":
+            "eb3dca89f2c58f559c2f911f7e152902ec681b19e02dbe0ee9ef0fd0f400c0bd",
+        "partition.csv":
+            "beda93246fcaab00ce100dc299c14bbeda0a57daf6f735905463d81a719cf71d",
+        "rewired.meta":
+            "660c8bd6ca1bb5d6781f52f232e6b2f04cb6f645abdf74804a365ccd4260e879",
+        "rewired.txt":
+            "a6daeab0ef0db0d016a921b69b658f92766d10a2f42661231f274fae674d44b2",
     },
 }
 

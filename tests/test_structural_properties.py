@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rolewire import generators
 from rolewire.errors import NoEligibleNodesError, ParseError, SelfLoopError
@@ -229,9 +229,11 @@ def graphs(draw, max_nodes=14):
 @st.composite
 def edge_mentions(draw, max_nodes=12):
     """A node count and edge mentions with duplicates, reversals, self-loops
-    and, in one draw of four, ids outside 0..n-1."""
+    and, in one draw of four, ids outside 0..n-1, some outside int64."""
     n = draw(st.integers(1, max_nodes))
-    ids = st.integers(-2, n + 1) if draw(st.integers(0, 3)) == 0 else st.integers(0, n - 1)
+    ids = st.integers(0, n - 1)
+    if draw(st.integers(0, 3)) == 0:
+        ids = st.one_of(st.integers(-2, n + 1), st.sampled_from([-2**63 - 1, -2**63, 2**63]))
     return n, draw(st.lists(st.tuples(ids, ids), max_size=30))
 
 
@@ -393,6 +395,9 @@ def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
 
 @PROPERTY_SETTINGS
 @given(case=edge_mentions())
+@example(case=(5, [(0, 2**63)]))
+@example(case=(5, [(1, 2), (-2**63 - 1, 0)]))
+@example(case=(5, [(-2**63, 3)]))
 def test_graph_from_edges_matches_set_loop(case):
     n, edges = case
     try:
@@ -404,6 +409,16 @@ def test_graph_from_edges_matches_set_loop(case):
         return
     assert_same_graph(graph_from_edges(n, edges), want)
     assert_same_graph(graph_from_edges(n, iter(edges)), want)
+
+
+@PROPERTY_SETTINGS
+@given(graph=graphs(max_nodes=16))
+def test_bfs_distances_match_csgraph_hop_counts(graph):
+    hops = sp.csgraph.shortest_path(graph.adjacency, unweighted=True)
+    want = np.where(np.isinf(hops), -1, hops).astype(np.int64)
+    for u in range(graph.num_nodes):
+        got = bfs_distances(graph.indptr, graph.indices, u)
+        assert got.dtype == np.int64 and np.array_equal(got, want[u])
 
 
 @PROPERTY_SETTINGS
