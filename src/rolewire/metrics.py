@@ -70,8 +70,12 @@ def mean_effective_resistance(
     RESISTANCE_SOLVE_COLUMNS columns at a time, and 1^T X_SS 1 from one
     solve, so no dense m x m matrix is formed.
     """
-    pattern = _loopless_pattern(adjacency)
-    if (bfs_distances(pattern.indptr, pattern.indices, 0) < 0).any():
+    weights = sp.csr_matrix(adjacency, dtype=np.float64)
+    weights = weights - sp.diags(weights.diagonal())     # self-loops carry no current
+    weights.eliminate_zeros()                            # a stored 0.0 is no edge
+    if weights.data.min(initial=0.0) < 0:
+        raise ValueError("adjacency weights must be nonnegative")
+    if (bfs_distances(weights.indptr, weights.indices, 0) < 0).any():
         raise DisconnectedError("effective resistance needs a connected graph")
     m = adjacency.shape[0]
     span = m if origin_count is None else origin_count
@@ -80,9 +84,6 @@ def mean_effective_resistance(
     if span > m:
         raise ValueError(f"origin_count {span} exceeds the graph's {m} nodes")
     from scipy.sparse.linalg import splu   # several MB of RSS; only this function needs it
-
-    weights = sp.csr_matrix(adjacency, dtype=np.float64)
-    weights = weights - sp.diags(weights.diagonal())     # self-loops carry no current
     lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
     grounded = splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A")
     inside = min(span, m - 1)          # nodes of S other than the grounded one
@@ -102,18 +103,6 @@ def mean_effective_resistance(
 # Two-hop class similarity
 # ---------------------------------------------------------------------------
 
-TWO_HOP_CHUNK_NNZ = 1 << 18     # two-walk entries per chunk of centers
-
-
-def _loopless_pattern(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """0/1 int64 CSR of the stored entries off the diagonal."""
-    coo = adjacency.tocoo()
-    off = coo.row != coo.col
-    return sp.csr_matrix(
-        (np.ones(int(off.sum()), dtype=np.int64), (coo.row[off], coo.col[off])),
-        shape=coo.shape)
-
-
 def two_hop_class_similarity(
     graph_or_rewired: Union[Graph, RewiredGraph],
     labels: np.ndarray,
@@ -126,39 +115,48 @@ def two_hop_class_similarity(
     no labels and never contribute). Centers without any labeled two-hop
     neighbor are skipped.
 
-    The exact-distance-2 sets are the pattern of A0[centers] @ A0 minus
-    the first hop and the center, where A0 is the stored pattern without
-    its diagonal. Only eligible columns are formed, and centers go in
-    chunks of about TWO_HOP_CHUNK_NNZ two-walks, so memory stays bounded
-    next to high-degree virtual nodes.
+    A virtual node touches exactly its block's members, so in every
+    variant the originals within two hops of u are B(u) | N(u) | N2(u),
+    and those at exact distance 2 are these less N(u) and u. Here N and N2
+    are hop one and 2-walk ends in the graph A, B(u) is u's block, and a
+    plain graph is its discrete partition. B(u) is counted from
+    per-(block, class) totals, the rest from the pattern of A[u] @ A + A[u],
+    formed for chunks of centers of at most nnz(A) + n two-walks each.
     """
-    pattern = _loopless_pattern(graph_or_rewired.adjacency)
+    if isinstance(graph_or_rewired, RewiredGraph):
+        graph, block_of = graph_or_rewired.graph, graph_or_rewired.partition.block_of
+    else:
+        graph, block_of = graph_or_rewired, np.arange(graph_or_rewired.num_nodes)
     eligible = np.flatnonzero(mask & (labels != UNLABELED))
-    to_eligible = pattern[:, eligible].tocsr()      # A0 restricted to eligible columns
-    eligible_labels = labels[eligible]
-    walks = np.cumsum(pattern[eligible] @ np.diff(to_eligible.indptr))
-    chunks = [np.zeros(0)]
+    block = block_of[eligible]
+    # classes renumbered 0..c-1, so block * c + class cannot overflow
+    classes, cls = np.unique(labels[eligible], return_inverse=True)
+    _, pair, pair_count = np.unique(block * len(classes) + cls,
+                                    return_inverse=True, return_counts=True)
+    to_eligible = graph.adjacency[:, eligible].tocsr()    # loopless 0/1
+    first = to_eligible[eligible].tocoo()                 # N(u), eligible ends only
+    labeled = np.bincount(block)[block] - 1 - np.bincount(first.row, minlength=len(eligible))
+    same = pair_count[pair] - 1 - np.bincount(first.row[cls[first.row] == cls[first.col]],
+                                              minlength=len(eligible))
+    walks = np.cumsum(graph.adjacency[eligible] @ np.diff(to_eligible.indptr))
+    budget = graph.adjacency.nnz + graph.num_nodes
     start = 0
     while start < len(eligible):
         done = walks[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(walks, done + TWO_HOP_CHUNK_NNZ,
-                                                  side="right")))
+        stop = max(start + 1, int(np.searchsorted(walks, done + budget, side="right")))
         centers = eligible[start:stop]
-        reach = pattern[centers] @ to_eligible
-        reach = (reach - reach.multiply(to_eligible[centers])).tocoo()   # drop hop one
-        center = np.arange(start, stop)[reach.row]
-        keep = (reach.data != 0) & (reach.col != center)
-        row, col = reach.row[keep], reach.col[keep]
-        labeled = np.bincount(row, minlength=stop - start)
-        same = np.bincount(row[eligible_labels[col] == eligible_labels[center[keep]]],
-                           minlength=stop - start)
-        hit = labeled > 0
-        chunks.append(same[hit] / labeled[hit])
+        reach = (graph.adjacency[centers] @ to_eligible + to_eligible[centers]).tocoo()
+        row = reach.row + start
+        outside = block[reach.col] != block[row]        # B(u) is counted whole above
+        row, col = row[outside], reach.col[outside]
+        labeled[start:stop] += np.bincount(row - start, minlength=stop - start)
+        same[start:stop] += np.bincount(row[cls[col] == cls[row]] - start,
+                                        minlength=stop - start)
         start = stop
-    fractions = np.concatenate(chunks)
-    if not len(fractions):
+    hit = labeled > 0
+    if not hit.any():
         raise NoEligibleNodesError("no masked labeled node has labeled two-hop neighbors")
-    return float(np.mean(fractions))
+    return float(np.mean(same[hit] / labeled[hit]))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,16 @@ class TestEffectiveResistance:
         with pytest.raises(AssertionError, match="factorized"):
             mean_effective_resistance(path.adjacency)
 
+    def test_stored_zero_weights_are_no_edges(self):
+        zeros = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(2, 2))
+        assert zeros.nnz == 2
+        with pytest.raises(DisconnectedError):
+            mean_effective_resistance(zeros)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mean_effective_resistance(sp.csr_matrix([[0.0, -1.0], [-1.0, 0.0]]))
+
     def test_all_pairs_mode(self, p3):
         part = refine_eps_be(p3, 0)
         rg = build_rewired(p3, part, Variant.REP_NODES)

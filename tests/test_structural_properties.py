@@ -40,7 +40,7 @@ from rolewire.seeding import rng_for
 
 from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
                       mean_effective_resistance_oracle, pairwise_resistance,
-                      two_hop_neighbors)
+                      star_graph, two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -332,8 +332,8 @@ def test_block_degree_rows_sum_to_degrees(graph, eps, seed):
 def labelled(draw):
     graph = draw(graphs())
     n = graph.num_nodes
-    labels = np.array(draw(st.lists(st.integers(UNLABELED, 2), min_size=n, max_size=n)),
-                      dtype=np.int64)
+    labels = np.array(draw(st.lists(st.sampled_from([UNLABELED, 0, 1, 2, 2**63 - 1]),
+                                    min_size=n, max_size=n)), dtype=np.int64)
     mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     return graph, labels, mask
 
@@ -367,15 +367,18 @@ def test_two_hop_matches_reference_on_rewired(case, eps, variant):
     _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
 
 
-def test_two_hop_chunks_do_not_change_the_value(monkeypatch):
-    from rolewire import metrics
-    from rolewire.generators import lobster
-    graph = lobster(60, np.random.default_rng(3))
-    labels = np.arange(graph.num_nodes) % 3
-    mask = np.ones(graph.num_nodes, dtype=bool)
-    whole = two_hop_class_similarity(graph, labels, mask)
-    monkeypatch.setattr(metrics, "TWO_HOP_CHUNK_NNZ", 7)
-    assert two_hop_class_similarity(graph, labels, mask).hex() == whole.hex()
+@pytest.mark.parametrize(
+    "graph", [star_graph(60), generators.lobster(60, np.random.default_rng(3))],
+    ids=["star", "lobster"])
+def test_two_hop_over_several_chunks_matches_reference(graph):
+    n = graph.num_nodes
+    two_walks = int((graph.adjacency @ graph.adjacency).sum())
+    assert two_walks > graph.adjacency.nnz + n      # the chunk budget splits the centers
+    labels = np.arange(n) % 3
+    mask = np.ones(n, dtype=bool)
+    _same_similarity(graph, graph, n, labels, mask)
+    rewired = build_rewired(graph, refine_eps_be(graph, 0.0), Variant.REP_NODES)
+    _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
 
 
 @PROPERTY_SETTINGS
