@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, NodeData, graph_from_edges
+from .graph import Graph, NodeData, bfs_distances, graph_from_edges
 from .seeding import rng_for
 
 __all__ = [
@@ -141,7 +141,7 @@ def make_graph(family: str, n: int, seed: int = 0, p: float = 0.1) -> Graph:
 # Labels and splits
 # ---------------------------------------------------------------------------
 
-ECCENTRICITY_CHUNK = 1 << 18    # bound on per-level (node, source) entries
+ECCENTRICITY_CHUNK = 1 << 18    # bound on per-level (node, source) entries of the batch BFS
 
 
 def _bfs_depths(graph: Graph, sources: np.ndarray) -> np.ndarray:
@@ -175,22 +175,93 @@ def _bfs_depths(graph: Graph, sources: np.ndarray) -> np.ndarray:
     return depth
 
 
+def _induced_lists(graph: Graph, nodes: np.ndarray) -> tuple[list, list]:
+    """CSR lists of the subgraph on `nodes`, sorted whole components; node
+    i of the lists is nodes[i]."""
+    lo = graph.indptr[nodes]
+    span = graph.indptr[nodes + 1] - lo
+    ends = np.cumsum(span)
+    pos = np.arange(ends[-1]) + np.repeat(lo - ends + span, span)
+    return [0] + ends.tolist(), np.searchsorted(nodes, graph.indices[pos]).tolist()
+
+
+def _eccentricities(graph: Graph) -> np.ndarray:
+    """Exact per-component eccentricity of every node, isolated nodes 0.
+
+    Bounds of Takes & Kosters (2013): a BFS from v, with e_v its largest
+    distance, gives every w of v's component
+    max(d_v(w), e_v - d_v(w)) <= ecc(w) <= e_v + d_v(w), and w is settled
+    when the two meet. Per component: a double sweep (BFS from its lowest
+    id r, from a farthest from r, from b farthest from a; lowest id on
+    ties), which settles a tree whole since there ecc(w) = max(d_a(w),
+    d_b(w)); otherwise rounds that alternately sweep the open node with the
+    smallest lower bound and the one with the largest upper bound (higher
+    degree, then lower id, on ties) while the sweeps so far, squared, do
+    not exceed the open count. Nodes still open go to `_bfs_depths` in
+    chunks of about ECCENTRICITY_CHUNK level entries. Sweeps after the
+    first walk the component's own lists, so a graph of many small
+    components does not pay O(n) per sweep.
+    """
+    n = graph.num_nodes
+    degree = graph.degrees()
+    starts, neighbors = graph.indptr.tolist(), graph.indices.tolist()   # once for every BFS
+    ecc = np.zeros(n, dtype=np.int64)
+    seen = degree == 0
+    batch = []
+    for r in range(n):
+        if seen[r]:
+            continue
+        dist = bfs_distances(starts, neighbors, r)
+        comp = np.flatnonzero(dist >= 0)
+        seen[comp] = True
+        lists = (starts, neighbors) if len(comp) == n else _induced_lists(graph, comp)
+        deg = degree[comp]
+        lower = np.zeros(len(comp), dtype=np.int64)
+        upper = np.full(len(comp), len(comp), dtype=np.int64)
+
+        def sweep(d: np.ndarray) -> int:
+            """Tighten the bounds by distances d over comp; return the farthest node."""
+            e = d.max()
+            np.maximum(lower, np.maximum(d, e - d), out=lower)
+            np.minimum(upper, e + d, out=upper)
+            return int(np.argmax(d))
+
+        a = sweep(dist[comp])
+        b = sweep(bfs_distances(*lists, a))
+        if b != 0:                  # else the sweep from b is the one from r
+            sweep(bfs_distances(*lists, b))
+        if deg.sum() // 2 == len(comp) - 1:
+            upper = lower           # a tree: ecc(w) = max(d_a(w), d_b(w)) = lower(w)
+        sweeps, smallest = 2 + (b != 0), True
+        while sweeps * sweeps <= np.count_nonzero(lower < upper):
+            open_ = np.flatnonzero(lower < upper)
+            key = lower[open_] if smallest else -upper[open_]
+            sweep(bfs_distances(*lists, open_[np.lexsort((open_, -deg[open_], key))[0]]))
+            sweeps, smallest = sweeps + 1, not smallest
+        settled = lower == upper
+        ecc[comp[settled]] = lower[settled]
+        batch.append(comp[~settled])
+    sources = np.concatenate(batch) if batch else np.zeros(0, dtype=np.int64)
+    step = max(1, ECCENTRICITY_CHUNK // max(n, len(graph.indices)))
+    for start in range(0, len(sources), step):
+        chunk = sources[start:start + step]
+        ecc[chunk] = _bfs_depths(graph, chunk)
+    return ecc
+
+
 def eccentricity_labels(graph: Graph, num_classes: int) -> np.ndarray:
     """Bin per-component eccentricity into equal-width classes.
 
     A node's eccentricity is its largest finite BFS distance, so isolated
-    nodes get 0. Sources go in chunks so that no level holds more than
-    about ECCENTRICITY_CHUNK entries.
+    nodes get 0. `_eccentricities` computes them exactly from BFS bounds:
+    a tree component takes at most 3 BFS (O(m)) and grids and ladders a
+    handful, while cycles and Erdos-Renyi graphs leave nearly every node
+    open and still cost one BFS per node (O(n·m)).
     """
-    n = graph.num_nodes
-    ecc = np.zeros(n, dtype=np.int64)
-    step = max(1, ECCENTRICITY_CHUNK // max(n, len(graph.indices)))
-    for start in range(0, n, step):
-        sources = np.arange(start, min(start + step, n))
-        ecc[sources] = _bfs_depths(graph, sources)
+    ecc = _eccentricities(graph)
     lo, hi = int(ecc.min()), int(ecc.max())
     if hi == lo:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(graph.num_nodes, dtype=np.int64)
     spread = hi - lo + 1
     return np.minimum(((ecc - lo) * num_classes) // spread,
                       num_classes - 1).astype(np.int64)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -441,19 +440,30 @@ def degree_percentile(graph: Graph, p: int) -> float:
     return float(sorted_degrees[idx])
 
 
-def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int) -> np.ndarray:
-    """Unweighted BFS distances from source; unreachable nodes get -1."""
-    starts, neighbors = indptr.tolist(), indices.tolist()   # the loop reads Python ints
+def bfs_distances(indptr: np.ndarray | list, indices: np.ndarray | list,
+                  source: int) -> np.ndarray:
+    """Unweighted BFS distances from source; unreachable nodes get -1.
+
+    indptr and indices are the CSR arrays, or the same as Python lists: a
+    caller running many BFS on one graph converts them once. Past an O(n)
+    fill, the work is linear in the part of the graph the BFS reaches.
+    """
+    starts = indptr.tolist() if isinstance(indptr, np.ndarray) else indptr
+    neighbors = indices.tolist() if isinstance(indices, np.ndarray) else indices
     dist = [-1] * (len(starts) - 1)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    order = [source]
+    for u in order:                 # order grows as it is read: the FIFO queue
+        du = dist[u] + 1
         for v in neighbors[starts[u]:starts[u + 1]]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return np.array(dist, dtype=np.int64)
+                dist[v] = du
+                order.append(v)
+    if len(order) == len(dist):
+        return np.array(dist, dtype=np.int64)
+    out = np.full(len(dist), -1, dtype=np.int64)   # converts only the reached nodes
+    out[order] = [dist[v] for v in order]
+    return out
 
 
 def is_connected(graph: Graph) -> bool:

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    DimensionMismatchError,
     DisconnectedError,
     NegativeInputError,
     NoEligibleNodesError,
@@ -122,11 +123,16 @@ def two_hop_class_similarity(
     plain graph is its discrete partition. B(u) is counted from
     per-(block, class) totals, the rest from the pattern of A[u] @ A + A[u],
     formed for chunks of centers of at most nnz(A) + n two-walks each.
+    `labels` and `mask` hold one entry per original node.
     """
     if isinstance(graph_or_rewired, RewiredGraph):
         graph, block_of = graph_or_rewired.graph, graph_or_rewired.partition.block_of
     else:
         graph, block_of = graph_or_rewired, np.arange(graph_or_rewired.num_nodes)
+    if len(labels) != graph.num_nodes or len(mask) != graph.num_nodes:
+        raise DimensionMismatchError(
+            f"labels ({len(labels)}) and mask ({len(mask)}) need one entry per "
+            f"original node ({graph.num_nodes})")
     eligible = np.flatnonzero(mask & (labels != UNLABELED))
     block = block_of[eligible]
     # classes renumbered 0..c-1, so block * c + class cannot overflow

@@ -439,6 +439,12 @@ class TestGenPartition:
         assert code == 0, err
         assert stdout.splitlines()[-1].startswith("selected percentile=")
 
+    @pytest.mark.parametrize("family,n", [("grid", 16384), ("tree", 16383)])
+    def test_gen_labels_at_16k(self, tmp_path, family, n):
+        out = tmp_path / family
+        assert run(["gen", "--family", family, "--n", n, "--classes", "3", "--out", out]) == 0
+        assert len((out / "labels.csv").read_text().splitlines()) - 1 == n
+
 
 class TestRewireVerb:
     def test_max_degree_gives_master_node(self, tmp_path, star_files):

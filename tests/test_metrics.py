@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from rolewire.errors import (
+    DimensionMismatchError,
     DisconnectedError,
     NegativeInputError,
     NoEligibleNodesError,
@@ -213,6 +214,17 @@ class TestTwoHopClassSimilarity:
         base = two_hop_class_similarity(g, labels, mask)
         rew = two_hop_class_similarity(rg, labels, mask)
         assert rew > base   # endpoints see each other through their hub
+
+    @pytest.mark.parametrize("rewired", [False, True], ids=["plain", "repnodes"])
+    @pytest.mark.parametrize("wrong", ["labels", "mask"])
+    @pytest.mark.parametrize("length", [5, 9])
+    def test_labels_and_mask_need_one_entry_per_original_node(self, rewired, wrong, length):
+        g = path_graph(6)
+        arrays = {"labels": np.array([0, 1, 1, 1, 1, 0]), "mask": np.ones(6, dtype=bool)}
+        arrays[wrong] = np.resize(arrays[wrong], length)
+        graph = build_rewired(g, refine_eps_be(g, 0), Variant.REP_NODES) if rewired else g
+        with pytest.raises(DimensionMismatchError):
+            two_hop_class_similarity(graph, arrays["labels"], arrays["mask"])
 
     def test_range(self, corpus):
         for _, g in corpus[:10]:

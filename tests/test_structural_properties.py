@@ -130,10 +130,15 @@ def reference_erdos_renyi_edges(n, rng, p):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
+def reference_eccentricities(graph):
+    """Largest BFS distance from every node, one per-source BFS each."""
+    return np.array([bfs_distances(graph.indptr, graph.indices, u).max(initial=0)
+                     for u in range(graph.num_nodes)])
+
+
 def reference_eccentricity_labels(graph, num_classes):
     """Per-source BFS eccentricities, binned as eccentricity_labels does."""
-    ecc = np.array([bfs_distances(graph.indptr, graph.indices, u).max(initial=0)
-                    for u in range(graph.num_nodes)])
+    ecc = reference_eccentricities(graph)
     lo, hi = ecc.min(), ecc.max()
     if hi == lo:
         return np.zeros(graph.num_nodes, dtype=np.int64)
@@ -224,6 +229,25 @@ def graphs(draw, max_nodes=14):
     density = draw(st.sampled_from([0.15, 0.3, 0.6]))
     picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [e for e, x in zip(pairs, picks) if x < density])
+
+
+@st.composite
+def component_unions(draw, max_nodes=60):
+    """Disjoint pieces, each a random tree, a random edge set or both, ids
+    shuffled so that components interleave; some nodes stay isolated."""
+    n = draw(st.integers(1, max_nodes))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        if hi - lo < 2:
+            continue
+        if draw(st.booleans()):
+            edges += [(draw(st.integers(lo, v - 1)), v) for v in range(lo + 1, hi)]
+        ends = st.integers(lo, hi - 1)
+        edges += [(u, v) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=hi - lo))
+                  if u != v]
+    perm = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @st.composite
@@ -388,12 +412,61 @@ def test_eccentricity_labels_match_per_source_bfs(graph, num_classes):
                           reference_eccentricity_labels(graph, num_classes))
 
 
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(sorted(generators.FAMILIES)), n=st.sampled_from([24, 60, 200]),
+       seed=st.integers(0, 3), p=st.sampled_from([0.02, 0.1, 0.3]))
+def test_eccentricities_match_per_source_bfs_on_families(family, n, seed, p):
+    graph = generators.make_graph(family, n, seed=seed, p=p)
+    assert np.array_equal(generators._eccentricities(graph), reference_eccentricities(graph))
+
+
+@PROPERTY_SETTINGS
+@given(graph=component_unions())
+def test_eccentricities_match_per_source_bfs_on_components(graph):
+    assert np.array_equal(generators._eccentricities(graph), reference_eccentricities(graph))
+
+
+@pytest.mark.parametrize("family,n", [("tree", 16383), ("grid", 16384)])
+def test_eccentricities_at_16k_match_batch_bfs_on_a_sample(family, n):
+    graph = generators.make_graph(family, n)
+    sample = np.sort(rng_for(7, 0).choice(n, size=64, replace=False))
+    assert np.array_equal(generators._eccentricities(graph)[sample],
+                          generators._bfs_depths(graph, sample))
+
+
+def _record_batch_chunks(monkeypatch):
+    """Route `_bfs_depths` through a wrapper; the list collects its chunks."""
+    chunks, batch = [], generators._bfs_depths
+
+    def recorded(graph, chunk):
+        chunks.append(chunk.tolist())
+        return batch(graph, chunk)
+    monkeypatch.setattr(generators, "_bfs_depths", recorded)
+    return chunks
+
+
+@pytest.mark.parametrize("family,n,batched", [
+    ("tree", 1023, False), ("grid", 1024, False), ("lobster", 1000, False),
+    ("path", 1024, False), ("ladder", 1000, False), ("cycle", 1000, True)])
+def test_bounds_settle_trees_and_grids_without_the_batch(monkeypatch, family, n, batched):
+    graph = generators.make_graph(family, n)
+    chunks = _record_batch_chunks(monkeypatch)
+    ecc = generators._eccentricities(graph)
+    assert bool(chunks) == batched
+    if batched:     # a cycle's bounds meet only at the swept nodes
+        assert np.array_equal(ecc, np.full(n, n // 2))
+
+
 def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
-    graph = generators.lobster(60, np.random.default_rng(4))
-    whole = eccentricity_labels(graph, 4)
-    monkeypatch.setattr(generators, "ECCENTRICITY_CHUNK", 1)
-    assert np.array_equal(eccentricity_labels(graph, 4), whole)
-    assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
+    for graph in (generators.cycle(60, None), generators.grid(60, None)):
+        whole = eccentricity_labels(graph, 4)
+        chunks = _record_batch_chunks(monkeypatch)
+        monkeypatch.setattr(generators, "ECCENTRICITY_CHUNK", 1)
+        assert np.array_equal(eccentricity_labels(graph, 4), whole)
+        assert 0 < len(chunks) < graph.num_nodes        # the batch ran, on the open nodes only
+        assert all(len(chunk) == 1 for chunk in chunks)
+        assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
+        monkeypatch.undo()
 
 
 @PROPERTY_SETTINGS
