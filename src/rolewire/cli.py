@@ -11,8 +11,14 @@ effres         mean effective resistance before/after rewiring
 ts-sim         teacher-student simulation over synthetic datasets
 srl-correlate  Pearson between a score table and an accuracy table
 
-Every verb takes --seed (default 0); sub-tasks derive their own streams
-through a (seed, task-index) hash, so all outputs are byte-reproducible.
+Every verb takes --seed, a nonnegative integer (default 0); sub-tasks
+derive their own streams through a (seed, task-index) hash, so all outputs
+are byte-reproducible.
+
+Each flag's rule (a range, the percentile grid, the generator families, a
+required or exclusive tolerance) is declared on its argparse argument, so a
+bad value is a usage error naming the flag. The parser is built once per
+process; each verb's subparser carries its runner.
 
 Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. Failures
 print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
@@ -76,15 +82,30 @@ from .rewire import (RewiredGraph, Variant, build_rewired, dump_augmented_featur
 from .spectral import dump_srl_csv, srl_report
 from .teacher_student import TrainConfig, run_ts_experiment
 
-VERBS = ("gen", "partition", "rewire", "srl", "select-eps", "effres",
-         "ts-sim", "srl-correlate")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so errors map to exit codes."""
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _checked(convert, ok, rule: str):
+    """argparse type: convert(text), kept when ok(value) holds; otherwise a
+    usage error stating `rule`, which argparse prefixes with the flag."""
+    def checked(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return checked
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
 def _comma_list(item):
@@ -97,44 +118,43 @@ def _comma_list(item):
     return comma_list
 
 
-def _grid_percentile(text: str) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        p = None
-    if p not in PERCENTILE_GRID:
-        raise argparse.ArgumentTypeError(f"percentile {text} not in grid {PERCENTILE_GRID}")
-    return p
+_grid_percentile = _checked(int, lambda p: p in PERCENTILE_GRID,
+                            f"a percentile of the grid {PERCENTILE_GRID}")
+_family = _checked(str, lambda f: f in FAMILIES,
+                   f"a family ({', '.join(sorted(FAMILIES))})")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rolewire", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="verb", metavar="VERB")
+    sub = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
 
-    def add(verb, **kwargs):
+    def add(verb, run, **kwargs):
         p = sub.add_parser(verb, **kwargs)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.set_defaults(run=run)
         return p
 
-    def add_eps_flags(p):
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--percentile", type=int, default=None,
-                       choices=list(PERCENTILE_GRID))
+    def add_eps_flags(p, required=True):
+        group = p.add_mutually_exclusive_group(required=required)
+        group.add_argument("--eps", type=_checked(
+            float, lambda e: e >= 0, "a nonnegative number or inf"))   # rejects nan
+        group.add_argument("--percentile", type=_grid_percentile)
 
-    p = add("gen", help="emit a synthetic graph")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p = add("gen", _run_gen, help="emit a synthetic graph")
+    p.add_argument("--family", required=True, type=_family)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.1)
+    p.add_argument("--classes", type=_at_least(0), default=0)
+    p.add_argument("--p", type=_checked(float, lambda x: 0 <= x <= 1,
+                                        "a probability in [0, 1]"), default=0.1)
     p.add_argument("--out", required=True)
 
-    p = add("partition", help="tolerance partition and quotient")
+    p = add("partition", _run_partition, help="tolerance partition and quotient")
     p.add_argument("--graph", required=True)
     add_eps_flags(p)
     p.add_argument("--out", required=True)
 
-    p = add("rewire", help="build an augmented graph")
+    p = add("rewire", _run_rewire, help="build an augmented graph")
     p.add_argument("--graph", required=True)
     add_eps_flags(p)
     p.add_argument("--variant", required=True,
@@ -142,43 +162,46 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", default=None)
     p.add_argument("--out", required=True)
 
-    p = add("srl", help="spectral-role-lift report")
+    p = add("srl", _run_srl, help="spectral-role-lift report")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     add_eps_flags(p)
     p.add_argument("--variant", default="repnodes",
                    choices=[v.value for v in Variant])
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--layers", type=_at_least(1), default=2)
     p.add_argument("--out", required=True)
 
-    p = add("select-eps", help="score the percentile grid, pick a tolerance")
+    p = add("select-eps", _run_select_eps,
+            help="score the percentile grid, pick a tolerance")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--variant", default="repnodes",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
     p.add_argument("--out", default=None)   # no --out: table goes to stdout
 
-    p = add("effres", help="mean effective resistance before/after rewiring")
+    p = add("effres", _run_effres, help="mean effective resistance before/after rewiring")
     p.add_argument("--graph", required=True)
-    add_eps_flags(p)   # optional here: baseline-only runs need no tolerance
+    add_eps_flags(p, required=False)   # baseline-only runs need no tolerance
     p.add_argument("--variant", default=None,
                    choices=[v.value for v in Variant])
     p.add_argument("--out", default=None)
 
-    p = add("ts-sim", help="teacher-student simulation")
-    p.add_argument("--families", type=_comma_list(str),
+    p = add("ts-sim", _run_ts_sim, help="teacher-student simulation")
+    p.add_argument("--families", type=_comma_list(_family),
                    default="star,path,cycle,grid,ladder,tree")
     p.add_argument("--n", type=int, default=24)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--classes", type=_at_least(1), default=3)
     p.add_argument("--percentiles", type=_comma_list(_grid_percentile),
                    default="0,50,100")
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in Variant if v != Variant.MASTER_NODE])
-    p.add_argument("--epochs", type=int, default=5000)
-    p.add_argument("--lr", type=float, default=0.005)
+    p.add_argument("--epochs", type=_at_least(1), default=5000)
+    p.add_argument("--lr", type=_checked(float, lambda r: 0 < r < math.inf,
+                                         "a positive finite number"), default=0.005)
     p.add_argument("--out", required=True)
 
-    p = add("srl-correlate", help="correlate a score table with accuracies")
+    p = add("srl-correlate", _run_srl_correlate,
+            help="correlate a score table with accuracies")
     p.add_argument("--table", required=True)
     p.add_argument("--accuracy", required=True)
     p.add_argument("--out", default=None)
@@ -187,36 +210,18 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
-    if ns.verb is None:
-        raise UsageError("a verb is required; see --help")
-    if hasattr(ns, "eps") and hasattr(ns, "percentile"):
-        if ns.eps is not None and ns.percentile is not None:
-            raise UsageError("--eps and --percentile are mutually exclusive")
-        needs = ns.verb in ("partition", "rewire", "srl")
-        if needs and ns.eps is None and ns.percentile is None:
-            raise UsageError("one of --eps or --percentile is required")
-        if ns.eps is not None and not ns.eps >= 0:    # also rejects nan
-            raise UsageError("--eps must be a nonnegative number or inf")
+    """The parsed command line. Each flag checks its own value; only the
+    rules that span flags are checked here."""
+    ns = _PARSER.parse_args(list(argv))
     if ns.verb == "effres":
         tolerance = ns.eps is not None or ns.percentile is not None
         if ns.variant is None and tolerance:
             raise UsageError("effres with a tolerance needs --variant")
         if ns.variant is not None and not tolerance:
             raise UsageError("effres with --variant needs --eps or --percentile")
-    for verb, flag, low in (("srl", "layers", 1), ("gen", "classes", 0),
-                            ("ts-sim", "classes", 1), ("ts-sim", "epochs", 1)):
-        if ns.verb == verb and getattr(ns, flag) < low:
-            raise UsageError(f"--{flag} must be at least {low}")
-    if ns.verb == "gen" and not 0 <= ns.p <= 1:        # also rejects nan
-        raise UsageError("--p must be a probability in [0, 1]")
-    if ns.verb == "ts-sim":
-        if not (math.isfinite(ns.lr) and ns.lr > 0):
-            raise UsageError("--lr must be a positive finite number")
-        if len(ns.families) * len(ns.percentiles) < 2:
-            raise UsageError("--families x --percentiles gives one point; "
-                             "the correlation needs at least 2")
+    if ns.verb == "ts-sim" and len(ns.families) * len(ns.percentiles) < 2:
+        raise UsageError("--families x --percentiles gives one point; "
+                         "the correlation needs at least 2")
     return ns
 
 
@@ -449,23 +454,14 @@ def _run_srl_correlate(ns) -> int:
     return 0
 
 
-_RUNNERS = {
-    "gen": _run_gen,
-    "partition": _run_partition,
-    "rewire": _run_rewire,
-    "srl": _run_srl,
-    "select-eps": _run_select_eps,
-    "effres": _run_effres,
-    "ts-sim": _run_ts_sim,
-    "srl-correlate": _run_srl_correlate,
-}
+_PARSER = _build_parser()   # after the runners it dispatches to
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parse_args(argv)
-        return _RUNNERS[ns.verb](ns)
+        return ns.run(ns)
     except UsageError as exc:
         print(f"ERR:USAGE: {exc}", file=sys.stderr)
         return 2

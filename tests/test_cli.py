@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rolewire
+from rolewire import cli
 from rolewire.cli import main, parse_args
 from rolewire.errors import UsageError
 from rolewire.generators import make_graph
@@ -88,10 +89,32 @@ class TestParseArgs:
             parse_args(["--help"])
         assert err.value.code == 0
 
+    def test_parser_is_built_once(self, monkeypatch, capsys, star_files):
+        def rebuild():
+            raise AssertionError("the parser was rebuilt")
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        code, _, err = run(["select-eps", "--graph", star_files / "graph.txt",
+                            "--labels", star_files / "labels.csv"], capsys)
+        assert code == 0, err
+
     def test_negative_eps_rejected(self):
         with pytest.raises(UsageError):
             parse_args(["partition", "--graph", "g", "--eps", "-1",
                         "--out", "o"])
+
+
+# One valid command line per verb ({g} is the star fixture), to which a
+# test appends one bad flag.
+SEEDED_ARGV = [
+    ["gen", "--family", "er", "--n", "10", "--classes", "2"],
+    ["partition", "--graph", "{g}/graph.txt", "--eps", "0"],
+    ["rewire", "--graph", "{g}/graph.txt", "--eps", "0", "--variant", "repnodes"],
+    ["srl", "--graph", "{g}/graph.txt", "--labels", "{g}/labels.csv", "--eps", "0"],
+    ["select-eps", "--graph", "{g}/graph.txt", "--labels", "{g}/labels.csv"],
+    ["effres", "--graph", "{g}/graph.txt"],
+    ["ts-sim", "--n", "6", "--epochs", "5"],
+    ["srl-correlate", "--table", "{g}/nope.csv", "--accuracy", "{g}/nope.csv"],
+]
 
 
 class TestExitCodes:
@@ -194,8 +217,11 @@ class TestExitCodes:
         (["gen", "--family", "tree", "--n", "5", "--classes", "-1"], "--classes"),
         (["ts-sim", "--families", "star", "--n", "6", "--classes", "0"], "--classes"),
         (["ts-sim", "--families", "star", "--n", "6", "--classes", "-2"], "--classes"),
+        (["partition", "--graph", "{g}/graph.txt", "--percentile", "30"], "--percentile"),
+        *(([*argv, "--seed", "-1"], "--seed") for argv in SEEDED_ARGV),
     ], ids=["srl-layers-0", "srl-layers-neg", "gen-classes-neg",
-            "ts-sim-classes-0", "ts-sim-classes-neg"])
+            "ts-sim-classes-0", "ts-sim-classes-neg", "partition-percentile-off-grid",
+            *(f"{argv[0]}-seed-neg" for argv in SEEDED_ARGV)])
     def test_bad_count_is_2(self, tmp_path, capsys, star_files, argv, flag):
         out = tmp_path / "o"
         argv = [a.format(g=star_files) for a in argv] + ["--out", out]
@@ -268,9 +294,10 @@ class TestExitCodes:
         (["--percentiles", "30"], "--percentiles"),
         (["--families", ","], "--families"),
         (["--families", "star", "--percentiles", "0"], "--families"),
+        (["--families", "star,bogus"], "--families"),
     ], ids=["epochs-0", "epochs-neg", "lr-0", "lr-neg", "lr-nan", "lr-inf",
             "percentiles-empty", "percentile-off-grid", "families-empty",
-            "one-point-grid"])
+            "one-point-grid", "families-unknown"])
     def test_bad_ts_sim_flag_is_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "o"
         code, stdout, err = run(["ts-sim", "--n", "6", "--epochs", "5", *flags,
@@ -302,7 +329,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags, code, kind", [
         (["--n", "1"], 3, "ERR:INPUT:"),
-        (["--families", "star,bogus"], 3, "ERR:INPUT:"),
+        (["--families", "star,bogus"], 2, "ERR:USAGE:"),
         (["--lr", "1e300"], 4, "ERR:NUMERIC:"),
     ], ids=["n-1", "unknown-family", "diverges"])
     def test_failed_ts_sim_writes_nothing(self, tmp_path, capsys, flags, code, kind):
@@ -359,7 +386,7 @@ MALFORMED = [
     ("effres-no-tolerance", ["effres", "--graph", "{g}/graph.txt",
                              "--variant", "full"], 2),
     ("ts-sim-family", ["ts-sim", "--families", "star,bogus", "--n", "6",
-                       "--epochs", "5"], 3),
+                       "--epochs", "5"], 2),
     ("ts-sim-diverges", ["ts-sim", "--n", "6", "--epochs", "5", "--lr", "1e300"], 4),
     ("srl-correlate-short", ["srl-correlate", "--table", "{bad}/table-short.csv",
                              "--accuracy", "{bad}/accuracy.csv"], 3),
