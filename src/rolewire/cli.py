@@ -11,14 +11,18 @@ effres         mean effective resistance before/after rewiring
 ts-sim         teacher-student simulation over synthetic datasets
 srl-correlate  Pearson between a score table and an accuracy table
 
-Every verb takes --seed, a nonnegative integer (default 0); sub-tasks
+Every verb takes --seed, one u64 (0 <= seed < 2**64, default 0); sub-tasks
 derive their own streams through a (seed, task-index) hash, so all outputs
 are byte-reproducible.
 
 Each flag's rule (a range, the percentile grid, the generator families, a
 required or exclusive tolerance) is declared on its argparse argument, so a
-bad value is a usage error naming the flag. The parser is built once per
+bad value is a usage error naming the flag; `--n` is checked against its
+family's sizes in `generators.FAMILIES`. The parser is built once per
 process; each verb's subparser carries its runner.
+
+Every output file goes through `_written`, which creates --out on first use
+and turns a --out that cannot be written into an input error naming it.
 
 Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. Failures
 print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
@@ -131,7 +135,8 @@ def _build_parser() -> _Parser:
 
     def add(verb, run, **kwargs):
         p = sub.add_parser(verb, **kwargs)
-        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--seed", default=0, type=_checked(
+            int, lambda s: 0 <= s < 2**64, "an integer in [0, 2**64)"))
         p.set_defaults(run=run)
         return p
 
@@ -213,6 +218,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The parsed command line. Each flag checks its own value; only the
     rules that span flags are checked here."""
     ns = _PARSER.parse_args(list(argv))
+    if ns.verb in ("gen", "ts-sim"):
+        for family in [ns.family] if ns.verb == "gen" else ns.families:
+            if problem := FAMILIES[family].size_error(ns.n):
+                raise UsageError(f"argument --n: {problem}, got {ns.n}")
     if ns.verb == "effres":
         tolerance = ns.eps is not None or ns.percentile is not None
         if ns.variant is None and tolerance:
@@ -240,21 +249,39 @@ def _opened(what: str, path: str) -> Iterator[IO[str]]:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
+@contextmanager
+def _written(out: str, name: str) -> Iterator[IO[str]]:
+    """The file `name` in the --out directory `out`, open for writing, with
+    `out` created on first use; an OSError becomes an InputError naming
+    the path."""
+    path = Path(out, name)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {str(path)!r}: {exc}") from None
+
+
 def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
     with _opened("graph", path) as fh:
         return compact_ids(load_edge_list(fh))
+
+
+def _load_labels(path: str, num_nodes: int) -> NodeData:
+    """The labels file at `path`, which must put some node in `train`: SRL
+    and the selection score read only the training labels."""
+    with _opened("labels", path) as fh:
+        data = load_labels_csv(fh, num_nodes)
+    if not data.train_mask.any():
+        raise InputError(f"labels {path!r} put no node in the 'train' split")
+    return data
 
 
 def _resolve_eps(graph: Graph, ns: argparse.Namespace) -> tuple[float, Optional[int]]:
     if ns.eps is not None:
         return float(ns.eps), None
     return degree_percentile(graph, ns.percentile), ns.percentile
-
-
-def _outdir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _remap_repr(remap: dict[int, int]) -> str:
@@ -292,8 +319,7 @@ def _run_gen(ns) -> int:
         raise EmptyGraphError(
             f"{ns.family} graph with n={ns.n} has no edges; an edge list cannot hold it")
     graph, remap = compact_ids(graph)
-    out = _outdir(ns.out)
-    with open(out / "graph.txt", "w") as fh:
+    with _written(ns.out, "graph.txt") as fh:
         dump_edge_list(graph, fh)
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
             "classes": ns.classes}
@@ -304,9 +330,9 @@ def _run_gen(ns) -> int:
         data = NodeData(num_nodes=len(kept), labels=data.labels[kept],
                         train_mask=data.train_mask[kept], val_mask=data.val_mask[kept],
                         test_mask=data.test_mask[kept])
-        with open(out / "labels.csv", "w") as fh:
+        with _written(ns.out, "labels.csv") as fh:
             dump_labels_csv(data, fh)
-    with open(out / "meta.txt", "w") as fh:
+    with _written(ns.out, "meta.txt") as fh:
         write_meta(fh, meta)
     return 0
 
@@ -316,12 +342,11 @@ def _run_partition(ns) -> int:
     eps, perc = _resolve_eps(graph, ns)
     part = refine_eps_be(graph, eps)
     qp = quotient(graph, part)
-    out = _outdir(ns.out)
-    with open(out / "partition.csv", "w") as fh:
+    with _written(ns.out, "partition.csv") as fh:
         dump_partition_csv(part, fh)
-    with open(out / "quotient.csv", "w") as fh:
+    with _written(ns.out, "quotient.csv") as fh:
         dump_quotient_csv(qp, eps, fh)
-    with open(out / "meta.txt", "w") as fh:
+    with _written(ns.out, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": part.k, "eps": eps, "percentile": perc,
                         "residual": qp.residual, "remap": _remap_repr(remap)})
     return 0
@@ -334,14 +359,13 @@ def _run_rewire(ns) -> int:
         with _opened("features", ns.features) as fh:
             x = load_features_csv(fh, graph.num_nodes)
     rewired, perc = _rewiring(graph, ns)
-    out = _outdir(ns.out)
-    with open(out / "rewired.txt", "w") as efh, open(out / "rewired.meta", "w") as mfh:
+    with _written(ns.out, "rewired.txt") as efh, _written(ns.out, "rewired.meta") as mfh:
         dump_rewired(rewired, efh, mfh)
-    with open(out / "features.csv", "w") as fh:
+    with _written(ns.out, "features.csv") as fh:
         dump_augmented_features_csv(x, graph.num_nodes, rewired.partition.k, fh)
-    with open(out / "partition.csv", "w") as fh:
+    with _written(ns.out, "partition.csv") as fh:
         dump_partition_csv(rewired.partition, fh)
-    with open(out / "meta.txt", "w") as fh:
+    with _written(ns.out, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": rewired.partition.k,
                         "variant": ns.variant, "eps": rewired.eps, "percentile": perc,
                         "residual": rewired.residual, "remap": _remap_repr(remap)})
@@ -350,26 +374,22 @@ def _run_rewire(ns) -> int:
 
 def _run_srl(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    with _opened("labels", ns.labels) as fh:
-        data = load_labels_csv(fh, graph.num_nodes)
+    data = _load_labels(ns.labels, graph.num_nodes)
     rewired, _ = _rewiring(graph, ns)
     y = one_hot_labels(data.labels, data.train_mask)
     report = srl_report(rewired, y, h_degree=ns.layers)
-    out = _outdir(ns.out)
-    with open(out / "srl.csv", "w") as fh:
+    with _written(ns.out, "srl.csv") as fh:
         dump_srl_csv(report, fh)
     return 0
 
 
 def _run_select_eps(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    with _opened("labels", ns.labels) as fh:
-        data = load_labels_csv(fh, graph.num_nodes)
+    data = _load_labels(ns.labels, graph.num_nodes)
     candidates = evaluate_candidates(graph, data, Variant(ns.variant))
     chosen = select_epsilon(candidates)
     if ns.out is not None:
-        out = _outdir(ns.out)
-        with open(out / "candidates.csv", "w") as fh:
+        with _written(ns.out, "candidates.csv") as fh:
             dump_candidates_csv(candidates, chosen, fh)
     else:
         dump_candidates_csv(candidates, chosen, sys.stdout)
@@ -385,10 +405,10 @@ def _run_effres(ns) -> int:
         rewired, _ = _rewiring(graph, ns)
         rows.append(("rewired", fixed(mean_effective_resistance(
             rewired.adjacency, origin_count=graph.num_nodes))))
-    write_table(sys.stdout, None, rows, sep=" ")
     if ns.out is not None:
-        with open(_outdir(ns.out) / "effres.csv", "w") as fh:
+        with _written(ns.out, "effres.csv") as fh:
             write_table(fh, "which,value", rows)
+    write_table(sys.stdout, None, rows, sep=" ")
     return 0
 
 
@@ -398,8 +418,7 @@ def _run_ts_sim(ns) -> int:
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
         graphs, variant, ns.percentiles, config, d_out=ns.classes)
-    out = _outdir(ns.out)
-    with open(out / "ts.csv", "w") as fh:
+    with _written(ns.out, "ts.csv") as fh:
         write_table(fh, "dataset,variant,percentile,eps,srl,mse,seed", (
             [fam, variant.value, str(perc), fixed(res.eps), fixed(res.srl),
              fixed(res.mse_final), str(res.seed)]
@@ -445,12 +464,12 @@ def _run_srl_correlate(ns) -> int:
     if len(shared) < 2:
         raise InputError("need at least two shared percentiles to correlate")
     corr = pearson([scores[p] for p in shared], [accuracies[p] for p in shared])
-    print("pearson", fixed(corr))
     if ns.out is not None:
-        with open(_outdir(ns.out) / "correlation.csv", "w") as fh:
+        with _written(ns.out, "correlation.csv") as fh:
             write_table(fh, "percentile,srl_star,accuracy",
                         ([str(p), fixed(scores[p]), fixed(accuracies[p])] for p in shared),
                         footer=[("pearson", corr)])
+    print("pearson", fixed(corr))
     return 0
 
 

@@ -1,15 +1,15 @@
 """Synthetic benchmark graphs with eccentricity-binned labels.
 
 Families: star, cycle, path (alias line), grid, ladder, balanced tree,
-caterpillar, lobster, and seeded Erdos-Renyi. Long-range families get
-labels by binning node eccentricity into a requested class count, and
-splits come from a seeded permutation (85/5/10).
+caterpillar, lobster and seeded Erdos-Renyi, each declared once with its
+sizes n in `FAMILIES`. Long-range families get labels by binning node
+eccentricity into classes; splits come from a seeded permutation (85/5/10).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,25 +27,19 @@ __all__ = [
 
 
 def star(n: int, rng) -> Graph:
-    if n < 2:
-        raise InputError("star needs n >= 2")
     return graph_from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def cycle(n: int, rng) -> Graph:
-    if n < 3:
-        raise InputError("cycle needs n >= 3")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int, rng) -> Graph:
-    if n < 1:
-        raise InputError("path needs n >= 1")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def grid(n: int, rng) -> Graph:
-    rows = max(1, math.isqrt(n))
+    rows = math.isqrt(n)
     while n % rows:
         rows -= 1
     cols = n // rows
@@ -61,8 +55,6 @@ def grid(n: int, rng) -> Graph:
 
 
 def ladder(n: int, rng) -> Graph:
-    if n < 4 or n % 2:
-        raise InputError("ladder needs even n >= 4")
     half = n // 2
     edges = [(i, i + 1) for i in range(half - 1)]
     edges += [(half + i, half + i + 1) for i in range(half - 1)]
@@ -71,20 +63,11 @@ def ladder(n: int, rng) -> Graph:
 
 
 def balanced_tree(n: int, rng) -> Graph:
-    if n < 1:
-        raise InputError("tree needs n >= 1")
-    edges = []
-    for i in range(n):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < n:
-                edges.append((i, child))
-    return graph_from_edges(n, edges)
+    return graph_from_edges(n, [((child - 1) // 2, child) for child in range(1, n)])
 
 
 def caterpillar(n: int, rng) -> Graph:
-    if n < 2:
-        raise InputError("caterpillar needs n >= 2")
-    spine = max(1, n // 2)
+    spine = n // 2
     edges = [(i, i + 1) for i in range(spine - 1)]
     for leg in range(spine, n):
         edges.append((int(rng.integers(0, spine)), leg))
@@ -92,11 +75,7 @@ def caterpillar(n: int, rng) -> Graph:
 
 
 def lobster(n: int, rng) -> Graph:
-    if n < 3:
-        raise InputError("lobster needs n >= 3")
-    spine = max(1, n // 3)
-    mid = max(spine + 1, (2 * n) // 3)
-    mid = min(mid, n)
+    spine, mid = n // 3, (2 * n) // 3
     edges = [(i, i + 1) for i in range(spine - 1)]
     for leg in range(spine, mid):
         edges.append((int(rng.integers(0, spine)), leg))
@@ -106,35 +85,48 @@ def lobster(n: int, rng) -> Graph:
 
 
 def erdos_renyi(n: int, rng, p: float = 0.1) -> Graph:
-    if n < 1:
-        raise InputError("er needs n >= 1")
     edges = [(u, int(v)) for u in range(n)
              for v in u + 1 + np.flatnonzero(rng.random(n - u - 1) < p)]
     return graph_from_edges(n, edges)
 
 
-FAMILIES: dict[str, Callable] = {
-    "star": star,
-    "cycle": cycle,
-    "path": path,
-    "line": path,
-    "grid": grid,
-    "ladder": ladder,
-    "tree": balanced_tree,
-    "caterpillar": caterpillar,
-    "lobster": lobster,
-    "er": erdos_renyi,
-}
+class Family(NamedTuple):
+    """A generator family: its builder and the sizes n >= `smallest` (even if `even`) it takes."""
+    name: str
+    build: Callable
+    smallest: int
+    even: bool = False
+
+    def size_error(self, n: int) -> Optional[str]:
+        """Why the family has no graph on n nodes; None when it has one."""
+        if n < self.smallest or self.even and n % 2:
+            return f"{self.name} needs {'even ' * self.even}n >= {self.smallest}"
+        return None
+
+
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("star", star, 2),
+    Family("cycle", cycle, 3),
+    Family("path", path, 1),
+    Family("grid", grid, 1),
+    Family("ladder", ladder, 4, even=True),
+    Family("tree", balanced_tree, 1),
+    Family("caterpillar", caterpillar, 2),
+    Family("lobster", lobster, 3),
+    Family("er", erdos_renyi, 1),
+)}
+FAMILIES["line"] = FAMILIES["path"]
 
 
 def make_graph(family: str, n: int, seed: int = 0, p: float = 0.1) -> Graph:
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}; choose from "
                          + ",".join(sorted(FAMILIES)))
-    rng = rng_for(seed, 0)
-    if family == "er":
-        return FAMILIES[family](n, rng, p=p)
-    return FAMILIES[family](n, rng)
+    fam = FAMILIES[family]
+    if problem := fam.size_error(n):
+        raise InputError(problem)
+    kwargs = {"p": p} if family == "er" else {}
+    return fam.build(n, rng_for(seed, 0), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import rolewire
 from rolewire import cli
 from rolewire.cli import main, parse_args
 from rolewire.errors import UsageError
-from rolewire.generators import make_graph
+from rolewire.generators import FAMILIES, make_graph
 from rolewire.graph import Graph, dump_edge_list
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
@@ -103,8 +103,8 @@ class TestParseArgs:
                         "--out", "o"])
 
 
-# One valid command line per verb ({g} is the star fixture), to which a
-# test appends one bad flag.
+# One valid command line per verb ({g} is the star fixture; a test that runs
+# srl-correlate writes its two tables there), to which a test appends one flag.
 SEEDED_ARGV = [
     ["gen", "--family", "er", "--n", "10", "--classes", "2"],
     ["partition", "--graph", "{g}/graph.txt", "--eps", "0"],
@@ -113,7 +113,7 @@ SEEDED_ARGV = [
     ["select-eps", "--graph", "{g}/graph.txt", "--labels", "{g}/labels.csv"],
     ["effres", "--graph", "{g}/graph.txt"],
     ["ts-sim", "--n", "6", "--epochs", "5"],
-    ["srl-correlate", "--table", "{g}/nope.csv", "--accuracy", "{g}/nope.csv"],
+    ["srl-correlate", "--table", "{g}/scores.csv", "--accuracy", "{g}/accuracy.csv"],
 ]
 
 
@@ -219,15 +219,64 @@ class TestExitCodes:
         (["ts-sim", "--families", "star", "--n", "6", "--classes", "-2"], "--classes"),
         (["partition", "--graph", "{g}/graph.txt", "--percentile", "30"], "--percentile"),
         *(([*argv, "--seed", "-1"], "--seed") for argv in SEEDED_ARGV),
+        *(([*argv, "--seed", str(2**64)], "--seed") for argv in SEEDED_ARGV),
+        *((["gen", "--family", family, "--n", str(FAMILIES[family].smallest - 1)],
+           f"argument --n: {FAMILIES[family].name} needs") for family in sorted(FAMILIES)),
+        (["ts-sim", "--n", "1", "--epochs", "5"], "argument --n: star needs"),
+        (["ts-sim", "--n", "25", "--epochs", "5"], "argument --n: ladder needs even"),
     ], ids=["srl-layers-0", "srl-layers-neg", "gen-classes-neg",
             "ts-sim-classes-0", "ts-sim-classes-neg", "partition-percentile-off-grid",
-            *(f"{argv[0]}-seed-neg" for argv in SEEDED_ARGV)])
+            *(f"{argv[0]}-seed-neg" for argv in SEEDED_ARGV),
+            *(f"{argv[0]}-seed-2**64" for argv in SEEDED_ARGV),
+            *(f"gen-{family}-n-below-smallest" for family in sorted(FAMILIES)),
+            "ts-sim-n-1", "ts-sim-n-odd-ladder"])
     def test_bad_count_is_2(self, tmp_path, capsys, star_files, argv, flag):
         out = tmp_path / "o"
         argv = [a.format(g=star_files) for a in argv] + ["--out", out]
         code, stdout, err = run(argv, capsys)
         assert code == 2 and stdout == ""
         assert err.startswith("ERR:USAGE:") and flag in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", SEEDED_ARGV, ids=lambda argv: argv[0])
+    def test_largest_seed_is_accepted(self, argv):
+        argv = [*argv, "--seed", str(2**64 - 1), "--out", "o"]
+        assert parse_args(argv).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("argv", SEEDED_ARGV, ids=lambda argv: argv[0])
+    def test_unusable_out_is_3(self, tmp_path, capsys, star_files, argv, under):
+        (star_files / "scores.csv").write_text("percentile,srl_star\n0,0.1\n50,0.4\n")
+        (star_files / "accuracy.csv").write_text("percentile,accuracy\n0,0.3\n50,0.9\n")
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = [a.format(g=star_files) for a in argv]
+        code, stdout, err = run([*argv, "--out", out / "x" if under else out], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: cannot write") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_output_file_that_is_a_directory_is_3(self, tmp_path, capsys, star_files):
+        out = tmp_path / "o"
+        (out / "srl.csv").mkdir(parents=True)
+        code, stdout, err = run(["srl", "--graph", star_files / "graph.txt", "--labels",
+                                 star_files / "labels.csv", "--eps", "0", "--out", out], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: cannot write") and err.count("\n") == 1
+        assert str(out / "srl.csv") in err
+
+    @pytest.mark.parametrize("verb", ["srl", "select-eps"])
+    def test_labels_without_train_is_3(self, tmp_path, capsys, star_files, verb):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("node,label,split\n0,0,val\n1,1,test\n2,1,none\n")
+        out = tmp_path / "o"
+        argv = [verb, "--graph", star_files / "graph.txt", "--labels", labels, "--out", out]
+        if verb == "srl":
+            argv += ["--eps", "0"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
+        assert str(labels) in err and "'train'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -328,7 +377,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, code, kind", [
-        (["--n", "1"], 3, "ERR:INPUT:"),
+        (["--n", "1"], 2, "ERR:USAGE:"),
         (["--families", "star,bogus"], 2, "ERR:USAGE:"),
         (["--lr", "1e300"], 4, "ERR:NUMERIC:"),
     ], ids=["n-1", "unknown-family", "diverges"])

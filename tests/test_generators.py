@@ -5,6 +5,7 @@ import pytest
 
 from rolewire.errors import InputError
 from rolewire.generators import (
+    FAMILIES,
     assign_splits,
     eccentricity_labels,
     make_dataset,
@@ -56,6 +57,40 @@ class TestFamilies:
     def test_ladder_odd_rejected(self):
         with pytest.raises(InputError):
             make_graph("ladder", 9)
+
+
+# Each family's smallest n, and the message `make_graph` raised below it
+# while every builder carried its own guard (grid had none: it failed
+# inside its builder, so it now takes the table's message).
+SIZE_RULES = {
+    "star": (2, "star needs n >= 2"),
+    "cycle": (3, "cycle needs n >= 3"),
+    "path": (1, "path needs n >= 1"),
+    "line": (1, "path needs n >= 1"),
+    "grid": (1, "grid needs n >= 1"),
+    "ladder": (4, "ladder needs even n >= 4"),
+    "tree": (1, "tree needs n >= 1"),
+    "caterpillar": (2, "caterpillar needs n >= 2"),
+    "lobster": (3, "lobster needs n >= 3"),
+    "er": (1, "er needs n >= 1"),
+}
+
+
+def test_size_rules_cover_every_family():
+    assert set(SIZE_RULES) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in sorted(SIZE_RULES) for n in range(-1, 7)),
+    ("ladder", 9), ("ladder", 25)])
+def test_size_rule(family, n):
+    smallest, message = SIZE_RULES[family]
+    if n < smallest or (family == "ladder" and n % 2):
+        with pytest.raises(InputError) as exc:
+            make_graph(family, n)
+        assert str(exc.value) == message
+    else:
+        assert make_graph(family, n).num_nodes == n
 
 
 class TestLabels:
