@@ -22,7 +22,10 @@ family's sizes in `generators.FAMILIES`. The parser is built once per
 process; each verb's subparser carries its runner.
 
 Every output file goes through `_written`, which creates --out on first use
-and turns a --out that cannot be written into an input error naming it.
+and turns a --out that cannot be written into an input error naming it. A
+verb's files land together: each is written under a temporary name and
+renamed into place only once the whole verb has succeeded, so a verb that
+fails adds no file to --out and leaves the files already there as they were.
 
 Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. Failures
 print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
@@ -31,7 +34,9 @@ print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from contextlib import contextmanager
 from itertools import product
@@ -250,17 +255,41 @@ def _opened(what: str, path: str) -> Iterator[IO[str]]:
 
 
 @contextmanager
-def _written(out: str, name: str) -> Iterator[IO[str]]:
-    """The file `name` in the --out directory `out`, open for writing, with
-    `out` created on first use; an OSError becomes an InputError naming
+def _written(ns: argparse.Namespace, name: str) -> Iterator[IO[str]]:
+    """The file `name` in the --out directory, open for writing under a
+    temporary name beside it, which `_all_or_nothing` renames into place;
+    --out is created on first use. An OSError becomes an InputError naming
     the path."""
-    path = Path(out, name)
+    path = Path(ns.out, name)
+    partial = path.with_name(f".{name}.partial")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
+        if path.is_dir():       # caught now, not at the rename after every file
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        with open(partial, "w") as fh:
+            ns.pending.append((partial, path))
             yield fh
     except OSError as exc:
         raise InputError(f"cannot write {str(path)!r}: {exc}") from None
+
+
+@contextmanager
+def _all_or_nothing(ns: argparse.Namespace) -> Iterator[None]:
+    """Run one verb's writes as a unit: the `_written` files, listed in
+    ns.pending as (temporary, final) paths, are renamed into place when the
+    verb returns, and removed if it raises."""
+    ns.pending = []
+    try:
+        yield
+        for partial, path in ns.pending:
+            try:
+                os.replace(partial, path)
+            except OSError as exc:
+                raise InputError(f"cannot write {str(path)!r}: {exc}") from None
+    except BaseException:
+        for partial, _ in ns.pending:
+            partial.unlink(missing_ok=True)
+        raise
 
 
 def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
@@ -319,7 +348,7 @@ def _run_gen(ns) -> int:
         raise EmptyGraphError(
             f"{ns.family} graph with n={ns.n} has no edges; an edge list cannot hold it")
     graph, remap = compact_ids(graph)
-    with _written(ns.out, "graph.txt") as fh:
+    with _written(ns, "graph.txt") as fh:
         dump_edge_list(graph, fh)
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
             "classes": ns.classes}
@@ -330,9 +359,9 @@ def _run_gen(ns) -> int:
         data = NodeData(num_nodes=len(kept), labels=data.labels[kept],
                         train_mask=data.train_mask[kept], val_mask=data.val_mask[kept],
                         test_mask=data.test_mask[kept])
-        with _written(ns.out, "labels.csv") as fh:
+        with _written(ns, "labels.csv") as fh:
             dump_labels_csv(data, fh)
-    with _written(ns.out, "meta.txt") as fh:
+    with _written(ns, "meta.txt") as fh:
         write_meta(fh, meta)
     return 0
 
@@ -342,11 +371,11 @@ def _run_partition(ns) -> int:
     eps, perc = _resolve_eps(graph, ns)
     part = refine_eps_be(graph, eps)
     qp = quotient(graph, part)
-    with _written(ns.out, "partition.csv") as fh:
+    with _written(ns, "partition.csv") as fh:
         dump_partition_csv(part, fh)
-    with _written(ns.out, "quotient.csv") as fh:
+    with _written(ns, "quotient.csv") as fh:
         dump_quotient_csv(qp, eps, fh)
-    with _written(ns.out, "meta.txt") as fh:
+    with _written(ns, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": part.k, "eps": eps, "percentile": perc,
                         "residual": qp.residual, "remap": _remap_repr(remap)})
     return 0
@@ -359,13 +388,13 @@ def _run_rewire(ns) -> int:
         with _opened("features", ns.features) as fh:
             x = load_features_csv(fh, graph.num_nodes)
     rewired, perc = _rewiring(graph, ns)
-    with _written(ns.out, "rewired.txt") as efh, _written(ns.out, "rewired.meta") as mfh:
+    with _written(ns, "rewired.txt") as efh, _written(ns, "rewired.meta") as mfh:
         dump_rewired(rewired, efh, mfh)
-    with _written(ns.out, "features.csv") as fh:
+    with _written(ns, "features.csv") as fh:
         dump_augmented_features_csv(x, graph.num_nodes, rewired.partition.k, fh)
-    with _written(ns.out, "partition.csv") as fh:
+    with _written(ns, "partition.csv") as fh:
         dump_partition_csv(rewired.partition, fh)
-    with _written(ns.out, "meta.txt") as fh:
+    with _written(ns, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": rewired.partition.k,
                         "variant": ns.variant, "eps": rewired.eps, "percentile": perc,
                         "residual": rewired.residual, "remap": _remap_repr(remap)})
@@ -378,7 +407,7 @@ def _run_srl(ns) -> int:
     rewired, _ = _rewiring(graph, ns)
     y = one_hot_labels(data.labels, data.train_mask)
     report = srl_report(rewired, y, h_degree=ns.layers)
-    with _written(ns.out, "srl.csv") as fh:
+    with _written(ns, "srl.csv") as fh:
         dump_srl_csv(report, fh)
     return 0
 
@@ -389,7 +418,7 @@ def _run_select_eps(ns) -> int:
     candidates = evaluate_candidates(graph, data, Variant(ns.variant))
     chosen = select_epsilon(candidates)
     if ns.out is not None:
-        with _written(ns.out, "candidates.csv") as fh:
+        with _written(ns, "candidates.csv") as fh:
             dump_candidates_csv(candidates, chosen, fh)
     else:
         dump_candidates_csv(candidates, chosen, sys.stdout)
@@ -406,7 +435,7 @@ def _run_effres(ns) -> int:
         rows.append(("rewired", fixed(mean_effective_resistance(
             rewired.adjacency, origin_count=graph.num_nodes))))
     if ns.out is not None:
-        with _written(ns.out, "effres.csv") as fh:
+        with _written(ns, "effres.csv") as fh:
             write_table(fh, "which,value", rows)
     write_table(sys.stdout, None, rows, sep=" ")
     return 0
@@ -418,7 +447,7 @@ def _run_ts_sim(ns) -> int:
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
         graphs, variant, ns.percentiles, config, d_out=ns.classes)
-    with _written(ns.out, "ts.csv") as fh:
+    with _written(ns, "ts.csv") as fh:
         write_table(fh, "dataset,variant,percentile,eps,srl,mse,seed", (
             [fam, variant.value, str(perc), fixed(res.eps), fixed(res.srl),
              fixed(res.mse_final), str(res.seed)]
@@ -465,7 +494,7 @@ def _run_srl_correlate(ns) -> int:
         raise InputError("need at least two shared percentiles to correlate")
     corr = pearson([scores[p] for p in shared], [accuracies[p] for p in shared])
     if ns.out is not None:
-        with _written(ns.out, "correlation.csv") as fh:
+        with _written(ns, "correlation.csv") as fh:
             write_table(fh, "percentile,srl_star,accuracy",
                         ([str(p), fixed(scores[p]), fixed(accuracies[p])] for p in shared),
                         footer=[("pearson", corr)])
@@ -480,7 +509,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parse_args(argv)
-        return ns.run(ns)
+        with _all_or_nothing(ns):
+            return ns.run(ns)
     except UsageError as exc:
         print(f"ERR:USAGE: {exc}", file=sys.stderr)
         return 2

@@ -159,6 +159,39 @@ def mean_effective_resistance_oracle(adjacency: sp.spmatrix, origin_count=None) 
     return (span * float(np.trace(x)) - float(x.sum())) / (span * (span - 1) / 2)
 
 
+RESISTANCE_SOLVE_COLUMNS = 128   # identity columns per grounded solve
+
+
+def mean_effective_resistance_by_solves(adjacency: sp.spmatrix, origin_count=None) -> float:
+    """Mean pair resistance among the first origin_count nodes (all nodes
+    without it) from the grounded sparse LU, with the diagonal of X taken
+    from identity solves of RESISTANCE_SOLVE_COLUMNS columns at a time and
+    1^T X_SS 1 from one solve; self-loops are dropped.
+
+    Oracle for the selected inversion in
+    `metrics.mean_effective_resistance`, which reads the same diagonal off
+    the factor; inputs are assumed connected and nonnegative."""
+    from scipy.sparse.linalg import splu
+    weights = sp.csr_matrix(adjacency, dtype=np.float64)
+    weights = weights - sp.diags(weights.diagonal())
+    weights.eliminate_zeros()
+    m = adjacency.shape[0]
+    span = m if origin_count is None else origin_count
+    lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
+    grounded = splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A")
+    inside = min(span, m - 1)          # nodes of S other than the grounded one
+    trace = 0.0
+    for lo in range(0, inside, RESISTANCE_SOLVE_COLUMNS):
+        hi = min(lo + RESISTANCE_SOLVE_COLUMNS, inside)
+        unit = np.zeros((m - 1, hi - lo), order="F")    # the layout SuperLU solves in
+        unit[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        trace += float(np.trace(grounded.solve(unit)[lo:hi]))
+    ones = np.zeros(m - 1)
+    ones[:inside] = 1.0
+    total = float(grounded.solve(ones)[:inside].sum())
+    return (span * trace - total) / (span * (span - 1) / 2)
+
+
 def evaluate_candidates_oracle(graph: Graph, data, variant=Variant.REP_NODES):
     """The percentile grid scored entry by entry: one rewiring, one SRL
     report and one two-hop similarity per grid entry, repeats included.

@@ -221,7 +221,7 @@ class TestExitCodes:
         *(([*argv, "--seed", "-1"], "--seed") for argv in SEEDED_ARGV),
         *(([*argv, "--seed", str(2**64)], "--seed") for argv in SEEDED_ARGV),
         *((["gen", "--family", family, "--n", str(FAMILIES[family].smallest - 1)],
-           f"argument --n: {FAMILIES[family].name} needs") for family in sorted(FAMILIES)),
+           f"argument --n: {family} needs") for family in sorted(FAMILIES)),
         (["ts-sim", "--n", "1", "--epochs", "5"], "argument --n: star needs"),
         (["ts-sim", "--n", "25", "--epochs", "5"], "argument --n: ladder needs even"),
     ], ids=["srl-layers-0", "srl-layers-neg", "gen-classes-neg",
@@ -264,6 +264,28 @@ class TestExitCodes:
         assert code == 3 and stdout == ""
         assert err.startswith("ERR:INPUT: cannot write") and err.count("\n") == 1
         assert str(out / "srl.csv") in err
+
+    # Each verb's last output file, blocked by a directory of its name: the
+    # verb must write none of its files and leave the ones there alone.
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "tree", "--n", "7", "--classes", "2"],
+        ["partition", "--graph", "{g}/graph.txt", "--eps", "0"],
+        ["rewire", "--graph", "{g}/graph.txt", "--eps", "0", "--variant", "repnodes"],
+    ], ids=lambda argv: argv[0])
+    def test_failed_verb_writes_none_of_its_files(self, tmp_path, capsys, star_files, argv):
+        out = tmp_path / "o"
+        (out / "meta.txt").mkdir(parents=True)
+        kept = ["graph.txt", "partition.csv", "rewired.txt", "notes.txt"]
+        for name in kept:
+            (out / name).write_text("kept\n")
+        before = tree_digest(out)
+        code, stdout, err = run([*(a.format(g=star_files) for a in argv), "--out", out],
+                                capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("ERR:INPUT: cannot write") and err.count("\n") == 1
+        assert str(out / "meta.txt") in err
+        assert tree_digest(out) == before
+        assert sorted(os.listdir(out)) == sorted([*kept, "meta.txt"])
 
     @pytest.mark.parametrize("verb", ["srl", "select-eps"])
     def test_labels_without_train_is_3(self, tmp_path, capsys, star_files, verb):

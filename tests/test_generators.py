@@ -61,12 +61,13 @@ class TestFamilies:
 
 # Each family's smallest n, and the message `make_graph` raised below it
 # while every builder carried its own guard (grid had none: it failed
-# inside its builder, so it now takes the table's message).
+# inside its builder, so it now takes the table's message). `line` builds
+# a path but names itself.
 SIZE_RULES = {
     "star": (2, "star needs n >= 2"),
     "cycle": (3, "cycle needs n >= 3"),
     "path": (1, "path needs n >= 1"),
-    "line": (1, "path needs n >= 1"),
+    "line": (1, "line needs n >= 1"),
     "grid": (1, "grid needs n >= 1"),
     "ladder": (4, "ladder needs even n >= 4"),
     "tree": (1, "tree needs n >= 1"),

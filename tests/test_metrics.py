@@ -17,7 +17,8 @@ from rolewire.errors import (
 )
 from rolewire import metrics
 from rolewire.generators import assign_splits, eccentricity_labels, erdos_renyi, make_graph
-from rolewire.graph import PERCENTILE_GRID, degree_percentile, graph_from_edges, is_connected
+from rolewire.graph import (PERCENTILE_GRID, bfs_distances, degree_percentile,
+                            graph_from_edges, is_connected)
 from rolewire.metrics import (
     EpsCandidate,
     dump_candidates_csv,
@@ -34,8 +35,8 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
 from conftest import (cycle_graph, evaluate_candidates_oracle, from_blocks, largest_component,
-                      mean_effective_resistance_oracle, pairwise_resistance, path_graph,
-                      star_graph)
+                      mean_effective_resistance_by_solves, mean_effective_resistance_oracle,
+                      pairwise_resistance, path_graph, star_graph)
 
 
 def mean_pair_resistance(adjacency, span):
@@ -169,6 +170,61 @@ class TestEffectiveResistance:
         full = mean_effective_resistance(rg.adjacency)
         orig = mean_effective_resistance(rg.adjacency, origin_count=3)
         assert full > orig   # pendant hubs add resistive pairs
+
+    # On a tree R_ij is the path length, so the mean is the Wiener index
+    # over C(n, 2): the sum over edges of s (n - s), s the nodes below it.
+    @pytest.mark.parametrize("family, n", [("tree", 16383), ("path", 16384)])
+    def test_trees_give_the_wiener_index(self, family, n):
+        g = make_graph(family, n)
+        dist = bfs_distances(g.indptr, g.indices, 0)
+        below = np.ones(n, dtype=np.int64)
+        rows = np.repeat(np.arange(n), g.degrees())
+        up = dist[g.indices] == dist[rows] - 1
+        parent = np.zeros(n, dtype=np.int64)
+        parent[rows[up]] = g.indices[up]
+        for v in np.argsort(-dist, kind="stable")[:-1]:
+            below[parent[v]] += below[v]
+        wiener = int((below[1:] * (n - below[1:])).sum())
+        if family == "path":
+            assert wiener == (n**3 - n) // 6
+        assert mean_effective_resistance(g.adjacency) == \
+            pytest.approx(wiener / (n * (n - 1) / 2), rel=1e-9)
+
+    def test_dense_fill_matches_blocked_solves(self):
+        # Most of this factor is one dense trailing block; the columns
+        # before it reach into the block and into each other.
+        g = make_graph("er", 1000, seed=1, p=0.02)
+        assert is_connected(g)
+        eps = degree_percentile(g, 25)
+        rg = build_rewired(g, refine_eps_be(g, eps), Variant.REP_NODES, eps=eps)
+        for adjacency, origin_count in ((g.adjacency, None), (rg.adjacency, 1000)):
+            assert mean_effective_resistance(adjacency, origin_count) == pytest.approx(
+                mean_effective_resistance_by_solves(adjacency, origin_count), rel=1e-12)
+
+    def test_one_vector_solve_and_no_identity_solves(self, monkeypatch):
+        splu = scipy.sparse.linalg.splu
+        solves = []
+
+        class Counted:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def __getattr__(self, name):
+                return getattr(self.factor, name)
+
+            def solve(self, rhs, *args, **kwargs):
+                solves.append(np.ndim(rhs))
+                return self.factor.solve(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
+        g = make_graph("tree", 300)
+        rg = build_rewired(g, refine_eps_be(g, 0), Variant.FULL)
+        for adjacency, origin_count in ((g.adjacency, None), (rg.adjacency, 300),
+                                        (rg.adjacency, None), (cycle_graph(6).adjacency, 2)):
+            solves.clear()
+            mean_effective_resistance(adjacency, origin_count)
+            assert solves == [1]
 
 
 class TestTwoHopClassSimilarity:

@@ -39,6 +39,7 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
 from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
+                      mean_effective_resistance_by_solves,
                       mean_effective_resistance_oracle, pairwise_resistance,
                       star_graph, two_hop_neighbors)
 
@@ -579,6 +580,41 @@ def test_effective_resistance_matches_dense_inverse_oracle(graph, eps, variant):
         got = mean_effective_resistance(adjacency, origin_count=origin_count)
         want = mean_effective_resistance_oracle(adjacency, origin_count)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@st.composite
+def sparse_connected_graphs(draw, max_nodes=120):
+    """A random tree plus a few chords: sparse enough that the grounded
+    factor has columns outside its dense trailing block, with fill among
+    their rows."""
+    n = draw(st.integers(2, max_nodes))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ends = st.integers(0, n - 1)
+    edges += [(u, v) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=n // 4))
+              if u != v]
+    return graph_from_edges(n, edges)
+
+
+@PROPERTY_SETTINGS
+@given(graph=st.one_of(graphs(max_nodes=30), sparse_connected_graphs()), eps=tolerances,
+       variant=st.sampled_from([Variant.FULL, Variant.MASTER_NODE]),
+       origin_count=st.integers(2, 30))
+def test_selected_inversion_matches_blocked_solves(graph, eps, variant, origin_count):
+    """The diagonal read off the factor agrees with the one from identity
+    solves within 1e-12 relative, on the graph, on FULL rewirings
+    (weighted edges, self-loops) and on master-node rewirings, over the
+    original nodes, over all nodes and over a prefix of them."""
+    graph = largest_component(graph)
+    assume(graph.num_nodes >= 2)
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    n = graph.num_nodes
+    for adjacency, count in ((graph.adjacency, None), (graph.adjacency, min(origin_count, n)),
+                             (rewired.adjacency, n), (rewired.adjacency, None)):
+        got = mean_effective_resistance(adjacency, origin_count=count)
+        assert got == pytest.approx(mean_effective_resistance_by_solves(adjacency, count),
+                                    rel=1e-12)
 
 
 @PROPERTY_SETTINGS
