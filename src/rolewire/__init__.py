@@ -32,7 +32,6 @@ from .graph import (
     degree_percentile,
     dump_edge_list,
     graph_from_edges,
-    is_connected,
     load_edge_list,
     one_hot_labels,
 )

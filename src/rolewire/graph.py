@@ -52,7 +52,6 @@ __all__ = [
     "PERCENTILE_GRID",
     "degree_percentile",
     "bfs_distances",
-    "is_connected",
 ]
 
 
@@ -464,10 +463,3 @@ def bfs_distances(indptr: np.ndarray | list, indices: np.ndarray | list,
     out = np.full(len(dist), -1, dtype=np.int64)   # converts only the reached nodes
     out[order] = [dist[v] for v in order]
     return out
-
-
-def is_connected(graph: Graph) -> bool:
-    if graph.num_nodes == 1:
-        return True
-    dist = bfs_distances(graph.indptr, graph.indices, 0)
-    return bool((dist >= 0).all())

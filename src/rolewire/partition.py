@@ -8,9 +8,11 @@ counts to differ by at most eps (infinity norm over the count vector).
 cross-check the eps=0 case.
 
 A `Partition` stores only its canonical label array and block count;
-the sparse `membership_matrix` is its one indicator R. `validate_aep`
-and `quotient` both read one per-(block, column) summary of the sparse
-counts A @ R, so neither forms an n x k or k x k dense array, and the
+the sparse `membership_matrix` is its one indicator R. `refine_eps_be`,
+`validate_aep` and `quotient` all read one per-(block, column) summary
+of the sparse counts A @ R: refinement splits only along the columns
+where some block's spread exceeds eps, and stops when `validate_aep`
+holds. None of them forms an n x k or k x k dense array, and the
 quotient Q is a k x k CSR matrix with at most nnz(A) entries.
 """
 
@@ -98,24 +100,24 @@ def membership_matrix(partition: Partition) -> sp.csr_matrix:
 
 
 def _block_counts(graph: Graph, partition: Partition):
-    """Summary of the counts A @ R over each block's members.
+    """The counts A @ R and their summary over each block's members.
 
-    Returns (block, column, sums, hi, lo) for every (block, column) pair
-    where some member has a neighbor in the column, in ascending pair
-    order: the sum, max and min of the member counts, with lo = 0 when a
-    member has no neighbor there. Every other pair counts 0 throughout.
+    Returns the CSR product and (block, column, sums, hi, lo) for each
+    pair where some member has a neighbor in the column, in ascending
+    pair order: the sum, max and min of the member counts, lo = 0 when
+    a member has none there. Every other pair counts 0 throughout.
     """
-    k = partition.k
-    counts = (graph.adjacency @ membership_matrix(partition)).tocoo()
-    key = partition.block_of[counts.row] * k + counts.col
+    product = graph.adjacency @ membership_matrix(partition)
+    counts = product.tocoo()
+    key = partition.block_of[counts.row] * partition.k + counts.col
     order = np.argsort(key)
     key, data = key[order], counts.data[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    block, column = np.divmod(key[starts], k)
+    block, column = np.divmod(key[starts], partition.k)
     lo = np.minimum.reduceat(data, starts)
     stored = np.diff(np.append(starts, len(key)))
     lo[stored < partition.block_sizes()[block]] = 0
-    return (block, column, np.add.reduceat(data, starts),
+    return (product, block, column, np.add.reduceat(data, starts),
             np.maximum.reduceat(data, starts), lo)
 
 
@@ -126,34 +128,35 @@ def _block_counts(graph: Graph, partition: Partition):
 def refine_eps_be(graph: Graph, eps: float) -> Partition:
     """Partition with per-block block-degree spread at most eps.
 
-    Splitting rule, iterated to a fixpoint from the single-block partition:
-    for each splitter block of the round-start partition (ascending
-    canonical id) and each current block B, sort B's nodes by (neighbor
-    count toward the splitter, node id) and greedily group consecutive
-    nodes while count - group_min <= eps. At the fixpoint every block has
-    per-coordinate count spread <= eps, so validate_aep holds. Ties break
-    on node id everywhere; the result is deterministic.
+    From the single block, each round reads the per-(block, column)
+    spread that `validate_aep` reads and returns the partition once none
+    exceeds eps. Otherwise each column with a spread above eps, ascending,
+    is a splitter: every current block's nodes are sorted by (count toward
+    it, node id) and grouped greedily while count - group_min <= eps. Any
+    other column would split nothing, since each current block lies in a
+    round-start block whose spread there is at most eps. Ties break on
+    node id everywhere.
 
-    Each round takes the splitter counts once as the sparse product A @ R
-    and regroups all current blocks per splitter in one sort. Counts are
-    integers, so `count - group_min > eps` is `count > group_min + slack`
-    with slack = floor(eps); a slack of n never splits (covers inf/nan).
+    A @ R is formed once per round; all blocks regroup per splitter in one
+    sort. Counts are integers, so `count - group_min > eps` is `count >
+    group_min + floor(eps)`; eps is finite, being below some spread.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     n = graph.num_nodes
-    slack = math.floor(eps) if eps < n else n
     part = Partition.from_assignment(np.zeros(n, dtype=np.int64))
     while True:
-        counts = (graph.adjacency @ membership_matrix(part)).tocsc()
+        product, _, column, _, hi, lo = _block_counts(graph, part)
+        splitters = np.unique(column[hi - lo > eps]).tolist()
+        if not splitters:
+            return part
+        counts, slack = product.tocsc(), math.floor(eps)
         current = part.block_of.copy()
-        for s in range(part.k):
+        for s in splitters:
             cnt = np.zeros(n, dtype=np.int64)
-            lo, hi = counts.indptr[s], counts.indptr[s + 1]
-            cnt[counts.indices[lo:hi]] = counts.data[lo:hi]
+            at = slice(counts.indptr[s], counts.indptr[s + 1])
+            cnt[counts.indices[at]] = counts.data[at]
             top = int(cnt.max())
-            if top <= slack:
-                continue               # no block can spread beyond eps
             order = np.lexsort((cnt, current))     # by block, count, node id
             blk = current[order]
             # One ascending key; a block's keys sit more than slack below
@@ -169,15 +172,12 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
                 heads = nxt[~first[nxt]]
                 starts[heads] = True
             current[order] = np.cumsum(starts) - 1
-        refined = Partition.from_assignment(current)
-        if refined.k == part.k:        # refinement only splits: fixpoint
-            return refined
-        part = refined
+        part = Partition.from_assignment(current)
 
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
-    _, _, _, hi, lo = _block_counts(graph, partition)
+    *_, hi, lo = _block_counts(graph, partition)
     return not (hi - lo).max(initial=0) > eps
 
 
@@ -189,7 +189,7 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     largest deviation is at its max or min count (fl(c - q) is monotone
     in c); a pair with no stored count has q = 0 and deviation 0.
     """
-    block, column, sums, hi, lo = _block_counts(graph, partition)
+    _, block, column, sums, hi, lo = _block_counts(graph, partition)
     k = partition.k
     q = sums / partition.block_sizes()[block]
     residual = float(np.maximum(hi - q, q - lo).max(initial=0.0))

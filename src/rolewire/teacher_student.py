@@ -42,7 +42,6 @@ __all__ = [
     "forward",
     "teacher_labels",
     "layer_product",
-    "gradients",
     "train_student",
     "train_students",
     "run_ts_experiment",
@@ -210,19 +209,6 @@ class _ChainGradient:
         for (pre_t, half, suf_t), grad in zip(self.outer, out):
             np.matmul(pre_t, err, out=half)
             np.matmul(half, suf_t, out=grad)
-
-
-def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
-              y_true: np.ndarray) -> list[np.ndarray]:
-    """d(mse)/dW(l) for every layer of the linear chain.
-
-    `propagated` is the precomputed S^L X, shared by all epochs.
-    """
-    dims = [weights.dim_in] + [w.shape[1] for w in weights.layers]
-    grads = [np.empty((1,) + w.shape) for w in weights.layers]
-    _ChainGradient(propagated[None], y_true[None], dims)(
-        [w[None] for w in weights.layers], grads)
-    return [g[0] for g in grads]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 from rolewire.spectral import (_JACOBI_MAX_SWEEPS, _JACOBI_TOL, _require_symmetric,
                                srl_report)
-from rolewire.teacher_student import LinearGnnWeights, _stacked_mse
+from rolewire.teacher_student import LinearGnnWeights, _ChainGradient, _stacked_mse
 
 
 class SizeMismatchError(InputError):
@@ -96,6 +96,27 @@ def mse_loss(propagated: np.ndarray, layers, y_true: np.ndarray) -> float:
     """
     return float(_stacked_mse(propagated[None], [w[None] for w in layers],
                               y_true[None])[0])
+
+
+def gradients(propagated: np.ndarray, weights: LinearGnnWeights,
+              y_true: np.ndarray) -> list[np.ndarray]:
+    """d(mse)/dW(l) for every layer of one linear chain, through the
+    library's batched `_ChainGradient` with a single student.
+
+    `propagated` is the precomputed S^L X, shared by all epochs.
+    """
+    dims = [weights.dim_in] + [w.shape[1] for w in weights.layers]
+    grads = [np.empty((1,) + w.shape) for w in weights.layers]
+    _ChainGradient(propagated[None], y_true[None], dims)(
+        [w[None] for w in weights.layers], grads)
+    return [g[0] for g in grads]
+
+
+def is_connected(graph: Graph) -> bool:
+    if graph.num_nodes == 1:
+        return True
+    dist = bfs_distances(graph.indptr, graph.indices, 0)
+    return bool((dist >= 0).all())
 
 
 def largest_component(graph):

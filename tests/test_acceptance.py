@@ -18,7 +18,6 @@ from rolewire.graph import (
     bfs_distances,
     degree_percentile,
     graph_from_edges,
-    is_connected,
     one_hot_labels,
 )
 from rolewire.metrics import (
@@ -46,13 +45,13 @@ from rolewire.teacher_student import (
     TrainConfig,
     forward,
     gaussian_init,
-    gradients,
     run_ts_experiment,
     teacher_labels,
 )
 
-from conftest import (as_block_set, complete_graph, crop_to_observed, cycle_graph,
-                      master_node_adjacency, mse_loss, path_graph, random_partition)
+from conftest import (as_block_set, complete_graph, crop_to_observed, cycle_graph, gradients,
+                      is_connected, master_node_adjacency, mse_loss, path_graph,
+                      random_partition)
 from test_spectral import oracle_srl
 
 PERCENTILES = (0, 25, 50, 75, 100)

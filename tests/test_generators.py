@@ -11,7 +11,8 @@ from rolewire.generators import (
     make_dataset,
     make_graph,
 )
-from rolewire.graph import is_connected
+
+from conftest import is_connected
 
 
 class TestFamilies:

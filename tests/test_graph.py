@@ -17,14 +17,13 @@ from rolewire.graph import (
     dump_edge_list,
     dump_labels_csv,
     graph_from_edges,
-    is_connected,
     load_edge_list,
     load_features_csv,
     load_labels_csv,
     one_hot_labels,
 )
 
-from conftest import cycle_graph, dump_features_csv, star_graph, two_hop_neighbors
+from conftest import cycle_graph, dump_features_csv, is_connected, star_graph, two_hop_neighbors
 
 
 def load(text):

@@ -1,5 +1,6 @@
 """The library ships only what it runs: every module-level name in
-src/rolewire is exported through its module's __all__ or used elsewhere."""
+src/rolewire is exported through its module's __all__ or used elsewhere,
+and every exported name is used by the library or by perfbench."""
 
 import ast
 from pathlib import Path
@@ -7,16 +8,18 @@ from pathlib import Path
 import rolewire
 
 SRC = Path(rolewire.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _defined(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of each function, class and name assigned at module level."""
+def _defined(statements: list[ast.stmt]) -> list[tuple[str, int]]:
+    """(name, line) of each function, class and name assigned by module-level
+    `statements`."""
     names = []
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -34,7 +37,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _used(tree: ast.Module) -> set[str]:
+def _used(tree: ast.AST) -> set[str]:
     """Names read, attributes taken and names imported anywhere in `tree`."""
     used = set()
     for node in ast.walk(tree):
@@ -47,12 +50,36 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _strings(tree: ast.Module) -> set[str]:
+    """Each dotted part of every string constant, as in perfbench's
+    ("module", "Class.method") tracing targets."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")}
+
+
 def test_every_module_level_name_is_exported_or_used():
     trees = _trees()
     used = set().union(*map(_used, trees.values()))
     unused = []
     for module, tree in trees.items():
         exported = _exported(tree)
-        unused += [f"{module}:{line} {name}" for name, line in _defined(tree)
+        unused += [f"{module}:{line} {name}" for name, line in _defined(tree.body)
                    if name not in exported and name not in used]
+    assert unused == []
+
+
+def test_every_exported_name_is_used_by_the_library_or_perfbench():
+    """A use inside the name's own definition or a re-export in
+    __init__.py does not count; tests alone do not keep a name."""
+    trees = _trees()
+    del trees["__init__.py"]
+    bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    used = set().union(*map(_used, bench), *map(_strings, bench))
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = {name for name, _ in _defined([node])}
+            used |= _used(node) - own
+    unused = [f"{module} {name}" for module, tree in trees.items()
+              for name in sorted(_exported(tree)) if name not in used]
     assert unused == []

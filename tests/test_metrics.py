@@ -18,7 +18,7 @@ from rolewire.errors import (
 from rolewire import metrics
 from rolewire.generators import assign_splits, eccentricity_labels, erdos_renyi, make_graph
 from rolewire.graph import (PERCENTILE_GRID, bfs_distances, degree_percentile,
-                            graph_from_edges, is_connected)
+                            graph_from_edges)
 from rolewire.metrics import (
     EpsCandidate,
     dump_candidates_csv,
@@ -34,9 +34,10 @@ from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import (cycle_graph, evaluate_candidates_oracle, from_blocks, largest_component,
-                      mean_effective_resistance_by_solves, mean_effective_resistance_oracle,
-                      pairwise_resistance, path_graph, star_graph)
+from conftest import (cycle_graph, evaluate_candidates_oracle, from_blocks, is_connected,
+                      largest_component, mean_effective_resistance_by_solves,
+                      mean_effective_resistance_oracle, pairwise_resistance, path_graph,
+                      star_graph)
 
 
 def mean_pair_resistance(adjacency, span):

@@ -145,6 +145,10 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine_eps_be(p3, -0.5)
 
+    def test_nan_eps_rejected_like_a_negative_one(self, p3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            refine_eps_be(p3, float("nan"))
+
 
 class TestValidateAep:
     def test_singletons_always_pass(self, star4):

@@ -10,6 +10,7 @@ oracle, is compared within a relative 1e-9.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from rolewire import generators
 from rolewire.errors import NoEligibleNodesError, ParseError, SelfLoopError
 from rolewire.generators import eccentricity_labels
 from rolewire.graph import (
+    PERCENTILE_GRID,
     UNLABELED,
     Graph,
     bfs_distances,
     compact_ids,
+    degree_percentile,
     graph_from_edges,
 )
 from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
@@ -55,18 +58,16 @@ def reference_refine_eps_be(graph, eps):
     n = graph.num_nodes
     part = from_blocks(n, [list(range(n))])
     while True:
-        splitters = part.blocks
+        # toward[u][s]: u's neighbors in splitter s, a round-start block
+        toward = [Counter(part.block_of[graph.neighbors(u)].tolist()) for u in range(n)]
         current = [list(b) for b in part.blocks]
-        for splitter in splitters:
-            in_splitter = np.zeros(n, dtype=bool)
-            in_splitter[list(splitter)] = True
+        for splitter in range(part.k):
             next_blocks = []
             for block in current:
                 if len(block) == 1:
                     next_blocks.append(block)
                     continue
-                counted = sorted(
-                    (int(in_splitter[graph.neighbors(u)].sum()), u) for u in block)
+                counted = sorted((toward[u][splitter], u) for u in block)
                 groups = []
                 group_min = None
                 for cnt, u in counted:
@@ -211,6 +212,20 @@ def assert_same_graph(got, want):
         assert np.array_equal(a, b), name
 
 
+def distinct_family_graphs():
+    """(id, graph) for each distinct graph among every generator family at
+    n in {120, 200} and seeds 0 and 1: deterministic families ignore the
+    seed, and `line` is `path` under another name."""
+    cases = {}
+    for family in sorted(generators.FAMILIES):
+        for n in (120, 200):
+            for seed in (0, 1):
+                graph = generators.make_graph(family, n, seed=seed)
+                cases.setdefault((graph.indptr.tobytes(), graph.indices.tobytes()),
+                                 (f"{family}-{n}-{seed}", graph))
+    return list(cases.values())
+
+
 def pattern_graph(adjacency):
     """Simple Graph on the off-diagonal stored pattern of a symmetric matrix."""
     coo = adjacency.tocoo()
@@ -283,6 +298,8 @@ def block_lists(draw, max_nodes=20):
 tolerances = st.one_of(
     st.integers(0, 6).map(float),
     st.floats(0, 6, allow_nan=False),
+    st.floats(0, 40, allow_nan=False),      # up to past every spread: degrees stay below 30
+    st.sampled_from([1e9, math.inf]),
 )
 
 
@@ -318,6 +335,18 @@ def test_refine_matches_greedy_loop(graph, eps):
     assert fast.blocks == slow.blocks
     assert np.array_equal(fast.block_of, slow.block_of)
     assert validate_aep(graph, fast, eps)
+
+
+@pytest.mark.parametrize("case", distinct_family_graphs(), ids=lambda case: case[0])
+def test_refine_matches_greedy_loop_on_families(case):
+    """Graphs with enough blocks that most splitters of a round split
+    nothing, at every grid tolerance and at 0.5, 1 and 2."""
+    _, graph = case
+    grid = {degree_percentile(graph, p) for p in PERCENTILE_GRID}
+    for eps in sorted(grid | {0.5, 1.0, 2.0}):
+        fast = refine_eps_be(graph, eps)
+        assert fast.block_of.tobytes() == reference_refine_eps_be(graph, eps).block_of.tobytes()
+        assert validate_aep(graph, fast, eps)
 
 
 @PROPERTY_SETTINGS

@@ -21,7 +21,6 @@ from rolewire.teacher_student import (
     TrainConfig,
     forward,
     gaussian_init,
-    gradients,
     layer_product,
     run_ts_experiment,
     teacher_labels,
@@ -30,7 +29,8 @@ from rolewire.teacher_student import (
 )
 
 from conftest import (
-    crop_to_observed, cycle_graph, largest_component, mse_loss, path_graph, star_graph,
+    crop_to_observed, cycle_graph, gradients, largest_component, mse_loss, path_graph,
+    star_graph,
 )
 
 
