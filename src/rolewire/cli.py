@@ -27,8 +27,8 @@ verb's files land together: each is written under a temporary name and
 renamed into place only once the whole verb has succeeded, so a verb that
 fails adds no file to --out and leaves the files already there as they were.
 
-Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. Failures
-print one line to stderr of the form "ERR:<USAGE|INPUT|NUMERIC>: <detail>".
+Exit codes: 0 ok, 2 usage, 3 input error, 4 numeric failure. A failure prints
+"ERR:<USAGE|INPUT|NUMERIC>: <detail>" on stderr, after any "WARN:" lines.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import errno
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -506,20 +507,25 @@ _PARSER = _build_parser()   # after the runners it dispatches to
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one verb; each library warning (a UserWarning, such as collapsed
+    duplicate edges) prints at once as a `WARN: <message>` line on stderr."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        ns = parse_args(argv)
-        with _all_or_nothing(ns):
-            return ns.run(ns)
-    except UsageError as exc:
-        print(f"ERR:USAGE: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"ERR:NUMERIC: {exc}", file=sys.stderr)
-        return 4
-    except (RolewireError, ValueError) as exc:    # InputError and the rest
-        print(f"ERR:INPUT: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():          # restores the filters and showwarning
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"WARN: {message}", file=sys.stderr)
+        try:
+            ns = parse_args(argv)
+            with _all_or_nothing(ns):
+                return ns.run(ns)
+        except UsageError as exc:
+            print(f"ERR:USAGE: {exc}", file=sys.stderr)
+            return 2
+        except NumericError as exc:
+            print(f"ERR:NUMERIC: {exc}", file=sys.stderr)
+            return 4
+        except (RolewireError, ValueError) as exc:    # InputError and the rest
+            print(f"ERR:INPUT: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Immutable undirected graph container and file formats.
+"""Immutable undirected graph container, the matrix gate, and file formats.
 
 Graphs are simple (no self-loops, no multi-edges), undirected and
 unweighted, stored in compressed sparse form: row offsets plus sorted
 neighbor lists. Node ids are dense 0-based integers.
+
+Every matrix a caller hands the library passes `require_symmetric` (an
+adjacency, `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
 
 File formats (read through `table_rows`, written through `write_table`)
 ------------------------------------------------------------------------
@@ -24,6 +27,7 @@ import scipy.sparse as sp
 
 from .errors import (
     EmptyGraphError,
+    NonSymmetricError,
     ParseError,
     SelfLoopError,
 )
@@ -52,11 +56,12 @@ __all__ = [
     "PERCENTILE_GRID",
     "degree_percentile",
     "bfs_distances",
+    "normalized_shift",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Core containers
+# Core containers, the matrix gate and the normalized shift
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -113,8 +118,7 @@ class Graph:
 
     @cached_property
     def shift(self) -> np.ndarray:
-        """Read-only dense normalized shift, built once per graph and shared."""
-        from .spectral import normalized_shift   # spectral imports this module
+        """Read-only normalized shift of `adjacency`, cached; `RewiredGraph` shares it."""
         shift = normalized_shift(self.adjacency)
         shift.setflags(write=False)
         return shift
@@ -142,6 +146,62 @@ class NodeData:
             raise ValueError("train/val/test masks must be pairwise disjoint")
         if np.any(self.labels[splits > 0] == UNLABELED):
             raise ValueError("every masked node must carry a label")
+
+
+def require_symmetric(m, what: str) -> None:
+    """The one gate for a matrix a caller hands the library: square and
+    within 1e-12 * max(1, max |m|) of m^T (else NonSymmetricError), and finite
+    (else ValueError). A sparse m, duplicates summed, is read on its entries."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSymmetricError(f"{what} must be square")
+    values = m.data if sp.issparse(m) else m
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    diff = m - m.T
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    if np.abs(diff.data if sp.issparse(m) else diff).max(initial=0.0) > 1e-12 * scale:
+        raise NonSymmetricError(f"{what} is not symmetric")
+
+
+def weighted_adjacency(adjacency) -> sp.csr_matrix:
+    """A float64 CSR copy of an adjacency, duplicates summed, that passes
+    `require_symmetric`, with weights >= 0 and finite degrees (else ValueError)."""
+    a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    require_symmetric(a, "adjacency")
+    if a.data.min(initial=0.0) < 0:
+        raise ValueError("adjacency weights must be nonnegative")
+    if not np.isfinite(a @ np.ones(a.shape[1])).all():
+        raise ValueError("adjacency's weighted degrees overflow")
+    return a
+
+
+def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
+    """Self-loop-normalized propagation matrix of a sparse weighted adjacency.
+
+    With B = A + I and D the diagonal of B's row sums, returns the dense
+    D^{-1/2} B D^{-1/2}, symmetrized as (S + S^T)/2. Every diagonal of B
+    is at least 1, so D is invertible without special cases.
+
+    A passes `weighted_adjacency`, and the result is built in one n x n
+    buffer: B is densified once (from zeros, so an explicit -0.0 weight
+    lands as +0.0, as in A + I) and its dense row sums give D. Off the
+    stored entries, their mirrors and the diagonal, the result is B's zero;
+    on them, (b_ij d_i) d_j is averaged with its mirror and written back.
+    The bits are those of (dinv[:, None] * (A + I)) * dinv[None, :] averaged
+    with its transpose.
+    """
+    a = weighted_adjacency(adjacency).tocoo()
+    b = a.toarray()
+    n = b.shape[0]
+    b.flat[::n + 1] += 1.0
+    dinv = 1.0 / np.sqrt(b.sum(axis=1))
+    i = np.concatenate([a.row, np.arange(n)])
+    j = np.concatenate([a.col, np.arange(n)])
+    mean = (b[i, j] * dinv[i] * dinv[j] + b[j, i] * dinv[j] * dinv[i]) / 2.0
+    b[i, j] = mean
+    b[j, i] = mean
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +492,7 @@ def degree_percentile(graph: Graph, p: int) -> float:
     if p == 0:
         return 0.0
     sorted_degrees = np.sort(graph.degrees())
-    if p == 100:
-        return float(sorted_degrees[-1])
-    n = graph.num_nodes
-    idx = int(np.ceil(p / 100.0 * n)) - 1
+    idx = int(np.ceil(p / 100.0 * graph.num_nodes)) - 1     # p = 100: the last
     return float(sorted_degrees[idx])
 
 

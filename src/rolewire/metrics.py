@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graph import (
     PERCENTILE_GRID, Graph, NodeData, UNLABELED, bfs_distances, degree_percentile, fixed,
-    one_hot_labels, write_table,
+    one_hot_labels, weighted_adjacency, write_table,
 )
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
@@ -51,14 +51,14 @@ def mean_effective_resistance(
 ) -> float:
     """Mean pairwise effective resistance of a sparse weighted graph.
 
-    Treats each weighted edge as a conductance; self-loops are dropped
-    (they never carry current). With the last node g grounded, X is the
-    inverse of the Laplacian without g's row and column, padded with
-    zeros at g, and R_ij = X_ii + X_jj - 2 X_ij for every pair. So the
-    pair sum over a node set S of size s is s * tr(X_SS) - 1^T X_SS 1
-    (Klein and Randic 1993). With `origin_count`, only unordered pairs
-    among the first origin_count nodes are averaged, which makes
-    augmented graphs comparable to their source; without it, all pairs
+    Each weighted edge of an adjacency that passes `weighted_adjacency` is a
+    conductance; self-loops carry no current and are dropped. With the last
+    node g grounded, X is the inverse of the Laplacian without g's row and
+    column, padded with zeros at g, and R_ij = X_ii + X_jj - 2 X_ij for
+    every pair. So the pair sum over a node set S of size s is s * tr(X_SS)
+    - 1^T X_SS 1 (Klein and Randic 1993). With `origin_count`, only
+    unordered pairs among the first origin_count nodes are averaged, which
+    makes augmented graphs comparable to their source; without it, all pairs
     are. For a rewiring the grounded node is virtual and lies outside S.
 
     The grounded Laplacian is symmetric positive definite, so
@@ -70,11 +70,9 @@ def mean_effective_resistance(
     comes from one vector solve, so no dense m x m matrix is formed and
     no identity column is solved.
     """
-    weights = sp.csr_matrix(adjacency, dtype=np.float64)
+    weights = weighted_adjacency(adjacency)
     weights = weights - sp.diags(weights.diagonal())     # self-loops carry no current
     weights.eliminate_zeros()                            # a stored 0.0 is no edge
-    if weights.data.min(initial=0.0) < 0:
-        raise ValueError("adjacency weights must be nonnegative")
     if (bfs_distances(weights.indptr, weights.indices, 0) < 0).any():
         raise DisconnectedError("effective resistance needs a connected graph")
     m = adjacency.shape[0]

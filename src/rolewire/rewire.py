@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import IO, Optional
 
@@ -83,13 +82,7 @@ class RewiredGraph:
     def size(self) -> int:
         return self.origin_count + self.virtual_count
 
-    @cached_property
-    def shift(self) -> np.ndarray:
-        """Read-only dense normalized shift, built once per rewired graph."""
-        from .spectral import normalized_shift   # spectral imports this module
-        shift = normalized_shift(self.adjacency)
-        shift.setflags(write=False)
-        return shift
+    shift = Graph.shift     # the one read-only normalized shift of `adjacency`, cached
 
 
 def _node_features(x: Optional[np.ndarray], n: int) -> np.ndarray:

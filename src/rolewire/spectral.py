@@ -1,8 +1,9 @@
 """Dense symmetric spectral machinery for role-lift diagnostics.
 
-Adjacencies come in sparse and partitions as label arrays; from them
-`normalized_shift` and `role_basis` build the dense shift and basis, and
-everything after is 64-bit dense linear algebra at desk scale. The central
+The dense shifts come from their owners, `Graph.shift` and
+`RewiredGraph.shift` (built by `graph.normalized_shift`, re-exported
+here), and `role_basis` densifies the membership indicator. Everything
+after is 64-bit dense linear algebra at desk scale. The central
 quantity is the spectral role lift: project the normalized shifts of the
 original and the augmented graph onto the (rotated) role basis, form one
 2x2 symmetric matrix per role direction, and measure how much its top
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import EmptyLabelsError, NonSymmetricError
-from .graph import Graph, fixed, write_table
-from .partition import Partition
+from .errors import EmptyLabelsError
+from .graph import Graph, fixed, normalized_shift, require_symmetric, write_table
+from .partition import Partition, membership_matrix
 from .rewire import RewiredGraph
 
 __all__ = [
@@ -47,60 +47,15 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
 
-def _require_symmetric(m, what: str) -> None:
-    """No entry of m - m^T above 1e-12 * max(1, max |m|); a sparse m, its
-    duplicates summed, is checked on its stored entries."""
-    diff = m - m.T
-    if sp.issparse(m):
-        m, diff = m.data, diff.data
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(diff).max(initial=0.0) > 1e-12 * scale:
-        raise NonSymmetricError(f"{what} is not symmetric")
-
-
 # ---------------------------------------------------------------------------
-# Shifts and bases
+# Bases
 # ---------------------------------------------------------------------------
-
-def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
-    """Self-loop-normalized propagation matrix of a sparse weighted adjacency.
-
-    With B = A + I and D the diagonal of B's row sums, returns the dense
-    D^{-1/2} B D^{-1/2}, symmetrized as (S + S^T)/2. Every diagonal of B
-    is at least 1, so D is invertible without special cases.
-
-    The symmetry and sign checks run on the sparse entries, and the
-    result is built in one n x n buffer: B is densified once (from zeros,
-    so an explicit -0.0 weight lands as +0.0, as in A + I) and its dense
-    row sums give D. Off the stored entries, their mirrors and the
-    diagonal, the result is B's zero; on them, (b_ij d_i) d_j is averaged
-    with its mirror and written back. The bits are those of
-    (dinv[:, None] * (A + I)) * dinv[None, :] averaged with its transpose.
-    """
-    a = sp.coo_matrix(adjacency, dtype=np.float64, copy=True)
-    a.sum_duplicates()
-    _require_symmetric(a, "adjacency")
-    if a.data.min(initial=0.0) < 0:
-        raise ValueError("adjacency weights must be nonnegative")
-    b = a.toarray()
-    n = b.shape[0]
-    b.flat[::n + 1] += 1.0
-    dinv = 1.0 / np.sqrt(b.sum(axis=1))
-    i = np.concatenate([a.row, np.arange(n)])
-    j = np.concatenate([a.col, np.arange(n)])
-    mean = (b[i, j] * dinv[i] * dinv[j] + b[j, i] * dinv[j] * dinv[i]) / 2.0
-    b[i, j] = mean
-    b[j, i] = mean
-    return b
-
 
 def role_basis(partition: Partition) -> np.ndarray:
-    """Column-orthonormalized block indicator: entry 1/sqrt(|B_j|) on block j."""
-    n = partition.num_nodes
-    c = np.zeros((n, partition.k))
-    c[np.arange(n), partition.block_of] = \
-        (1.0 / np.sqrt(partition.block_sizes()))[partition.block_of]
-    return c
+    """Column-orthonormalized block indicator: the dense membership
+    indicator R with column j scaled by 1/sqrt(|B_j|)."""
+    return membership_matrix(partition).multiply(
+        1.0 / np.sqrt(partition.block_sizes())).toarray()
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +68,7 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The matrix is solved as its upper triangle mirrored onto the lower
     one: an exactly symmetric input is taken as is, and a near-symmetric
-    one (within `_require_symmetric`'s tolerance) as that mirror. Exact
+    one (within `graph.require_symmetric`'s tolerance) as that mirror. Exact
     symmetry then holds after every rotation, because the column update
     c*a_jp - s*a_jq of an entry outside the 2x2 pivot block is the row
     update c*a_pj - s*a_qj of its mirror. So each pivot rotates rows
@@ -125,9 +80,7 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so the bits are those of rotating columns, then rows, then V.
     """
     a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetricError("matrix must be square")
-    _require_symmetric(a, "matrix")
+    require_symmetric(a, "matrix")
     n = a.shape[0]
     a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
     norm = float(np.linalg.norm(a))
@@ -305,17 +258,13 @@ def bound_error(
     kappa0 = 0.0
     kappa_max = 0.0
     for j in range(len(lambda_plus)):
-        h_lam, _ = _filter_and_derivative(h_degree, float(lambda_plus[j]))
+        h_lam, d_lam = _filter_and_derivative(h_degree, float(lambda_plus[j]))
         if abs(h_lam) < 1e-12:
             if beta_obs is not None:
                 kappa0 += float((beta_obs[j] ** 2).sum())
             continue
-        slopes = [
-            abs(_filter_and_derivative(h_degree, float(mu_obs[j]))[1]),
-            abs(_filter_and_derivative(h_degree, float(lambda_plus[j]))[1]),
-        ]
-        kappa_j = max(slopes) ** 2 / (h_lam * h_lam)
-        kappa_max = max(kappa_max, kappa_j)
+        d_obs = _filter_and_derivative(h_degree, float(mu_obs[j]))[1]
+        kappa_max = max(kappa_max, max(abs(d_obs), abs(d_lam)) ** 2 / (h_lam * h_lam))
     return kappa0, kappa_max, kappa0 + kappa_max * e_tot * srl
 
 
@@ -338,11 +287,8 @@ def srl_report(
     n = graph.num_nodes
     if y.shape[0] != n:
         raise ValueError(f"labels have {y.shape[0]} rows, the graph has {n} nodes")
-    s_obs = graph.shift
-    s_rew = rewired.shift
-    s_oo = s_rew[:n, :n]
-    s_vo = s_rew[n:, :n]
-    s_vv = s_rew[n:, n:]
+    s_obs, s_rew = graph.shift, rewired.shift
+    s_oo, s_vo, s_vv = s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:]
 
     c = rotated_role_basis(graph, partition)
     k = c.shape[1]

@@ -9,14 +9,13 @@ import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
 from rolewire.graph import (PERCENTILE_GRID, Graph, bfs_distances, degree_percentile,
-                            graph_from_edges, one_hot_labels)
+                            graph_from_edges, one_hot_labels, require_symmetric)
 from rolewire.errors import InputError, NoEligibleNodesError, NonSymmetricError
 from rolewire.metrics import EpsCandidate, srl_star, two_hop_class_similarity
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
-from rolewire.spectral import (_JACOBI_MAX_SWEEPS, _JACOBI_TOL, _require_symmetric,
-                               srl_report)
+from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, srl_report
 from rolewire.teacher_student import LinearGnnWeights, _ChainGradient, _stacked_mse
 
 
@@ -151,10 +150,10 @@ def pairwise_resistance(adj, span):
 def normalized_shift_oracle(adjacency: sp.spmatrix) -> np.ndarray:
     """Dense (A + I)-normalized shift, symmetrized, from n x n temporaries.
 
-    Dense oracle for `spectral.normalized_shift`, which must give the same
+    Dense oracle for `graph.normalized_shift`, which must give the same
     bytes from one buffer."""
     a = adjacency.astype(np.float64).toarray()
-    _require_symmetric(a, "adjacency")
+    require_symmetric(a, "adjacency")
     if a.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
     b = a + np.eye(a.shape[0])
@@ -257,7 +256,7 @@ def jacobi_eig_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricError("matrix must be square")
-    _require_symmetric(a, "matrix")
+    require_symmetric(a, "matrix")
     n = a.shape[0]
     v = np.eye(n)
     norm = float(np.linalg.norm(a))

@@ -486,6 +486,38 @@ def test_malformed_input_gives_one_err_line(tmp_path, capsys, star_files, argv, 
     assert not out.exists()
 
 
+class TestLibraryWarnings:
+    """A library warning raised during a verb is one `WARN:` line on
+    stderr, before any `ERR:` line; stdout and the files do not change."""
+
+    DUPLICATE = "WARN: collapsed 1 duplicate edge mentions\n"
+
+    def test_duplicate_edge_warns_and_changes_no_output(self, tmp_path, capsys):
+        results = []
+        for name, text in (("clean", "0 1\n1 2\n2 3\n"), ("dup", "0 1\n1 2\n2 3\n1 0\n")):
+            (tmp_path / f"{name}.txt").write_text(text)
+            out = tmp_path / name
+            code, stdout, err = run(["partition", "--graph", tmp_path / f"{name}.txt",
+                                     "--eps", "0", "--out", out], capsys)
+            code_e, stdout_e, err_e = run(["effres", "--graph", tmp_path / f"{name}.txt"],
+                                          capsys)
+            assert code == code_e == 0
+            results.append((stdout, stdout_e, tree_digest(out), err, err_e))
+        (*clean, clean_err, clean_err_e), (*dup, dup_err, dup_err_e) = results
+        assert dup == clean
+        assert clean_err == clean_err_e == ""
+        assert dup_err == dup_err_e == self.DUPLICATE
+
+    def test_warning_precedes_the_error_line(self, tmp_path, capsys):
+        (tmp_path / "dup.txt").write_text("0 1\n1 2\n0 1\n")
+        code, stdout, err = run(["srl", "--graph", tmp_path / "dup.txt", "--eps", "0",
+                                 "--labels", tmp_path / "missing.csv",
+                                 "--out", tmp_path / "o"], capsys)
+        assert code == 3 and stdout == ""
+        warn, error = err.splitlines()
+        assert warn + "\n" == self.DUPLICATE and error.startswith("ERR:INPUT: ")
+
+
 class TestGenPartition:
     def test_star_partition_blocks(self, tmp_path, star_files):
         out = tmp_path / "p"

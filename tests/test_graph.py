@@ -5,9 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from rolewire.errors import EmptyGraphError, InputError, ParseError, SelfLoopError
+import rolewire.graph
+import rolewire.spectral
+from rolewire.errors import (EmptyGraphError, InputError, NonSymmetricError, ParseError,
+                             SelfLoopError)
 from rolewire.graph import (
     MAX_NODE_ID,
     NodeData,
@@ -20,8 +24,11 @@ from rolewire.graph import (
     load_edge_list,
     load_features_csv,
     load_labels_csv,
+    normalized_shift,
     one_hot_labels,
 )
+from rolewire.metrics import mean_effective_resistance
+from rolewire.spectral import symmetric_eig
 
 from conftest import cycle_graph, dump_features_csv, is_connected, star_graph, two_hop_neighbors
 
@@ -79,6 +86,52 @@ class TestLoadEdgeList:
         reparsed = load(out.getvalue())
         assert set(g.edges()) == set(reparsed.edges())
         assert set(g.edges()) == {(0, 1), (0, 2), (1, 2)}
+
+
+def four_cycle(weight_01=1.0) -> np.ndarray:
+    """The 4-cycle's adjacency with entry (0, 1) and its mirror set to `weight_01`."""
+    a = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
+    a[0, 1] = a[1, 0] = weight_01
+    return a
+
+
+ONE_SIDED = four_cycle()
+ONE_SIDED[0, 1] = 3.0
+
+# (input, the class every entry point that takes it raises, whether it is a
+# weighted adjacency only: a general symmetric matrix may be negative or huge)
+GATE_CASES = {
+    "asymmetric-4-cycle": (ONE_SIDED, NonSymmetricError, False),
+    "nan-weight": (four_cycle(np.nan), ValueError, False),
+    "inf-weight": (four_cycle(np.inf), ValueError, False),
+    "negative-weight": (four_cycle(-1.0), ValueError, True),
+    "non-square": (four_cycle()[:3], NonSymmetricError, False),
+    "1e308-weights": (1e308 * four_cycle(), ValueError, True),
+    "nan-off-diagonal": (np.array([[1.0, np.nan], [np.nan, 2.0]]), ValueError, False),
+}
+ENTRY_POINTS = {
+    "normalized_shift": (lambda m: normalized_shift(sp.csr_matrix(m)), True),
+    "mean_effective_resistance": (lambda m: mean_effective_resistance(sp.csr_matrix(m)), True),
+    "symmetric_eig": (symmetric_eig, False),
+}
+
+
+class TestMatrixGate:
+    """Every matrix a caller hands the library passes one gate in graph.py."""
+
+    @pytest.mark.parametrize("case,entry", [
+        (case, entry) for case, (_, _, weights_only) in GATE_CASES.items()
+        for entry, (_, takes_weights) in ENTRY_POINTS.items()
+        if takes_weights or not weights_only])
+    def test_each_input_raises_its_class(self, case, entry):
+        matrix, error, _ = GATE_CASES[case]
+        call, _ = ENTRY_POINTS[entry]
+        with pytest.raises(error) as caught:
+            call(matrix)
+        assert caught.type is error
+
+    def test_spectral_reexports_normalized_shift(self):
+        assert rolewire.spectral.normalized_shift is rolewire.graph.normalized_shift
 
 
 class TestNeighborhoods:

@@ -1,6 +1,7 @@
 """The library ships only what it runs: every module-level name in
 src/rolewire is exported through its module's __all__ or used elsewhere,
-and every exported name is used by the library or by perfbench."""
+and every exported name is used by the library or by perfbench. Its
+modules import one another at module level only."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,21 @@ def test_every_exported_name_is_used_by_the_library_or_perfbench():
     unused = [f"{module} {name}" for module, tree in trees.items()
               for name in sorted(_exported(tree)) if name not in used]
     assert unused == []
+
+
+def _imports_rolewire(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "rolewire"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "rolewire" for alias in node.names)
+
+
+def test_no_function_body_imports_a_rolewire_module():
+    """An import inside a function hides a dependency (or a cycle) from the
+    module's header; third-party imports there, such as scipy's `splu`,
+    are allowed."""
+    inner = {f"{module}:{node.lineno}" for module, tree in _trees().items()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if _imports_rolewire(node)}
+    assert inner == set()

@@ -1,0 +1,79 @@
+"""The complexity target as a test: a verb's tracemalloc peak grows no
+faster than its memory model, m + n*k (plus nnz(L) for `effres`).
+
+Each case runs one verb in process at two sizes, the 25th degree
+percentile and `repnodes`, and compares the ratio of the two peaks with
+the ratio of the model's values. Peaks of one allocation sequence repeat
+exactly, so the bound needs no timing noise margin, only SLACK for the
+constant terms the model leaves out.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from rolewire.cli import main
+from rolewire.generators import make_graph
+from rolewire.graph import degree_percentile, dump_edge_list
+from rolewire.partition import refine_eps_be
+from rolewire.rewire import Variant, build_rewired
+
+SLACK = 1.25      # stated once; widening it to let a change through defeats the test
+SIZES = {"tree": (1023, 4095), "grid": (1024, 4096)}
+
+
+def factor_nnz(adjacency: sp.spmatrix) -> int:
+    """nnz(L) of the grounded Laplacian's factor, ordered and pivoted as
+    `metrics.mean_effective_resistance` factors it."""
+    weights = sp.csr_matrix(adjacency, dtype=np.float64)
+    weights = weights - sp.diags(weights.diagonal())
+    weights.eliminate_zeros()
+    lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
+    return splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0, options={"SymmetricMode": True}).L.nnz
+
+
+def model(family: str, n: int, verb: str) -> int:
+    graph = make_graph(family, n)
+    eps = degree_percentile(graph, 25)
+    part = refine_eps_be(graph, eps)
+    size = graph.num_edges + n * part.k
+    if verb == "effres":
+        rewired = build_rewired(graph, part, Variant.REP_NODES, eps=eps)
+        size += max(factor_nnz(graph.adjacency), factor_nnz(rewired.adjacency))
+    return size
+
+
+def peak(argv: list[str]) -> int:
+    """tracemalloc peak of one `main(argv)` call, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", sorted(SIZES))
+@pytest.mark.parametrize("verb", ["partition", "rewire", "effres"])
+def test_peak_grows_with_the_model(verb, family, tmp_path):
+    args = {"partition": ["--out", str(tmp_path / "out")],
+            "rewire": ["--variant", "repnodes", "--out", str(tmp_path / "out")],
+            "effres": ["--variant", "repnodes"]}[verb]
+    runs = []
+    for n in SIZES[family]:
+        path = tmp_path / f"{family}{n}.txt"
+        with open(path, "w") as fh:
+            dump_edge_list(make_graph(family, n), fh)
+        runs.append([verb, "--graph", str(path), "--percentile", "25", *args])
+    if verb == "effres":
+        peak(runs[0])      # the first call imports scipy.sparse.linalg
+    small, large = map(peak, runs)
+    growth = model(family, SIZES[family][1], verb) / model(family, SIZES[family][0], verb)
+    assert large / small <= SLACK * growth, (large / small, growth)

@@ -551,7 +551,7 @@ class TestShiftOwners:
             orders.append(adjacency.shape[0])
             return original(adjacency)
 
-        monkeypatch.setattr(spectral, "normalized_shift", counting)
+        monkeypatch.setattr("rolewire.graph.normalized_shift", counting)   # the owners' binding
         return orders
 
     def test_cached_read_only_and_exact(self):
