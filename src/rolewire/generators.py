@@ -27,43 +27,35 @@ __all__ = [
 
 
 def star(n: int, rng) -> Graph:
-    return graph_from_edges(n, [(0, i) for i in range(1, n)])
+    return graph_from_edges(n, np.column_stack((0 * np.arange(1, n), np.arange(1, n))))
 
 
 def cycle(n: int, rng) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, np.column_stack((np.arange(n), (np.arange(n) + 1) % n)))
 
 
 def path(n: int, rng) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return _lattice(n, 1, n)
+
+
+def _lattice(n: int, rows: int, cols: int) -> Graph:
+    """The rows x cols grid on ids 0..rows*cols-1, row-major; any ids up to n-1 isolated."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right, down = np.stack((ids[:, :-1], ids[:, 1:]), -1), np.stack((ids[:-1], ids[1:]), -1)
+    return graph_from_edges(n, np.concatenate((right.ravel(), down.ravel())))
 
 
 def grid(n: int, rng) -> Graph:
-    rows = math.isqrt(n)
-    while n % rows:
-        rows -= 1
-    cols = n // rows
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            u = i * cols + j
-            if j + 1 < cols:
-                edges.append((u, u + 1))
-            if i + 1 < rows:
-                edges.append((u, u + cols))
-    return graph_from_edges(n, edges)
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return _lattice(n, rows, n // rows)
 
 
 def ladder(n: int, rng) -> Graph:
-    half = n // 2
-    edges = [(i, i + 1) for i in range(half - 1)]
-    edges += [(half + i, half + i + 1) for i in range(half - 1)]
-    edges += [(i, half + i) for i in range(half)]
-    return graph_from_edges(n, edges)
+    return _lattice(n, 2, n // 2)
 
 
 def balanced_tree(n: int, rng) -> Graph:
-    return graph_from_edges(n, [((child - 1) // 2, child) for child in range(1, n)])
+    return graph_from_edges(n, np.column_stack((np.arange(n - 1) // 2, np.arange(1, n))))
 
 
 def caterpillar(n: int, rng) -> Graph:
@@ -133,37 +125,29 @@ def make_graph(family: str, n: int, seed: int = 0, p: float = 0.1) -> Graph:
 # Labels and splits
 # ---------------------------------------------------------------------------
 
-ECCENTRICITY_CHUNK = 1 << 18    # bound on per-level (node, source) entries of the batch BFS
+ECCENTRICITY_CHUNK = 1 << 18    # bound on the (node, word) entries of each array a batch BFS holds
 
 
 def _bfs_depths(graph: Graph, sources: np.ndarray) -> np.ndarray:
-    """Largest finite BFS distance from each source.
+    """Largest finite BFS distance from each of the distinct `sources`.
 
-    All sources advance together, one level per pass over the frontier's
-    (node, source) pairs. `stamp` marks reached pairs; stamping each fresh
-    candidate with its position and keeping the candidates whose stamp
-    survived leaves one copy of every pair reached twice in a level.
+    Sources advance together, 64 to a uint64 word (Then et al., PVLDB
+    2014): bit j of word w of node v says source 64w + j has reached v.
+    A level ORs the frontier's words over each CSR row and keeps the bits
+    not seen before; a source's depth is the last level with a new bit.
     """
-    indptr, indices = graph.indptr, graph.indices
-    stamp = np.full((graph.num_nodes, len(sources)), -1, dtype=np.int64)
-    rows, cols = sources, np.arange(len(sources))
-    stamp[rows, cols] = 0
-    depth = np.zeros(len(sources), dtype=np.int64)
-    level = 0
-    while len(rows):
+    k, rows = len(sources), np.flatnonzero(np.diff(graph.indptr))  # reduceat needs non-empty rows
+    seen = np.zeros((graph.num_nodes, -(-k // 64)), dtype=np.uint64)
+    seen[sources, np.arange(k) // 64] = np.uint64(1) << (np.arange(k) % 64).astype(np.uint64)
+    frontier, depth, level = seen, np.zeros(k, dtype=np.int64), 0
+    while frontier.any():
         level += 1
-        lo = indptr[rows]
-        span = indptr[rows + 1] - lo
-        ends = np.cumsum(span)
-        pos = np.arange(ends[-1]) + np.repeat(lo - ends + span, span)
-        rows, cols = indices[pos], np.repeat(cols, span)
-        fresh = stamp[rows, cols] < 0
-        rows, cols = rows[fresh], cols[fresh]
-        ids = np.arange(len(rows))
-        stamp[rows, cols] = ids
-        kept = stamp[rows, cols] == ids
-        rows, cols = rows[kept], cols[kept]
-        depth[cols] = level
+        reached = np.zeros_like(seen)
+        reached[rows] = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[rows], axis=0)
+        frontier = reached & ~seen
+        seen |= frontier
+        new = np.bitwise_or.reduce(frontier, axis=0).astype("<u8").view(np.uint8)
+        depth[np.unpackbits(new, count=k, bitorder="little").astype(bool)] = level
     return depth
 
 
@@ -189,10 +173,11 @@ def _eccentricities(graph: Graph) -> np.ndarray:
     d_b(w)); otherwise rounds that alternately sweep the open node with the
     smallest lower bound and the one with the largest upper bound (higher
     degree, then lower id, on ties) while the sweeps so far, squared, do
-    not exceed the open count. Nodes still open go to `_bfs_depths` in
-    chunks of about ECCENTRICITY_CHUNK level entries. Sweeps after the
-    first walk the component's own lists, so a graph of many small
-    components does not pay O(n) per sweep.
+    not exceed the open count. A cycle (every degree 2) is settled at
+    floor(|C|/2) first: its bounds meet only at swept nodes. Nodes still
+    open go to `_bfs_depths` in chunks of ECCENTRICITY_CHUNK (node, word)
+    entries. Sweeps after the first walk the component's own lists, so a
+    graph of many small components does not pay O(n) per sweep.
     """
     n = graph.num_nodes
     degree = graph.degrees()
@@ -206,8 +191,11 @@ def _eccentricities(graph: Graph) -> np.ndarray:
         dist = bfs_distances(starts, neighbors, r)
         comp = np.flatnonzero(dist >= 0)
         seen[comp] = True
-        lists = (starts, neighbors) if len(comp) == n else _induced_lists(graph, comp)
         deg = degree[comp]
+        if (deg == 2).all():
+            ecc[comp] = len(comp) // 2
+            continue
+        lists = (starts, neighbors) if len(comp) == n else _induced_lists(graph, comp)
         lower = np.zeros(len(comp), dtype=np.int64)
         upper = np.full(len(comp), len(comp), dtype=np.int64)
 
@@ -234,7 +222,7 @@ def _eccentricities(graph: Graph) -> np.ndarray:
         ecc[comp[settled]] = lower[settled]
         batch.append(comp[~settled])
     sources = np.concatenate(batch) if batch else np.zeros(0, dtype=np.int64)
-    step = max(1, ECCENTRICITY_CHUNK // max(n, len(graph.indices)))
+    step = 64 * max(1, ECCENTRICITY_CHUNK // max(n, len(graph.indices)))
     for start in range(0, len(sources), step):
         chunk = sources[start:start + step]
         ecc[chunk] = _bfs_depths(graph, chunk)
@@ -246,9 +234,9 @@ def eccentricity_labels(graph: Graph, num_classes: int) -> np.ndarray:
 
     A node's eccentricity is its largest finite BFS distance, so isolated
     nodes get 0. `_eccentricities` computes them exactly from BFS bounds:
-    a tree component takes at most 3 BFS (O(m)) and grids and ladders a
-    handful, while cycles and Erdos-Renyi graphs leave nearly every node
-    open and still cost one BFS per node (O(n·m)).
+    a tree component takes at most 3 BFS (O(m)), grids and ladders a
+    handful and a cycle one. Erdos-Renyi graphs leave nearly every node
+    open, and those run 64 to a word in one batch BFS (O(n·m/64)).
     """
     ecc = _eccentricities(graph)
     lo, hi = int(ecc.min()), int(ecc.max())

@@ -83,7 +83,10 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     require_symmetric(a, "matrix")
     n = a.shape[0]
     a = np.where(np.tri(n, k=-1, dtype=bool), a.T, a)
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise ValueError("matrix's Frobenius norm overflows")
     b = np.hstack([a, np.eye(n)])
     a = b[:, :n]
     if n > 1 and norm > 0.0:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
-from .graph import Graph, degree_percentile
+from .graph import Graph, degree_percentile, require_symmetric
 from .metrics import pearson
 from .partition import refine_eps_be
 from .rewire import RewiredGraph, Variant, augment_features, build_rewired
@@ -137,6 +137,7 @@ def gaussian_init(
 
 def forward(shift: np.ndarray, x: np.ndarray, weights: LinearGnnWeights) -> np.ndarray:
     """S^L X W(1)...W(L) with L = number of weight layers."""
+    require_symmetric(shift, "shift")
     if x.shape[1] != weights.dim_in:
         raise DimensionMismatchError(
             f"features have {x.shape[1]} columns, weights expect {weights.dim_in}")

@@ -29,6 +29,7 @@ from rolewire.graph import (
 )
 from rolewire.metrics import mean_effective_resistance
 from rolewire.spectral import symmetric_eig
+from rolewire.teacher_student import LinearGnnWeights, forward
 
 from conftest import cycle_graph, dump_features_csv, is_connected, star_graph, two_hop_neighbors
 
@@ -113,6 +114,8 @@ ENTRY_POINTS = {
     "normalized_shift": (lambda m: normalized_shift(sp.csr_matrix(m)), True),
     "mean_effective_resistance": (lambda m: mean_effective_resistance(sp.csr_matrix(m)), True),
     "symmetric_eig": (symmetric_eig, False),
+    "forward": (lambda m: forward(m, np.ones((len(m), 1)),
+                                  LinearGnnWeights(layers=(np.ones((1, 1)),))), False),
 }
 
 
@@ -129,6 +132,12 @@ class TestMatrixGate:
         with pytest.raises(error) as caught:
             call(matrix)
         assert caught.type is error
+
+    def test_symmetric_eig_refuses_an_overflowing_norm(self):
+        """Finite entries whose Frobenius norm overflows would pass the
+        convergence test before any sweep."""
+        with pytest.raises(ValueError, match="norm overflows"):
+            symmetric_eig(1e308 * four_cycle())
 
     def test_spectral_reexports_normalized_shift(self):
         assert rolewire.spectral.normalized_shift is rolewire.graph.normalized_shift

@@ -1,9 +1,10 @@
 """The complexity target as a test: a verb's tracemalloc peak grows no
-faster than its memory model, m + n*k (plus nnz(L) for `effres`).
+faster than its memory model, m + n*k (plus nnz(L) for `effres`, and
+m + n for a labelled `gen`).
 
-Each case runs one verb in process at two sizes, the 25th degree
-percentile and `repnodes`, and compares the ratio of the two peaks with
-the ratio of the model's values. Peaks of one allocation sequence repeat
+Each case runs one verb in process at two sizes (`partition`, `rewire`
+and `effres` at the 25th degree percentile and `repnodes`), and compares
+the ratio of the two peaks with the ratio of the model's values. Peaks of one allocation sequence repeat
 exactly, so the bound needs no timing noise margin, only SLACK for the
 constant terms the model leaves out.
 """
@@ -25,6 +26,7 @@ from rolewire.rewire import Variant, build_rewired
 
 SLACK = 1.25      # stated once; widening it to let a change through defeats the test
 SIZES = {"tree": (1023, 4095), "grid": (1024, 4096)}
+GEN_SIZES = (1000, 4000)
 
 
 def factor_nnz(adjacency: sp.spmatrix) -> int:
@@ -77,3 +79,17 @@ def test_peak_grows_with_the_model(verb, family, tmp_path):
     small, large = map(peak, runs)
     growth = model(family, SIZES[family][1], verb) / model(family, SIZES[family][0], verb)
     assert large / small <= SLACK * growth, (large / small, growth)
+
+
+@pytest.mark.parametrize("family", ["er", "cycle"])
+def test_labelled_gen_peak_grows_with_m_plus_n(family, tmp_path):
+    """Eccentricity labels on ER (p = 4/n) leave nearly every node to the
+    batch BFS, whose chunks hold O(m + n) words; one batch over every open
+    node would hold about n^2/64. A cycle is settled in closed form."""
+    peaks, sizes = [], []
+    for n in GEN_SIZES:
+        peaks.append(peak(["gen", "--family", family, "--n", str(n), "--p", str(4 / n),
+                           "--classes", "3", "--out", str(tmp_path / f"{family}{n}")]))
+        sizes.append(make_graph(family, n, p=4 / n).num_edges + n)
+    growth = sizes[1] / sizes[0]
+    assert peaks[1] / peaks[0] <= SLACK * growth, (peaks[1] / peaks[0], growth)

@@ -132,6 +132,43 @@ def reference_erdos_renyi_edges(n, rng, p):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
+def reference_grid_edges(n):
+    """Right and down neighbours of each cell of the most nearly square grid."""
+    rows = math.isqrt(n)
+    while n % rows:
+        rows -= 1
+    cols = n // rows
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            u = i * cols + j
+            if j + 1 < cols:
+                edges.append((u, u + 1))
+            if i + 1 < rows:
+                edges.append((u, u + cols))
+    return edges
+
+
+def reference_ladder_edges(n):
+    """Two rails of n // 2 nodes and one rung per position."""
+    half = n // 2
+    edges = [(i, i + 1) for i in range(half - 1)]
+    edges += [(half + i, half + i + 1) for i in range(half - 1)]
+    edges += [(i, half + i) for i in range(half)]
+    return edges
+
+
+REFERENCE_EDGES = {     # the Python edge lists the numpy builders replaced
+    "star": lambda n: [(0, i) for i in range(1, n)],
+    "cycle": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "line": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "grid": reference_grid_edges,
+    "ladder": reference_ladder_edges,
+    "tree": lambda n: [((child - 1) // 2, child) for child in range(1, n)],
+}
+
+
 def reference_eccentricities(graph):
     """Largest BFS distance from every node, one per-source BFS each."""
     return np.array([bfs_distances(graph.indptr, graph.indices, u).max(initial=0)
@@ -248,10 +285,10 @@ def graphs(draw, max_nodes=14):
 
 
 @st.composite
-def component_unions(draw, max_nodes=60):
+def component_unions(draw, max_nodes=60, min_nodes=1):
     """Disjoint pieces, each a random tree, a random edge set or both, ids
     shuffled so that components interleave; some nodes stay isolated."""
-    n = draw(st.integers(1, max_nodes))
+    n = draw(st.integers(min_nodes, max_nodes))
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
     edges = []
     for lo, hi in zip([0] + cuts, cuts + [n]):
@@ -456,7 +493,27 @@ def test_eccentricities_match_per_source_bfs_on_components(graph):
     assert np.array_equal(generators._eccentricities(graph), reference_eccentricities(graph))
 
 
-@pytest.mark.parametrize("family,n", [("tree", 16383), ("grid", 16384)])
+@st.composite
+def graphs_and_sources(draw):
+    """A union of components on at least 130 nodes, and 1, 63, 64, 65 or 130
+    distinct sources in drawn order: one bit, a word but one bit, a word, a
+    word and one bit, or parts of three words."""
+    graph = draw(component_unions(max_nodes=200, min_nodes=130))
+    count = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    return graph, np.array(draw(st.permutations(range(graph.num_nodes)))[:count])
+
+
+@PROPERTY_SETTINGS
+@given(case=graphs_and_sources())
+@example(case=(graph_from_edges(130, []), np.arange(130)))
+def test_bfs_depths_match_per_source_bfs(case):
+    graph, sources = case
+    want = [bfs_distances(graph.indptr, graph.indices, int(s)).max() for s in sources]
+    assert np.array_equal(generators._bfs_depths(graph, sources), want)
+
+
+@pytest.mark.parametrize("family,n", [("tree", 16383), ("grid", 16384), ("er", 4000),
+                                      ("cycle", 16384)])
 def test_eccentricities_at_16k_match_batch_bfs_on_a_sample(family, n):
     graph = generators.make_graph(family, n)
     sample = np.sort(rng_for(7, 0).choice(n, size=64, replace=False))
@@ -477,24 +534,26 @@ def _record_batch_chunks(monkeypatch):
 
 @pytest.mark.parametrize("family,n,batched", [
     ("tree", 1023, False), ("grid", 1024, False), ("lobster", 1000, False),
-    ("path", 1024, False), ("ladder", 1000, False), ("cycle", 1000, True)])
+    ("path", 1024, False), ("ladder", 1000, False), ("cycle", 1000, False)])
 def test_bounds_settle_trees_and_grids_without_the_batch(monkeypatch, family, n, batched):
     graph = generators.make_graph(family, n)
     chunks = _record_batch_chunks(monkeypatch)
     ecc = generators._eccentricities(graph)
     assert bool(chunks) == batched
-    if batched:     # a cycle's bounds meet only at the swept nodes
+    if family == "cycle":   # settled in closed form: its bounds meet only at swept nodes
         assert np.array_equal(ecc, np.full(n, n // 2))
 
 
 def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
-    for graph in (generators.cycle(60, None), generators.grid(60, None)):
+    for graph in (generators.make_graph("er", 200, p=0.03),
+                  generators.make_graph("er", 300, p=0.01)):    # over 64 open nodes each
         whole = eccentricity_labels(graph, 4)
         chunks = _record_batch_chunks(monkeypatch)
         monkeypatch.setattr(generators, "ECCENTRICITY_CHUNK", 1)
         assert np.array_equal(eccentricity_labels(graph, 4), whole)
-        assert 0 < len(chunks) < graph.num_nodes        # the batch ran, on the open nodes only
-        assert all(len(chunk) == 1 for chunk in chunks)
+        assert len(chunks) > 1      # one word per chunk, and the open nodes fill several
+        assert sum(map(len, chunks)) < graph.num_nodes      # the open nodes only
+        assert all(len(chunk) <= 64 for chunk in chunks)
         assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
         monkeypatch.undo()
 
@@ -644,6 +703,14 @@ def test_selected_inversion_matches_blocked_solves(graph, eps, variant, origin_c
         got = mean_effective_resistance(adjacency, origin_count=count)
         assert got == pytest.approx(mean_effective_resistance_by_solves(adjacency, count),
                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_EDGES))
+def test_deterministic_builders_match_their_edge_lists(family):
+    fam = generators.FAMILIES[family]
+    for n in [*range(1, 60), 97, 1000, 1023, 4095, 4096, 16383, 16384]:
+        if fam.size_error(n) is None:
+            assert_same_graph(fam.build(n, None), graph_from_edges(n, REFERENCE_EDGES[family](n)))
 
 
 @PROPERTY_SETTINGS
