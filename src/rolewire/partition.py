@@ -9,18 +9,30 @@ cross-check the eps=0 case.
 
 A `Partition` stores only its canonical label array and block count;
 the sparse `membership_matrix` is its one indicator R. `refine_eps_be`,
-`validate_aep` and `quotient` all read one per-(block, column) summary
-of the sparse counts A @ R: refinement splits only along the columns
-where some block's spread exceeds eps, and stops when `validate_aep`
-holds. None of them forms an n x k or k x k dense array, and the
-quotient Q is a k x k CSR matrix with at most nnz(A) entries.
+`validate_aep` and `quotient` all read one summary of the counts A @ R,
+made from the graph's CSR arrays by sorting: the keys row * k +
+block_of[indices] sort into runs, one per (node, column) count, and a
+second sort of those pairs by (block, column) gives each pair's sum,
+max and min over the block's members. None of them forms the product
+A @ R or any n x k or k x k dense array; the quotient Q is a k x k CSR
+matrix with at most nnz(A) entries.
+
+Refinement starts from the single block and stops as soon as
+`validate_aep` holds. Until then each round splits along the columns
+where some block's spread exceeds eps. Counts are integers, so at
+eps < 1 each such splitter separates unequal counts only, in any
+order, and the round is one common refinement: nodes grouped by
+(block, count row). At eps >= 1 the greedy groups depend on splitter
+order, and the splitters run in turn, each regrouping all n nodes in
+one sort. A round therefore costs O(m log m) at eps < 1 and
+O(m log m + s n log n) for s splitters at eps >= 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,26 +111,59 @@ def membership_matrix(partition: Partition) -> sp.csr_matrix:
                          shape=(n, partition.k))
 
 
-def _block_counts(graph: Graph, partition: Partition):
-    """The counts A @ R and their summary over each block's members.
+class _BlockCounts(NamedTuple):
+    """The counts A @ R in two forms, from sorting the CSR entries.
 
-    Returns the CSR product and (block, column, sums, hi, lo) for each
-    pair where some member has a neighbor in the column, in ascending
-    pair order: the sum, max and min of the member counts, lo = 0 when
-    a member has none there. Every other pair counts 0 throughout.
+    node, col, cnt: each (node, column) pair with a nonzero count, in
+    ascending (node, column) order, i.e. the CSR entries of A @ R.
+    block, column, sums, hi, lo: each (block, column) pair where some
+    member has a neighbor in the column, in ascending pair order, with
+    the sum, max and min of the member counts; lo = 0 when a member has
+    none there. Every other pair counts 0 throughout.
     """
-    product = graph.adjacency @ membership_matrix(partition)
-    counts = product.tocoo()
-    key = partition.block_of[counts.row] * partition.k + counts.col
-    order = np.argsort(key)
-    key, data = key[order], counts.data[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    block, column = np.divmod(key[starts], partition.k)
+
+    node: np.ndarray
+    col: np.ndarray
+    cnt: np.ndarray
+    block: np.ndarray
+    column: np.ndarray
+    sums: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=len(key))
+
+
+def _block_counts(graph: Graph, partition: Partition) -> _BlockCounts:
+    """Sort the keys row * k + block_of[indices] (k <= n <= MAX_NODE_ID,
+    so they fit in int64): each run is one (node, column) count, and one
+    more sort of those pairs by (block_of[node], column) gives the
+    per-(block, column) summary."""
+    n, k = graph.num_nodes, partition.k
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    # The entries come row by row, so sorting only reorders each row and
+    # rows[i] stays the row of sorted key i. Stable sorts run faster
+    # here than the default on such ordered runs.
+    key = np.sort(rows * k + partition.block_of[graph.indices], kind="stable")
+    starts, cnt = _runs(key)
+    node = rows[starts]
+    col = key[starts] - node * k
+    pair = partition.block_of[node] * k + col
+    order = np.argsort(pair, kind="stable")
+    pair, data = pair[order], cnt[order]
+    starts, stored = _runs(pair)
+    block, column = np.divmod(pair[starts], k)
     lo = np.minimum.reduceat(data, starts)
-    stored = np.diff(np.append(starts, len(key)))
     lo[stored < partition.block_sizes()[block]] = 0
-    return (product, block, column, np.add.reduceat(data, starts),
-            np.maximum.reduceat(data, starts), lo)
+    return _BlockCounts(node, col, cnt, block, column, np.add.reduceat(data, starts),
+                        np.maximum.reduceat(data, starts), lo)
 
 
 # ---------------------------------------------------------------------------
@@ -137,48 +182,104 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
     round-start block whose spread there is at most eps. Ties break on
     node id everywhere.
 
-    A @ R is formed once per round; all blocks regroup per splitter in one
-    sort. Counts are integers, so `count - group_min > eps` is `count >
-    group_min + floor(eps)`; eps is finite, being below some spread.
+    Counts are integers, so `count - group_min > eps` is `count >
+    group_min + floor(eps)`; eps is finite, being below some spread. At
+    eps < 1 the slack is 0: each splitter splits by equal counts, so the
+    round's result is the same in any splitter order, and one grouping
+    by (round-start block, count row) gives it (`_common_refinement`).
+    At eps >= 1 the greedy groups depend on splitter order, and the
+    splitters run in turn (`_greedy_splits`).
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    n = graph.num_nodes
-    part = Partition.from_assignment(np.zeros(n, dtype=np.int64))
-    while True:
-        product, _, column, _, hi, lo = _block_counts(graph, part)
-        splitters = np.unique(column[hi - lo > eps]).tolist()
-        if not splitters:
-            return part
-        counts, slack = product.tocsc(), math.floor(eps)
-        current = part.block_of.copy()
-        for s in splitters:
-            cnt = np.zeros(n, dtype=np.int64)
-            at = slice(counts.indptr[s], counts.indptr[s + 1])
-            cnt[counts.indices[at]] = counts.data[at]
-            top = int(cnt.max())
-            order = np.lexsort((cnt, current))     # by block, count, node id
-            blk = current[order]
-            # One ascending key; a block's keys sit more than slack below
-            # the next block's, so a jump never crosses into another block.
-            key = blk * (top + slack + 1) + cnt[order]
-            first = np.ones(n, dtype=bool)
-            first[1:] = blk[1:] != blk[:-1]
-            starts = first.copy()
-            heads = np.flatnonzero(first)
-            while len(heads):
-                nxt = np.searchsorted(key, key[heads] + slack, side="right")
-                nxt = nxt[nxt < n]
-                heads = nxt[~first[nxt]]
-                starts[heads] = True
-            current[order] = np.cumsum(starts) - 1
-        part = Partition.from_assignment(current)
+    part = Partition.from_assignment(np.zeros(graph.num_nodes, dtype=np.int64))
+    while (refined := _refine_round(graph, part, eps)) is not None:
+        part = refined
+    return part
+
+
+def _refine_round(graph: Graph, part: Partition, eps: float) -> Optional[Partition]:
+    """The partition one round makes of `part`, or None when no block's
+    spread exceeds eps."""
+    counts = _block_counts(graph, part)
+    splitters = np.unique(counts.column[counts.hi - counts.lo > eps])
+    if not len(splitters):
+        return None
+    if eps < 1:
+        return Partition.from_assignment(_common_refinement(part, counts))
+    return Partition.from_assignment(_greedy_splits(part, counts, splitters, math.floor(eps)))
+
+
+def _common_refinement(part: Partition, counts: _BlockCounts) -> np.ndarray:
+    """Labels grouping nodes by (block, sparse count row).
+
+    Rows of one length are ranked together with one lexsort over their
+    (column, count) words; rows of different lengths differ anyway. A
+    count is below n, so word = column * n + count is one-to-one.
+    """
+    n = part.num_nodes
+    length = np.bincount(counts.node, minlength=n)
+    members = np.argsort(length, kind="stable")
+    entries = np.argsort(length[counts.node], kind="stable")
+    words = (counts.col * n + counts.cnt)[entries]
+    sizes = np.bincount(length)
+    label = np.empty(n, dtype=np.int64)
+    node_at = entry_at = offset = 0
+    for size in np.flatnonzero(sizes).tolist():
+        group = members[node_at:node_at + sizes[size]]
+        rows = words[entry_at:entry_at + len(group) * size].reshape(len(group), size)
+        keys = np.vstack([rows.T, part.block_of[group]])
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        rank = np.cumsum(np.append(0, (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+        label[group[order]] = offset + rank
+        offset += int(rank[-1]) + 1
+        node_at += len(group)
+        entry_at += rows.size
+    return label
+
+
+def _greedy_splits(part: Partition, counts: _BlockCounts, splitters: np.ndarray,
+                   slack: int) -> np.ndarray:
+    """Labels after each splitter, ascending, splits every current block.
+
+    A block's nodes are sorted by (count, node id) and grouped while
+    count - group_min <= slack; all blocks regroup in one sort per
+    splitter. Each splitter's count column comes from the round's pairs
+    toward the splitters, sorted by column.
+    """
+    n = part.num_nodes
+    entries = np.flatnonzero(np.isin(counts.col, splitters))
+    entries = entries[np.argsort(counts.col[entries])]
+    bounds = np.searchsorted(counts.col[entries], np.stack([splitters, splitters + 1]))
+    current = part.block_of.copy()
+    for lo, hi in bounds.T.tolist():
+        cnt = np.zeros(n, dtype=np.int64)
+        at = entries[lo:hi]
+        cnt[counts.node[at]] = counts.cnt[at]
+        # One key, sorted stably by block, count, node id; a block's keys
+        # sit more than slack below the next block's, so a jump never
+        # crosses into another block.
+        key = current * (int(cnt.max()) + slack + 1) + cnt
+        order = np.argsort(key, kind="stable")
+        key, blk = key[order], current[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = blk[1:] != blk[:-1]
+        starts = first.copy()
+        heads = np.flatnonzero(first)
+        while len(heads):
+            nxt = np.searchsorted(key, key[heads] + slack, side="right")
+            nxt = nxt[nxt < n]
+            heads = nxt[~first[nxt]]
+            starts[heads] = True
+        current[order] = np.cumsum(starts) - 1
+    return current
 
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
-    *_, hi, lo = _block_counts(graph, partition)
-    return not (hi - lo).max(initial=0) > eps
+    counts = _block_counts(graph, partition)
+    return not (counts.hi - counts.lo).max(initial=0) > eps
 
 
 def quotient(graph: Graph, partition: Partition) -> QuotientPair:
@@ -189,12 +290,12 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     largest deviation is at its max or min count (fl(c - q) is monotone
     in c); a pair with no stored count has q = 0 and deviation 0.
     """
-    _, block, column, sums, hi, lo = _block_counts(graph, partition)
+    counts = _block_counts(graph, partition)
     k = partition.k
-    q = sums / partition.block_sizes()[block]
-    residual = float(np.maximum(hi - q, q - lo).max(initial=0.0))
-    indptr = np.searchsorted(block, np.arange(k + 1))   # pairs come row-major
-    return QuotientPair(Q=sp.csr_matrix((q, column, indptr), shape=(k, k)),
+    q = counts.sums / partition.block_sizes()[counts.block]
+    residual = float(np.maximum(counts.hi - q, q - counts.lo).max(initial=0.0))
+    indptr = np.searchsorted(counts.block, np.arange(k + 1))   # pairs come row-major
+    return QuotientPair(Q=sp.csr_matrix((q, counts.column, indptr), shape=(k, k)),
                         residual=residual)
 
 

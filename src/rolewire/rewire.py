@@ -1,9 +1,13 @@
 """Augmented graph construction: one virtual node per partition block.
 
 Each block gets a virtual node adjacent to exactly its members. The
-augmented adjacency is assembled sparsely, block by block, with
-`scipy.sparse.bmat` from the graph's CSR adjacency A and the sparse
-membership indicator R:
+augmented adjacency, in the block form below with A the graph's
+adjacency and R the membership indicator, is written straight into CSR
+arrays from the graph's rows, the labels and the quotient's CSR: the
+block columns [A; R'] and [R; corner] are interleaved row by row, so
+original row u is A's row u followed by its virtual node n +
+block_of[u], and virtual row j is block j's members followed by the
+corner's row j shifted by n.
 
     [ A  R ]        virtual-virtual corner: (Q + Q')/2  (full, weighted)
     [ R' * ]                                 empty       (repnodes)
@@ -39,7 +43,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
 from .graph import Graph, fixed, write_meta, write_table
-from .partition import Partition, membership_matrix, quotient
+from .partition import Partition, quotient
 
 __all__ = [
     "Variant",
@@ -129,19 +133,27 @@ def build_rewired(
             "master-node variant requires the single-block partition")
 
     qpair = quotient(graph, partition)
+    q = qpair.Q
     if variant is Variant.FULL:
-        corner = (qpair.Q + qpair.Q.T) / 2.0   # symmetrize; equal for exact EPs
+        # A symmetric graph gives Q a symmetric pattern, so the entries
+        # sorted by (column, row) are the mirrors of those in row order.
+        rows = np.repeat(np.arange(k), np.diff(q.indptr))
+        corner = (q.indptr, q.indices, (q.data + q.data[np.argsort(q.indices * k + rows)]) / 2.0)
     elif variant is Variant.REP_EDGES:
-        corner = (qpair.Q > 0).astype(float)
+        corner = (q.indptr, q.indices, np.ones(q.nnz))
     else:
-        corner = None
-    member = membership_matrix(partition)
+        corner = (np.zeros(k + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     # The corner's diagonal is kept: it is the within-block degree.
-    adjacency = sp.bmat([[graph.adjacency, member],
-                         [member.T, corner]],
-                        format="csr", dtype=np.float64)
-    adjacency.eliminate_zeros()
-    adjacency.sort_indices()
+    corner_ptr, corner_idx, corner_data = corner
+    nnz = len(graph.indices)
+    left = (np.append(graph.indptr, nnz + np.cumsum(partition.block_sizes())),      # [A; R']
+            np.append(graph.indices, np.argsort(partition.block_of, kind="stable")),
+            np.ones(nnz + n))
+    right = (np.append(np.arange(n + 1), n + corner_ptr[1:]),                       # [R; corner]
+             np.append(partition.block_of, corner_idx),
+             np.append(np.ones(n), corner_data))
+    indptr, indices, data = _side_by_side(left, right, n)
+    adjacency = sp.csr_matrix((data, indices, indptr), shape=(n + k, n + k))
     return RewiredGraph(
         graph=graph,
         partition=partition,
@@ -150,6 +162,24 @@ def build_rewired(
         eps=eps,
         residual=qpair.residual,
     )
+
+
+def _side_by_side(left, right, shift: int):
+    """(indptr, indices, data) of the rows [L | R], with R's columns
+    shifted by `shift` past L's; each side is an (indptr, indices, data)
+    triple over the same rows, each row sorted."""
+    left_ptr, left_idx, left_data = left
+    right_ptr, right_idx, right_data = right
+    indptr = left_ptr + right_ptr
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    # A left entry moves past the right entries of the rows above it; a
+    # right entry past the left entries of its own row and those above.
+    at = np.arange(len(left_idx)) + np.repeat(right_ptr[:-1], np.diff(left_ptr))
+    indices[at], data[at] = left_idx, left_data
+    at = np.arange(len(right_idx)) + np.repeat(left_ptr[1:], np.diff(right_ptr))
+    indices[at], data[at] = right_idx + shift, right_data
+    return indptr, indices, data
 
 
 # ---------------------------------------------------------------------------

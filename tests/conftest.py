@@ -1,5 +1,6 @@
 """Shared fixtures: small named graphs and the seeded evaluation corpus."""
 
+import math
 from itertools import chain
 from typing import IO, Sequence
 
@@ -12,7 +13,7 @@ from rolewire.graph import (PERCENTILE_GRID, Graph, bfs_distances, degree_percen
                             graph_from_edges, one_hot_labels, require_symmetric)
 from rolewire.errors import InputError, NoEligibleNodesError, NonSymmetricError
 from rolewire.metrics import EpsCandidate, srl_star, two_hop_class_similarity
-from rolewire.partition import Partition, refine_eps_be
+from rolewire.partition import Partition, QuotientPair, membership_matrix, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, srl_report
@@ -245,6 +246,114 @@ def block_degree_matrix(graph: Graph, partition) -> np.ndarray:
     nodes = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
     np.add.at(counts, (nodes, partition.block_of[graph.indices]), 1)
     return counts
+
+
+def block_counts_by_product(graph: Graph, partition: Partition):
+    """The counts A @ R as a scipy product, and their summary over each
+    block's members.
+
+    Returns the CSR product and (block, column, sums, hi, lo) for each
+    pair where some member has a neighbor in the column, in ascending
+    pair order: the sum, max and min of the member counts, lo = 0 when
+    a member has none there. Oracle for the sorted summary the library
+    reads off the CSR entries."""
+    product = graph.adjacency @ membership_matrix(partition)
+    counts = product.tocoo()
+    key = partition.block_of[counts.row] * partition.k + counts.col
+    order = np.argsort(key)
+    key, data = key[order], counts.data[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    block, column = np.divmod(key[starts], partition.k)
+    lo = np.minimum.reduceat(data, starts)
+    stored = np.diff(np.append(starts, len(key)))
+    lo[stored < partition.block_sizes()[block]] = 0
+    return (product, block, column, np.add.reduceat(data, starts),
+            np.maximum.reduceat(data, starts), lo)
+
+
+def refine_eps_be_by_splitters(graph: Graph, eps: float) -> Partition:
+    """`refine_eps_be` with every splitter run in turn at every eps: the
+    rounds of `splitter_round_by_product` from the single block.
+
+    Oracle for the library's one common refinement per round at eps < 1
+    and its splitter loop at eps >= 1; fast enough for graphs of a few
+    hundred nodes, unlike the per-block Python loop."""
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
+    part = Partition.from_assignment(np.zeros(graph.num_nodes, dtype=np.int64))
+    while (refined := splitter_round_by_product(graph, part, eps)) is not None:
+        part = refined
+    return part
+
+
+def splitter_round_by_product(graph: Graph, part: Partition, eps: float):
+    """One refinement round from any partition, or None when no block's
+    spread exceeds eps.
+
+    A @ R is a scipy product; each violating splitter, ascending,
+    regroups all blocks in one lexsort of all n nodes by (block, count
+    toward it, node id), grouping greedily while count - group_min <=
+    floor(eps)."""
+    n = graph.num_nodes
+    product, _, column, _, hi, lo = block_counts_by_product(graph, part)
+    splitters = np.unique(column[hi - lo > eps]).tolist()
+    if not splitters:
+        return None
+    counts, slack = product.tocsc(), math.floor(eps)
+    current = part.block_of.copy()
+    for s in splitters:
+        cnt = np.zeros(n, dtype=np.int64)
+        at = slice(counts.indptr[s], counts.indptr[s + 1])
+        cnt[counts.indices[at]] = counts.data[at]
+        top = int(cnt.max())
+        order = np.lexsort((cnt, current))     # by block, count, node id
+        blk = current[order]
+        key = blk * (top + slack + 1) + cnt[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = blk[1:] != blk[:-1]
+        starts = first.copy()
+        heads = np.flatnonzero(first)
+        while len(heads):
+            nxt = np.searchsorted(key, key[heads] + slack, side="right")
+            nxt = nxt[nxt < n]
+            heads = nxt[~first[nxt]]
+            starts[heads] = True
+        current[order] = np.cumsum(starts) - 1
+    return Partition.from_assignment(current)
+
+
+def quotient_by_product(graph: Graph, partition: Partition) -> QuotientPair:
+    """The quotient and residual from the scipy-product summary.
+
+    Oracle for `partition.quotient`, which must give the same bytes."""
+    _, block, column, sums, hi, lo = block_counts_by_product(graph, partition)
+    k = partition.k
+    q = sums / partition.block_sizes()[block]
+    residual = float(np.maximum(hi - q, q - lo).max(initial=0.0))
+    indptr = np.searchsorted(block, np.arange(k + 1))
+    return QuotientPair(Q=sp.csr_matrix((q, column, indptr), shape=(k, k)),
+                        residual=residual)
+
+
+def rewired_adjacency_by_bmat(graph: Graph, partition: Partition,
+                              variant: Variant) -> sp.csr_matrix:
+    """The augmented adjacency [[A, R], [R', corner]] from `scipy.sparse.bmat`.
+
+    Oracle for `rewire.build_rewired`, which writes the same CSR arrays
+    directly."""
+    q = quotient_by_product(graph, partition).Q
+    if variant is Variant.FULL:
+        corner = (q + q.T) / 2.0
+    elif variant is Variant.REP_EDGES:
+        corner = (q > 0).astype(float)
+    else:
+        corner = None
+    member = membership_matrix(partition)
+    adjacency = sp.bmat([[graph.adjacency, member], [member.T, corner]],
+                        format="csr", dtype=np.float64)
+    adjacency.eliminate_zeros()
+    adjacency.sort_indices()
+    return adjacency
 
 
 def jacobi_eig_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

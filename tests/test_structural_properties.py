@@ -32,6 +32,7 @@ from rolewire.graph import (
 from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
 from rolewire.partition import (
     Partition,
+    _refine_round,
     color_refinement_oracle,
     membership_matrix,
     quotient,
@@ -44,7 +45,9 @@ from rolewire.seeding import rng_for
 from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
                       mean_effective_resistance_by_solves,
                       mean_effective_resistance_oracle, pairwise_resistance,
-                      star_graph, two_hop_neighbors)
+                      quotient_by_product, refine_eps_be_by_splitters,
+                      rewired_adjacency_by_bmat, splitter_round_by_product, star_graph,
+                      two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -242,6 +245,14 @@ def reference_rewired_adjacency(graph, partition, qpair, variant):
     return m
 
 
+def assert_same_csr(got, want):
+    """Shape and the indptr, indices and data arrays equal byte for byte."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def assert_same_graph(got, want):
     for name in ("indptr", "indices"):
         a, b = getattr(got, name), getattr(want, name)
@@ -263,6 +274,12 @@ def distinct_family_graphs():
     return list(cases.values())
 
 
+def relabelled(graph, seed):
+    """The graph with node u renamed perm[u] for a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(graph.num_nodes)
+    return graph_from_edges(graph.num_nodes, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
 def pattern_graph(adjacency):
     """Simple Graph on the off-diagonal stored pattern of a symmetric matrix."""
     coo = adjacency.tocoo()
@@ -282,6 +299,17 @@ def graphs(draw, max_nodes=14):
     density = draw(st.sampled_from([0.15, 0.3, 0.6]))
     picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [e for e, x in zip(pairs, picks) if x < density])
+
+
+@st.composite
+def relabelled_family_graphs(draw, max_nodes=400):
+    """ER (p >= 0.05), lobster or caterpillar draws of up to max_nodes
+    nodes, where k is large at small eps, with node ids shuffled."""
+    family = draw(st.sampled_from(["er", "lobster", "caterpillar"]))
+    n = draw(st.integers(40, max_nodes))
+    graph = generators.make_graph(family, n, seed=draw(st.integers(0, 2**16)),
+                                  p=draw(st.floats(0.05, 0.2)))
+    return relabelled(graph, draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -377,13 +405,56 @@ def test_refine_matches_greedy_loop(graph, eps):
 @pytest.mark.parametrize("case", distinct_family_graphs(), ids=lambda case: case[0])
 def test_refine_matches_greedy_loop_on_families(case):
     """Graphs with enough blocks that most splitters of a round split
-    nothing, at every grid tolerance and at 0.5, 1 and 2."""
+    nothing, at every grid tolerance and at 0.25, 0.5, 0.99, 1 and 2:
+    the common refinement of eps < 1 at nonzero eps, and the splitter
+    loop. No spread exceeds the max degree, so there and at infinity
+    the single block stays."""
     _, graph = case
     grid = {degree_percentile(graph, p) for p in PERCENTILE_GRID}
-    for eps in sorted(grid | {0.5, 1.0, 2.0}):
+    for eps in sorted(grid | {0.25, 0.5, 0.99, 1.0, 2.0}):
         fast = refine_eps_be(graph, eps)
         assert fast.block_of.tobytes() == reference_refine_eps_be(graph, eps).block_of.tobytes()
         assert validate_aep(graph, fast, eps)
+    for eps in (float(graph.degrees().max()), math.inf):
+        part = refine_eps_be(graph, eps)
+        assert part.k == 1 and not part.block_of.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=relabelled_family_graphs(),
+       eps=st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0]),
+       blocks=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_refine_matches_splitter_oracle_on_large_graphs(graph, eps, blocks, seed):
+    """Hundreds of blocks and splitters per round, node ids shuffled.
+    One round from a random partition also matches: a round that starts
+    from a partition refinement never reaches must still keep blocks
+    apart."""
+    part = refine_eps_be(graph, eps)
+    assert part.block_of.tobytes() == refine_eps_be_by_splitters(graph, eps).block_of.tobytes()
+    assert validate_aep(graph, part, eps)
+    start = Partition.from_assignment(
+        np.random.default_rng(seed).integers(0, blocks, graph.num_nodes))
+    got, want = _refine_round(graph, start, eps), splitter_round_by_product(graph, start, eps)
+    assert (got is None and want is None) or got.block_of.tobytes() == want.block_of.tobytes()
+
+
+@pytest.mark.parametrize("case", distinct_family_graphs(), ids=lambda case: case[0])
+def test_quotient_and_rewiring_match_product_and_bmat_on_families(case):
+    """The sorted summary's quotient and the directly written augmented
+    CSR equal the scipy-product quotient and the `bmat` assembly byte
+    for byte, at every grid tolerance and, for the master node, at
+    infinity."""
+    _, graph = case
+    for eps in sorted({degree_percentile(graph, p) for p in PERCENTILE_GRID} | {math.inf}):
+        part = refine_eps_be(graph, eps)
+        got, want = quotient(graph, part), quotient_by_product(graph, part)
+        assert_same_csr(got.Q, want.Q)
+        assert got.residual.hex() == want.residual.hex()
+        for variant in Variant:
+            if variant is Variant.MASTER_NODE and part.k != 1:
+                continue
+            assert_same_csr(build_rewired(graph, part, variant, eps=eps).adjacency,
+                            rewired_adjacency_by_bmat(graph, part, variant))
 
 
 @PROPERTY_SETTINGS
