@@ -293,7 +293,7 @@ def _all_or_nothing(ns: argparse.Namespace) -> Iterator[None]:
         raise
 
 
-def _load_graph(path: str) -> tuple[Graph, dict[int, int]]:
+def _load_graph(path: str) -> tuple[Graph, np.ndarray]:
     with _opened("graph", path) as fh:
         return compact_ids(load_edge_list(fh))
 
@@ -314,10 +314,10 @@ def _resolve_eps(graph: Graph, ns: argparse.Namespace) -> tuple[float, Optional[
     return degree_percentile(graph, ns.percentile), ns.percentile
 
 
-def _remap_repr(remap: dict[int, int]) -> str:
-    if all(old == new for old, new in remap.items()):
+def _remap_repr(kept: np.ndarray) -> str:
+    if np.array_equal(kept, np.arange(len(kept))):
         return "identity"
-    return ";".join(f"{old}:{new}" for old, new in sorted(remap.items()))
+    return ";".join(f"{old}:{new}" for new, old in enumerate(kept.tolist()))
 
 
 def _rewiring(graph: Graph, ns: argparse.Namespace) -> tuple[RewiredGraph, Optional[int]]:
@@ -348,7 +348,7 @@ def _run_gen(ns) -> int:
     if graph.num_edges == 0:
         raise EmptyGraphError(
             f"{ns.family} graph with n={ns.n} has no edges; an edge list cannot hold it")
-    graph, remap = compact_ids(graph)
+    graph, kept = compact_ids(graph)
     with _written(ns, "graph.txt") as fh:
         dump_edge_list(graph, fh)
     meta = {"family": ns.family, "n": graph.num_nodes, "seed": ns.seed,
@@ -356,7 +356,6 @@ def _run_gen(ns) -> int:
     if ns.family == "er":
         meta["p"] = ns.p
     if data is not None:
-        kept = np.fromiter(remap, dtype=np.int64)
         data = NodeData(num_nodes=len(kept), labels=data.labels[kept],
                         train_mask=data.train_mask[kept], val_mask=data.val_mask[kept],
                         test_mask=data.test_mask[kept])
@@ -368,7 +367,7 @@ def _run_gen(ns) -> int:
 
 
 def _run_partition(ns) -> int:
-    graph, remap = _load_graph(ns.graph)
+    graph, kept = _load_graph(ns.graph)
     eps, perc = _resolve_eps(graph, ns)
     part = refine_eps_be(graph, eps)
     qp = quotient(graph, part)
@@ -378,12 +377,12 @@ def _run_partition(ns) -> int:
         dump_quotient_csv(qp, eps, fh)
     with _written(ns, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": part.k, "eps": eps, "percentile": perc,
-                        "residual": qp.residual, "remap": _remap_repr(remap)})
+                        "residual": qp.residual, "remap": _remap_repr(kept)})
     return 0
 
 
 def _run_rewire(ns) -> int:
-    graph, remap = _load_graph(ns.graph)
+    graph, kept = _load_graph(ns.graph)
     x = None
     if ns.features is not None:
         with _opened("features", ns.features) as fh:
@@ -398,7 +397,7 @@ def _run_rewire(ns) -> int:
     with _written(ns, "meta.txt") as fh:
         write_meta(fh, {"n": graph.num_nodes, "k": rewired.partition.k,
                         "variant": ns.variant, "eps": rewired.eps, "percentile": perc,
-                        "residual": rewired.residual, "remap": _remap_repr(remap)})
+                        "residual": rewired.residual, "remap": _remap_repr(kept)})
     return 0
 
 

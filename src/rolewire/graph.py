@@ -274,12 +274,13 @@ def dump_edge_list(graph: Graph, stream: IO[str]) -> None:
     write_table(stream, None, (map(str, edge) for edge in graph.edges()), sep=" ")
 
 
-def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
+def compact_ids(graph: Graph) -> tuple[Graph, np.ndarray]:
     """Remove isolated gap nodes, remapping to dense ids.
 
-    Returns the compacted graph and the old-id -> new-id map. Nodes with
-    degree zero that sit below the max id are treated as gaps and dropped;
-    a graph with no edges keeps node 0 only. Dropped nodes own no CSR
+    Returns the compacted graph and `keep`, the ascending int64 array of
+    the old ids kept: new id i is old id `keep[i]`. Nodes with degree zero
+    that sit below the max id are treated as gaps and dropped; a graph
+    with no edges keeps node 0 only. Dropped nodes own no CSR
     entries, so the kept rows keep their offsets and only the neighbor ids
     change, through one monotone old -> new id array.
     """
@@ -290,7 +291,7 @@ def compact_ids(graph: Graph) -> tuple[Graph, dict[int, int]]:
     new_id[keep] = np.arange(len(keep))
     compacted = Graph(indptr=np.append(graph.indptr[keep], graph.indptr[-1]),
                       indices=new_id[graph.indices])
-    return compacted, dict(zip(keep.tolist(), range(len(keep))))
+    return compacted, keep
 
 
 # ---------------------------------------------------------------------------

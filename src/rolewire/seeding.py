@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_seed", "rng_for"]
-
 
 def derive_seed(seed: int, task_index: int) -> int:
     """Sub-seed for task number `task_index` under the master `seed`."""

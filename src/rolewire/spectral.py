@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 
 from .errors import EmptyLabelsError
-from .graph import Graph, fixed, normalized_shift, require_symmetric, write_table
+from .graph import fixed, normalized_shift, require_symmetric, write_table
 from .partition import Partition, membership_matrix
 from .rewire import RewiredGraph
 
@@ -39,7 +39,6 @@ __all__ = [
     "bound_error",
     "SrlReport",
     "srl_report",
-    "rotated_role_basis",
     "dump_srl_csv",
 ]
 
@@ -229,7 +228,6 @@ class SrlReport:
     srl: float
     e_tot: float
     commutator_norm: float
-    kappa0: float
     kappa_max: float
     bound_rhs: float
     negative_delta_count: int
@@ -249,34 +247,24 @@ def bound_error(
     e_tot: float,
     srl: float,
     h_degree: int,
-    beta_obs: Optional[np.ndarray] = None,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Constants of the error bound for the filter s^h_degree.
 
-    kappa0 collects squared observed-role coefficients of roles whose
-    lifted response is dead (|h(lambda_plus)| < 1e-12); kappa_max is the
-    worst endpoint-derivative ratio over the remaining roles. Returns
-    (kappa0, kappa_max, kappa0 + kappa_max * e_tot * srl).
+    kappa_max is the worst endpoint-derivative ratio over the roles whose
+    lifted response is alive (|h(lambda_plus)| >= 1e-12). Returns
+    (kappa_max, kappa_max * e_tot * srl).
     """
-    kappa0 = 0.0
     kappa_max = 0.0
     for j in range(len(lambda_plus)):
         h_lam, d_lam = _filter_and_derivative(h_degree, float(lambda_plus[j]))
         if abs(h_lam) < 1e-12:
-            if beta_obs is not None:
-                kappa0 += float((beta_obs[j] ** 2).sum())
             continue
         d_obs = _filter_and_derivative(h_degree, float(mu_obs[j]))[1]
         kappa_max = max(kappa_max, max(abs(d_obs), abs(d_lam)) ** 2 / (h_lam * h_lam))
-    return kappa0, kappa_max, kappa0 + kappa_max * e_tot * srl
+    return kappa_max, kappa_max * e_tot * srl
 
 
-def srl_report(
-    rewired: RewiredGraph,
-    y: np.ndarray,
-    h_degree: int = 2,
-    beta_obs: Optional[np.ndarray] = None,
-) -> SrlReport:
+def srl_report(rewired: RewiredGraph, y: np.ndarray, h_degree: int = 2) -> SrlReport:
     """Full spectral-role-lift pipeline for one rewiring.
 
     Reads the original graph and the partition from the rewiring, takes
@@ -293,7 +281,7 @@ def srl_report(
     s_obs, s_rew = graph.shift, rewired.shift
     s_oo, s_vo, s_vv = s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:]
 
-    c = rotated_role_basis(graph, partition)
+    c = rotate_basis(role_basis(partition), s_obs)
     k = c.shape[1]
     lifts = np.array([per_role_lift(c[:, j], s_obs, s_oo, s_vo, s_vv)
                       for j in range(k)])
@@ -302,21 +290,15 @@ def srl_report(
     rho, omega, e_tot, _ = role_energies(c, y)
     srl = rho * float((omega * delta ** 2).sum())
 
-    kappa0, kappa_max, bound_rhs = bound_error(mu_obs, lam_plus, e_tot, srl,
-                                               h_degree, beta_obs)
+    kappa_max, bound_rhs = bound_error(mu_obs, lam_plus, e_tot, srl, h_degree)
     return SrlReport(
         mu_obs=mu_obs, mu_rewired=mu_rew, tau=tau, nu=nu,
         lambda_plus=lam_plus, delta=delta, omega=omega,
         rho=rho, srl=srl, e_tot=e_tot,
         commutator_norm=commutator_norm(c, s_obs, s_oo),
-        kappa0=kappa0, kappa_max=kappa_max, bound_rhs=bound_rhs,
+        kappa_max=kappa_max, bound_rhs=bound_rhs,
         negative_delta_count=int((delta < 0).sum()),
     )
-
-
-def rotated_role_basis(graph: Graph, partition: Partition) -> np.ndarray:
-    """Role basis rotated against the graph's own normalized shift."""
-    return rotate_basis(role_basis(partition), graph.shift)
 
 
 def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:
@@ -326,5 +308,6 @@ def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:
                 zip(map(str, range(report.k)), *(map(fixed, c.tolist()) for c in columns)),
                 footer=[("rho", report.rho), ("srl", report.srl),
                         ("commutator_norm", report.commutator_norm),
-                        ("kappa0", report.kappa0), ("kappa_max", report.kappa_max),
+                        # Dead-role label mass is not computed (ROADMAP item 10).
+                        ("kappa0", 0.0), ("kappa_max", report.kappa_max),
                         ("bound_rhs", report.bound_rhs), ("E_tot", report.e_tot)])

@@ -272,10 +272,6 @@ def _adam_lockstep(
     diverged = np.zeros(p, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            if not np.isfinite(theta).all():
-                diverged[(diverged == 0) & ~np.isfinite(theta).all(axis=1)] = epoch
-                if diverged[0]:
-                    break
             chain_gradient(layers, grads)
             # One ufunc per term of the per-layer Adam expressions, in
             # their evaluation order, so every rounding step is the same.

@@ -37,7 +37,8 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import (
     normalized_shift,
     per_role_lift,
-    rotated_role_basis,
+    role_basis,
+    rotate_basis,
     srl_report,
 )
 from rolewire.teacher_student import (
@@ -194,7 +195,7 @@ def _aligned_teacher(graph, rg, part, d_out=3, scales=(1.0, -2.0, 0.5)):
     n = graph.num_nodes
     s_obs = normalized_shift(graph.adjacency)
     s_rew = normalized_shift(rg.adjacency)
-    c = rotated_role_basis(graph, part)[:, 0]
+    c = rotate_basis(role_basis(part), s_obs)[:, 0]
     mu_obs, mu_rew, tau, nu, lam, _ = per_role_lift(
         c, s_obs, s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:])
     m = np.array([[mu_rew, tau], [tau, nu]])
@@ -229,8 +230,7 @@ def test_criterion_8_error_bound_on_commuting_instances():
             s_obs = normalized_shift(g.adjacency)
             x = np.ones((g.num_nodes, 1))
             y_obs = forward(s_obs, x, crop_to_observed(teacher, 1))
-            c = rotated_role_basis(g, part)
-            rep = srl_report(rg, y_true, h_degree=2, beta_obs=c.T @ y_obs)
+            rep = srl_report(rg, y_true, h_degree=2)
             if rep.commutator_norm >= 1e-8:
                 continue
             measured = float(((y_true - y_obs) ** 2).sum())

@@ -1,15 +1,21 @@
 """The library ships only what it runs: every module-level name in
 src/rolewire is exported through its module's __all__ or used elsewhere,
 and every exported name is used by the library or by perfbench. Its
-modules import one another at module level only."""
+modules import one another at module level only. The top level
+`import rolewire as rw` carries every exported name, and the README's
+library example runs against it."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import rolewire
+from rolewire import errors
 
 SRC = Path(rolewire.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -102,3 +108,25 @@ def test_no_function_body_imports_a_rolewire_module():
              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(func) if _imports_rolewire(node)}
     assert inner == set()
+
+
+def test_top_level_reexports_every_exported_name():
+    """Each module's __all__ and every exception class reach the top level
+    as the same objects, so `rw.X` and `rolewire.<module>.X` are one name."""
+    public = {name: obj for name, obj in vars(errors).items() if isinstance(obj, type)}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"rolewire.{path.stem}")
+            public.update((name, getattr(module, name))
+                          for name in getattr(module, "__all__", ()))
+    missing = [name for name, obj in public.items()
+               if getattr(rolewire, name, None) is not obj]
+    assert missing == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    [example] = re.findall(r"^## Library\n.*?^```python\n(.*?)^```", readme,
+                           flags=re.MULTILINE | re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 3

@@ -435,29 +435,21 @@ class TestCommutator:
 
 class TestBoundError:
     def test_linear_filter_inverse_square(self):
-        kappa0, kappa_max, rhs = bound_error(np.array([0.5]), np.array([0.8]),
-                                             e_tot=2.0, srl=0.09, h_degree=1)
-        assert kappa0 == 0.0
+        kappa_max, rhs = bound_error(np.array([0.5]), np.array([0.8]),
+                                     e_tot=2.0, srl=0.09, h_degree=1)
         assert kappa_max == pytest.approx(1.0 / 0.64)
         assert rhs == pytest.approx(kappa_max * 2.0 * 0.09)
 
     def test_quadratic_filter_uses_worst_endpoint(self):
-        _, kappa_max, _ = bound_error(np.array([0.9]), np.array([0.6]),
-                                      e_tot=1.0, srl=0.01, h_degree=2)
+        kappa_max, _ = bound_error(np.array([0.9]), np.array([0.6]),
+                                   e_tot=1.0, srl=0.01, h_degree=2)
         # h' = 2s peaks at the larger endpoint 0.9; h(0.6)^2 = 0.1296
         assert kappa_max == pytest.approx((2 * 0.9) ** 2 / 0.6 ** 4)
 
-    def test_dead_response_feeds_kappa0(self):
-        beta_obs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        kappa0, _, rhs = bound_error(np.array([0.5, 0.2]), np.array([0.8, 0.0]),
-                                     e_tot=1.0, srl=0.0, h_degree=2, beta_obs=beta_obs)
-        assert kappa0 == pytest.approx(9.0 + 16.0)
-        assert rhs == pytest.approx(kappa0)
-
     def test_no_lift_no_bound(self):
-        kappa0, _, rhs = bound_error(np.array([0.5]), np.array([0.5]),
-                                     e_tot=3.0, srl=0.0, h_degree=2)
-        assert kappa0 == 0.0 and rhs == 0.0
+        _, rhs = bound_error(np.array([0.5]), np.array([0.5]),
+                             e_tot=3.0, srl=0.0, h_degree=2)
+        assert rhs == 0.0
 
 
 # ---------------------------------------------------------------------------
