@@ -429,11 +429,11 @@ def _run_select_eps(ns) -> int:
 
 def _run_effres(ns) -> int:
     graph, _ = _load_graph(ns.graph)
-    rows = [("baseline", fixed(mean_effective_resistance(graph.adjacency)))]
+    rows = [("baseline", fixed(mean_effective_resistance(graph.csr)))]
     if ns.variant is not None:
         rewired, _ = _rewiring(graph, ns)
         rows.append(("rewired", fixed(mean_effective_resistance(
-            rewired.adjacency, origin_count=graph.num_nodes))))
+            rewired.csr, origin_count=graph.num_nodes))))
     if ns.out is not None:
         with _written(ns, "effres.csv") as fh:
             write_table(fh, "which,value", rows)

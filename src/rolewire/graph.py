@@ -6,6 +6,9 @@ neighbor lists. Node ids are dense 0-based integers.
 
 Every matrix a caller hands the library passes `require_symmetric` (an
 adjacency, `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
+The library computes on CSR arrays (`Csr`). The sparse-matrix package
+loads only on the first call of `sparse`, which the views callers read
+(`Graph.adjacency`, `Csr.view`) and effective resistance make.
 
 File formats (read through `table_rows`, written through `write_table`)
 ------------------------------------------------------------------------
@@ -20,10 +23,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     EmptyGraphError,
@@ -39,6 +41,7 @@ UNLABELED = -1
 MAX_NODE_ID = math.isqrt(2**63 - 1) - 1
 
 __all__ = [
+    "Csr",
     "Graph",
     "NodeData",
     "UNLABELED",
@@ -63,6 +66,38 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Core containers, the matrix gate and the normalized shift
 # ---------------------------------------------------------------------------
+
+def sparse():
+    """The sparse-matrix module, imported on the first call. Only the views
+    (`Csr.view`) and `metrics.mean_effective_resistance` call it, so the
+    other verbs never load it."""
+    import scipy.sparse as sp     # ~17 MB of RSS and ~0.3 s of start-up when imported
+    return sp
+
+
+class Csr(NamedTuple):
+    """A matrix as CSR arrays: row offsets, column ids ascending within
+    each row, and the values. `tocsr` returns the record itself, so a
+    reader that takes a caller's sparse matrix through its `tocsr()`
+    reads these arrays the same way."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def tocsr(self) -> "Csr":
+        return self
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def view(self):
+        """The matrix as a sparse CSR matrix over these arrays, for callers
+        and tests; the library never computes on it."""
+        return sparse().csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -97,14 +132,18 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """n x n 0/1 int64 CSR adjacency; products with it count neighbors
-        exactly. Built once per graph and shared by every caller."""
+    @property
+    def csr(self) -> Csr:
+        """The 0/1 int64 adjacency as CSR arrays over the graph's own."""
         n = self.num_nodes
-        return sp.csr_matrix(
-            (np.ones(len(self.indices), dtype=np.int64), self.indices, self.indptr),
-            shape=(n, n))
+        return Csr(self.indptr, self.indices, np.ones(len(self.indices), dtype=np.int64),
+                   (n, n))
+
+    @cached_property
+    def adjacency(self):
+        """n x n 0/1 int64 sparse CSR view of `csr`, built on first access
+        and cached; products with it count neighbors exactly."""
+        return self.csr.view()
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, rows ascending."""
@@ -113,13 +152,15 @@ class Graph:
         return zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def dense_adjacency(self) -> np.ndarray:
-        """Dense float64 copy of `adjacency`, for tests; the library never calls it."""
-        return self.adjacency.astype(np.float64).toarray()
+        """Dense float64 0/1 adjacency, for tests; the library never calls it."""
+        dense = np.zeros((self.num_nodes, self.num_nodes))
+        dense[self.csr.rows(), self.indices] = 1.0
+        return dense
 
     @cached_property
     def shift(self) -> np.ndarray:
-        """Read-only normalized shift of `adjacency`, cached; `RewiredGraph` shares it."""
-        shift = normalized_shift(self.adjacency)
+        """Read-only normalized shift of `csr`, cached; `RewiredGraph` shares it."""
+        shift = normalized_shift(self.csr)
         shift.setflags(write=False)
         return shift
 
@@ -151,57 +192,135 @@ class NodeData:
 def require_symmetric(m, what: str) -> None:
     """The one gate for a matrix a caller hands the library: square and
     within 1e-12 * max(1, max |m|) of m^T (else NonSymmetricError), and finite
-    (else ValueError). A sparse m, duplicates summed, is read on its entries."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetricError(f"{what} must be square")
-    values = m.data if sp.issparse(m) else m
+    (else ValueError). A dense m (an ndarray) is read whole; any other is
+    read through its `tocsr()` on its entries, duplicates summed."""
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NonSymmetricError(f"{what} must be square")
+        values, mirror = m, m.T
+    else:
+        m = _summed_csr(m, what)
+        at = _mirrors(m)
+        values, mirror = m.data, np.where(at >= 0, m.data[at], 0.0)
     if not np.isfinite(values).all():
         raise ValueError(f"{what} has a non-finite entry")
-    diff = m - m.T
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    if np.abs(diff.data if sp.issparse(m) else diff).max(initial=0.0) > 1e-12 * scale:
+    if np.abs(values - mirror).max(initial=0.0) > 1e-12 * scale:
         raise NonSymmetricError(f"{what} is not symmetric")
 
 
-def weighted_adjacency(adjacency) -> sp.csr_matrix:
-    """A float64 CSR copy of an adjacency, duplicates summed, that passes
+def _summed_csr(m, what: str) -> Csr:
+    """Square float64 CSR arrays of m, duplicates summed and columns
+    ascending (else NonSymmetricError): the nonzeros of a dense m,
+    the entries of any other through its `tocsr()`. m is never written."""
+    if not hasattr(m, "tocsr"):
+        dense = np.asarray(m, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise NonSymmetricError(f"{what} must be square")
+        rows, cols = np.nonzero(dense)
+        return Csr(_offsets(rows, dense.shape[0]), cols, dense[rows, cols], dense.shape)
+    m = m.tocsr()
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
+        raise NonSymmetricError(f"{what} must be square")
+    n = m.shape[0]
+    csr = Csr(np.asarray(m.indptr, dtype=np.int64), np.asarray(m.indices, dtype=np.int64),
+              np.asarray(m.data, dtype=np.float64), (n, n))
+    keys = csr.rows() * n + csr.indices
+    if (keys[1:] > keys[:-1]).all():
+        return csr
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    rows, cols = np.divmod(keys[first], n)
+    return Csr(_offsets(rows, n), cols, np.add.reduceat(csr.data[order], first), (n, n))
+
+
+def _offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row offsets of entries listed by ascending row."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _mirrors(csr: Csr) -> np.ndarray:
+    """For each stored entry (i, j) of a square CSR matrix, the position of
+    its mirror (j, i) among the stored entries, or -1 where none is stored."""
+    n = csr.shape[0]
+    rows = csr.rows()
+    keys = rows * n + csr.indices                  # ascending
+    mirrors = csr.indices * n + rows
+    order = np.argsort(mirrors)                    # ascending needles search fastest
+    at = np.empty(len(keys), dtype=np.int64)
+    at[order] = np.searchsorted(keys, mirrors[order])
+    np.minimum(at, len(keys) - 1, out=at)
+    return np.where(keys[at] == mirrors, at, -1) if len(keys) else at
+
+
+def weighted_adjacency(adjacency) -> Csr:
+    """Float64 CSR arrays of an adjacency (see `_summed_csr`) that passes
     `require_symmetric`, with weights >= 0 and finite degrees (else ValueError)."""
-    a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
-    a.sum_duplicates()
+    a = _summed_csr(adjacency, "adjacency")
     require_symmetric(a, "adjacency")
     if a.data.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
-    if not np.isfinite(a @ np.ones(a.shape[1])).all():
+    if not np.isfinite(np.bincount(a.rows(), a.data, minlength=a.shape[0])).all():
         raise ValueError("adjacency's weighted degrees overflow")
     return a
 
 
-def normalized_shift(adjacency: sp.spmatrix) -> np.ndarray:
-    """Self-loop-normalized propagation matrix of a sparse weighted adjacency.
+def normalized_shift(adjacency) -> np.ndarray:
+    """Self-loop-normalized propagation matrix of a weighted adjacency: a
+    dense array, a `Csr`, or a sparse matrix read through its `tocsr()`.
 
     With B = A + I and D the diagonal of B's row sums, returns the dense
     D^{-1/2} B D^{-1/2}, symmetrized as (S + S^T)/2. Every diagonal of B
     is at least 1, so D is invertible without special cases.
 
     A passes `weighted_adjacency`, and the result is built in one n x n
-    buffer: B is densified once (from zeros, so an explicit -0.0 weight
+    buffer: B is densified once (as 0.0 + a_ij, so an explicit -0.0 weight
     lands as +0.0, as in A + I) and its dense row sums give D. Off the
     stored entries, their mirrors and the diagonal, the result is B's zero;
     on them, (b_ij d_i) d_j is averaged with its mirror and written back.
     The bits are those of (dinv[:, None] * (A + I)) * dinv[None, :] averaged
     with its transpose.
     """
-    a = weighted_adjacency(adjacency).tocoo()
-    b = a.toarray()
-    n = b.shape[0]
+    a = weighted_adjacency(adjacency)
+    n = a.shape[0]
+    rows = a.rows()
+    b = np.zeros((n, n))
+    b[rows, a.indices] = 0.0 + a.data
     b.flat[::n + 1] += 1.0
     dinv = 1.0 / np.sqrt(b.sum(axis=1))
-    i = np.concatenate([a.row, np.arange(n)])
-    j = np.concatenate([a.col, np.arange(n)])
+    i = np.concatenate([rows, np.arange(n)])
+    j = np.concatenate([a.indices, np.arange(n)])
     mean = (b[i, j] * dinv[i] * dinv[j] + b[j, i] * dinv[j] * dinv[i]) / 2.0
     b[i, j] = mean
     b[j, i] = mean
     return b
+
+
+def component_labels(csr: Csr) -> np.ndarray:
+    """Each node's connected component, labelled by its smallest node id,
+    in the graph whose edges are the entries of a square CSR matrix that
+    are stored on both sides of the diagonal.
+
+    Min-label hooking with full pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 1982): each round hooks every root to the smallest root
+    across its edges, then shortcuts every pointer to its root. Roots
+    point to smaller ids only, so the forest never cycles, and every
+    round that finds two roots joined by an edge removes at least one.
+    """
+    both = _mirrors(csr) >= 0
+    u, v = csr.rows()[both], csr.indices[both]     # each edge in both directions
+    label = np.arange(csr.shape[0])
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        if not cross.any():
+            return label
+        np.minimum.at(label, lu[cross], lv[cross])   # lu holds roots only
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +352,7 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     u, v = u.astype(np.int64), v.astype(np.int64)
     keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
     rows, indices = np.divmod(keys, num_nodes)
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-    return Graph(indptr=indptr, indices=indices)
+    return Graph(indptr=_offsets(rows, num_nodes), indices=indices)
 
 
 def load_edge_list(stream: IO[str]) -> Graph:

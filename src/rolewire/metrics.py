@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -22,8 +21,8 @@ from .errors import (
     NumericError,
 )
 from .graph import (
-    PERCENTILE_GRID, Graph, NodeData, UNLABELED, bfs_distances, degree_percentile, fixed,
-    one_hot_labels, weighted_adjacency, write_table,
+    PERCENTILE_GRID, Csr, Graph, NodeData, UNLABELED, component_labels, degree_percentile,
+    fixed, one_hot_labels, sparse, weighted_adjacency, write_table,
 )
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
@@ -46,13 +45,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def mean_effective_resistance(
-    adjacency: sp.spmatrix,
+    adjacency,
     origin_count: Optional[int] = None,
 ) -> float:
-    """Mean pairwise effective resistance of a sparse weighted graph.
+    """Mean pairwise effective resistance of a weighted graph.
 
-    Each weighted edge of an adjacency that passes `weighted_adjacency` is a
-    conductance; self-loops carry no current and are dropped. With the last
+    Each weighted edge of an adjacency that passes `weighted_adjacency` (a
+    dense array, a `Csr` or a sparse matrix) is a conductance; self-loops
+    carry no current and are dropped. A graph that is not connected raises
+    DisconnectedError, from its component labels. With the last
     node g grounded, X is the inverse of the Laplacian without g's row and
     column, padded with zeros at g, and R_ij = X_ii + X_jj - 2 X_ij for
     every pair. So the pair sum over a node set S of size s is s * tr(X_SS)
@@ -61,8 +62,8 @@ def mean_effective_resistance(
     makes augmented graphs comparable to their source; without it, all pairs
     are. For a rewiring the grounded node is virtual and lies outside S.
 
-    The grounded Laplacian is symmetric positive definite, so
-    `scipy.sparse.linalg.splu` factors it without pivoting, on the
+    The grounded Laplacian is symmetric positive definite, so SuperLU
+    (`splu`) factors it without pivoting, on the
     minimum-degree ordering of L + L^T, which keeps the fill near nnz(L)
     on trees and their rewirings. The diagonal of X is read off that
     factor by selected inversion on L's own pattern, with the factor's
@@ -71,17 +72,22 @@ def mean_effective_resistance(
     no identity column is solved.
     """
     weights = weighted_adjacency(adjacency)
-    weights = weights - sp.diags(weights.diagonal())     # self-loops carry no current
-    weights.eliminate_zeros()                            # a stored 0.0 is no edge
-    if (bfs_distances(weights.indptr, weights.indices, 0) < 0).any():
+    rows = weights.rows()
+    # self-loops carry no current, and a stored 0.0 is no edge
+    edge = (rows != weights.indices) & (weights.data != 0)
+    m = weights.shape[0]
+    weights = Csr(np.searchsorted(np.flatnonzero(edge), weights.indptr), weights.indices[edge],
+                  weights.data[edge], weights.shape)
+    if component_labels(weights).any():
         raise DisconnectedError("effective resistance needs a connected graph")
-    m = adjacency.shape[0]
     span = m if origin_count is None else origin_count
     if span < 2:
         raise ValueError("need at least two nodes in the pair set")
     if span > m:
         raise ValueError(f"origin_count {span} exceeds the graph's {m} nodes")
     from scipy.sparse.linalg import splu   # several MB of RSS; only this function needs it
+    sp = sparse()
+    weights = weights.view()
     lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
     grounded = splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0, options={"SymmetricMode": True})
@@ -100,7 +106,7 @@ def mean_effective_resistance(
     return (span * trace - total) / (span * (span - 1) / 2)
 
 
-def _inverse_diagonal(factor: sp.spmatrix, pivots: np.ndarray) -> np.ndarray:
+def _inverse_diagonal(factor, pivots: np.ndarray) -> np.ndarray:
     """Diagonal of B^-1, in B's order, for the unpivoted `splu` factor
     B = L U of a symmetric positive definite B, given as L and the
     pivots diag(U): selected inversion (Takahashi, Fagan and Chin 1973;
@@ -123,6 +129,7 @@ def _inverse_diagonal(factor: sp.spmatrix, pivots: np.ndarray) -> np.ndarray:
     block rows, and the rest is gathered from Z on the pattern, pair by
     pair of J. Batches and chunks hold about nnz(L) + n values each.
     """
+    sp = sparse()
     lower = sp.tril(factor, -1, format="csc")     # L's unit diagonal is implicit
     lower.sort_indices()
     if not (pivots > 0).all():
@@ -197,7 +204,7 @@ def _inverse_diagonal(factor: sp.spmatrix, pivots: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _block_inverse(factor: sp.spmatrix, pivots: np.ndarray) -> np.ndarray:
+def _block_inverse(factor, pivots: np.ndarray) -> np.ndarray:
     """(L D L^T)^-1 of a dense block, from its strictly-lower unit factor
     L (sparse) and its pivots D, by the same recurrence run densely: one
     column at a time from the last, each a matrix-vector product."""
@@ -241,40 +248,60 @@ def two_hop_class_similarity(
     and those at exact distance 2 are these less N(u) and u. Here N and N2
     are hop one and 2-walk ends in the graph A, B(u) is u's block, and a
     plain graph is its discrete partition. B(u) is counted from
-    per-(block, class) totals, the rest from the pattern of A[u] @ A + A[u],
-    formed for chunks of centers of at most nnz(A) + n two-walks each.
-    `labels` and `mask` hold one entry per original node.
+    per-(block, class) totals, the rest from the distinct eligible ends of
+    the walks u -> v -> w with v in N(u) or v = u, read off the CSR arrays
+    and made distinct by one sort of (center, end) keys per chunk of
+    centers of at most nnz(A) + n two-walks. Every count is an integer,
+    so the result is exact. `labels` and `mask` hold one entry per
+    original node.
     """
     if isinstance(graph_or_rewired, RewiredGraph):
         graph, block_of = graph_or_rewired.graph, graph_or_rewired.partition.block_of
     else:
         graph, block_of = graph_or_rewired, np.arange(graph_or_rewired.num_nodes)
-    if len(labels) != graph.num_nodes or len(mask) != graph.num_nodes:
+    n = graph.num_nodes
+    if len(labels) != n or len(mask) != n:
         raise DimensionMismatchError(
             f"labels ({len(labels)}) and mask ({len(mask)}) need one entry per "
-            f"original node ({graph.num_nodes})")
+            f"original node ({n})")
     eligible = np.flatnonzero(mask & (labels != UNLABELED))
+    e = len(eligible)
     block = block_of[eligible]
     # classes renumbered 0..c-1, so block * c + class cannot overflow
     classes, cls = np.unique(labels[eligible], return_inverse=True)
     _, pair, pair_count = np.unique(block * len(classes) + cls,
                                     return_inverse=True, return_counts=True)
-    to_eligible = graph.adjacency[:, eligible].tocsr()    # loopless 0/1
-    first = to_eligible[eligible].tocoo()                 # N(u), eligible ends only
-    labeled = np.bincount(block)[block] - 1 - np.bincount(first.row, minlength=len(eligible))
-    same = pair_count[pair] - 1 - np.bincount(first.row[cls[first.row] == cls[first.col]],
-                                              minlength=len(eligible))
-    walks = np.cumsum(graph.adjacency[eligible] @ np.diff(to_eligible.indptr))
-    budget = graph.adjacency.nnz + graph.num_nodes
+    # Every node's eligible neighbours, as ranks in `eligible`: A's CSR rows
+    # restricted to the eligible columns, ascending in each row.
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[eligible] = np.arange(e)
+    degree = graph.degrees()
+    to = rank[graph.indices] >= 0
+    near_count = np.bincount(np.repeat(np.arange(n), degree)[to], minlength=n)
+    near_ptr = np.append(0, np.cumsum(near_count))
+    near = rank[graph.indices[to]]
+    first = near[_ranges(near_ptr[eligible], near_count[eligible])]   # N(u), eligible ends
+    first_row = np.repeat(np.arange(e), near_count[eligible])
+    labeled = np.bincount(block)[block] - 1 - near_count[eligible]
+    same = pair_count[pair] - 1 - np.bincount(first_row[cls[first_row] == cls[first]],
+                                              minlength=e)
+    through = np.append(0, np.cumsum(near_count[graph.indices]))
+    walks = np.cumsum(through[graph.indptr[eligible + 1]] - through[graph.indptr[eligible]])
+    budget = len(graph.indices) + n
     start = 0
-    while start < len(eligible):
+    while start < e:
         done = walks[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(walks, done + budget, side="right")))
         centers = eligible[start:stop]
-        reach = (graph.adjacency[centers] @ to_eligible + to_eligible[centers]).tocoo()
-        row = reach.row + start
-        outside = block[reach.col] != block[row]        # B(u) is counted whole above
-        row, col = row[outside], reach.col[outside]
+        local = np.arange(stop - start)
+        mid = np.concatenate([graph.indices[_ranges(graph.indptr[centers], degree[centers])],
+                              centers])
+        mid_row = np.concatenate([np.repeat(local, degree[centers]), local])
+        ends = near[_ranges(near_ptr[mid], near_count[mid])]
+        row, col = np.divmod(np.unique(np.repeat(mid_row, near_count[mid]) * e + ends), e)
+        row += start
+        outside = block[col] != block[row]              # B(u) is counted whole above
+        row, col = row[outside], col[outside]
         labeled[start:stop] += np.bincount(row - start, minlength=stop - start)
         same[start:stop] += np.bincount(row[cls[col] == cls[row]] - start,
                                         minlength=stop - start)
@@ -283,6 +310,13 @@ def two_hop_class_similarity(
     if not hit.any():
         raise NoEligibleNodesError("no masked labeled node has labeled two-hop neighbors")
     return float(np.mean(same[hit] / labeled[hit]))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ counts to differ by at most eps (infinity norm over the count vector).
 cross-check the eps=0 case.
 
 A `Partition` stores only its canonical label array and block count;
-the sparse `membership_matrix` is its one indicator R. `refine_eps_be`,
+R, its membership indicator, is never formed. `refine_eps_be`,
 `validate_aep` and `quotient` all read one summary of the counts A @ R,
 made from the graph's CSR arrays by sorting: the keys row * k +
 block_of[indices] sort into runs, one per (node, column) count, and a
 second sort of those pairs by (block, column) gives each pair's sum,
 max and min over the block's members. None of them forms the product
-A @ R or any n x k or k x k dense array; the quotient Q is a k x k CSR
-matrix with at most nnz(A) entries.
+A @ R or any n x k or k x k dense array; the quotient Q is k x k CSR
+arrays with at most nnz(A) entries. The last summary made is kept,
+keyed by its graph and partition, so the quotient of the partition that
+refinement returns reads the summary of refinement's last round.
 
 Refinement starts from the single block and stops as soon as
 `validate_aep` holds. Until then each round splits along the columns
@@ -31,19 +33,19 @@ O(m log m + s n log n) for s splitters at eps >= 1.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyGraphError, ParseError
-from .graph import Graph, fixed, int_array, node_ids, parse_column, table_rows, write_table
+from .graph import Csr, Graph, fixed, int_array, node_ids, parse_column, table_rows, write_table
 
 __all__ = [
     "Partition",
     "QuotientPair",
-    "membership_matrix",
     "refine_eps_be",
     "validate_aep",
     "quotient",
@@ -96,19 +98,18 @@ class QuotientPair:
     partition's membership indicator.
     """
 
-    Q: sp.csr_matrix    # k x k, float64; its 0/1 pattern is Q > 0
+    csr: Csr            # k x k, float64; its 0/1 pattern is Q > 0
     residual: float
+
+    @cached_property
+    def Q(self):
+        """Q as a sparse CSR view of `csr`, built on first access and cached."""
+        return self.csr.view()
 
 
 # ---------------------------------------------------------------------------
 # Block-degree counting
 # ---------------------------------------------------------------------------
-
-def membership_matrix(partition: Partition) -> sp.csr_matrix:
-    """Sparse n x k 0/1 int64 indicator R: R[u, block_of[u]] = 1."""
-    n = partition.num_nodes
-    return sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), partition.block_of)),
-                         shape=(n, partition.k))
 
 
 class _BlockCounts(NamedTuple):
@@ -166,6 +167,24 @@ def _block_counts(graph: Graph, partition: Partition) -> _BlockCounts:
                         np.maximum.reduceat(data, starts), lo)
 
 
+# (graph, partition, summary) of the last summary made, the two keys held
+# weakly: refinement ends on a summary of the partition it returns, and
+# the quotient of that partition reads it from here instead of sorting
+# the same keys again.
+_last_summary: tuple = ()
+
+
+def _summary(graph: Graph, partition: Partition) -> _BlockCounts:
+    """`_block_counts(graph, partition)`, reused when it was the last made."""
+    global _last_summary
+    last = _last_summary              # one read: another thread may replace it
+    if last and last[0]() is graph and last[1]() is partition:
+        return last[2]
+    counts = _block_counts(graph, partition)
+    _last_summary = (weakref.ref(graph), weakref.ref(partition), counts)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
@@ -201,7 +220,7 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
 def _refine_round(graph: Graph, part: Partition, eps: float) -> Optional[Partition]:
     """The partition one round makes of `part`, or None when no block's
     spread exceeds eps."""
-    counts = _block_counts(graph, part)
+    counts = _summary(graph, part)
     splitters = np.unique(counts.column[counts.hi - counts.lo > eps])
     if not len(splitters):
         return None
@@ -278,7 +297,7 @@ def _greedy_splits(part: Partition, counts: _BlockCounts, splitters: np.ndarray,
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
-    counts = _block_counts(graph, partition)
+    counts = _summary(graph, partition)
     return not (counts.hi - counts.lo).max(initial=0) > eps
 
 
@@ -290,13 +309,12 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     largest deviation is at its max or min count (fl(c - q) is monotone
     in c); a pair with no stored count has q = 0 and deviation 0.
     """
-    counts = _block_counts(graph, partition)
+    counts = _summary(graph, partition)
     k = partition.k
     q = counts.sums / partition.block_sizes()[counts.block]
     residual = float(np.maximum(counts.hi - q, q - counts.lo).max(initial=0.0))
     indptr = np.searchsorted(counts.block, np.arange(k + 1))   # pairs come row-major
-    return QuotientPair(Q=sp.csr_matrix((q, counts.column, indptr), shape=(k, k)),
-                        residual=residual)
+    return QuotientPair(csr=Csr(indptr, counts.column, q, (k, k)), residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ def load_partition_csv(stream: IO[str]) -> Partition:
 
 def dump_quotient_csv(pair: QuotientPair, eps: float, stream: IO[str]) -> None:
     """Write Q as k dense rows; only its stored entries are formatted."""
-    q = pair.Q
+    q = pair.csr
     starts, columns, values = q.indptr.tolist(), q.indices.tolist(), q.data.tolist()
     zero = fixed(0.0)
 

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import IO, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
-from .graph import Graph, fixed, write_meta, write_table
+from .graph import Csr, Graph, fixed, write_meta, write_table
 from .partition import Partition, quotient
 
 __all__ = [
@@ -65,14 +65,19 @@ class Variant(enum.Enum):
 @dataclass(frozen=True)
 class RewiredGraph:
     """One rewiring of `graph` by `partition`: the weighted symmetric
-    adjacency over its n original + k virtual nodes."""
+    adjacency over its n original + k virtual nodes, as CSR arrays."""
 
     graph: Graph
     partition: Partition
     variant: Variant
-    adjacency: sp.csr_matrix          # (n+k) x (n+k), float64
+    csr: Csr                          # (n+k) x (n+k), float64
     eps: float
     residual: float
+
+    @cached_property
+    def adjacency(self):
+        """Sparse CSR view of `csr`, built on first access and cached."""
+        return self.csr.view()
 
     @property
     def origin_count(self) -> int:
@@ -86,7 +91,7 @@ class RewiredGraph:
     def size(self) -> int:
         return self.origin_count + self.virtual_count
 
-    shift = Graph.shift     # the one read-only normalized shift of `adjacency`, cached
+    shift = Graph.shift     # the one read-only normalized shift of `csr`, cached
 
 
 def _node_features(x: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -133,14 +138,14 @@ def build_rewired(
             "master-node variant requires the single-block partition")
 
     qpair = quotient(graph, partition)
-    q = qpair.Q
+    q = qpair.csr
     if variant is Variant.FULL:
         # A symmetric graph gives Q a symmetric pattern, so the entries
         # sorted by (column, row) are the mirrors of those in row order.
-        rows = np.repeat(np.arange(k), np.diff(q.indptr))
-        corner = (q.indptr, q.indices, (q.data + q.data[np.argsort(q.indices * k + rows)]) / 2.0)
+        corner = (q.indptr, q.indices,
+                  (q.data + q.data[np.argsort(q.indices * k + q.rows())]) / 2.0)
     elif variant is Variant.REP_EDGES:
-        corner = (q.indptr, q.indices, np.ones(q.nnz))
+        corner = (q.indptr, q.indices, np.ones(len(q.data)))
     else:
         corner = (np.zeros(k + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     # The corner's diagonal is kept: it is the within-block degree.
@@ -153,12 +158,11 @@ def build_rewired(
              np.append(partition.block_of, corner_idx),
              np.append(np.ones(n), corner_data))
     indptr, indices, data = _side_by_side(left, right, n)
-    adjacency = sp.csr_matrix((data, indices, indptr), shape=(n + k, n + k))
     return RewiredGraph(
         graph=graph,
         partition=partition,
         variant=variant,
-        adjacency=adjacency,
+        csr=Csr(indptr, indices, data, (n + k, n + k)),
         eps=eps,
         residual=qpair.residual,
     )
@@ -187,11 +191,13 @@ def _side_by_side(left, right, shift: int):
 # ---------------------------------------------------------------------------
 
 def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -> None:
-    coo = sp.triu(rg.adjacency, k=0).tocoo()   # k=0: virtual self-loop weights survive
-    order = np.lexsort((coo.col, coo.row))
-    write_table(edge_stream, None, zip(map(str, coo.row[order].tolist()),
-                                       map(str, coo.col[order].tolist()),
-                                       map(fixed, coo.data[order].tolist())), sep=" ")
+    """Write each entry (u, v, w) of the upper triangle, diagonal included
+    (virtual self-loop weights survive), in row-major order, then the sidecar."""
+    rows = rg.csr.rows()
+    upper = rows <= rg.csr.indices
+    write_table(edge_stream, None, zip(map(str, rows[upper].tolist()),
+                                       map(str, rg.csr.indices[upper].tolist()),
+                                       map(fixed, rg.csr.data[upper].tolist())), sep=" ")
     write_meta(meta_stream, {"n": rg.origin_count, "k": rg.virtual_count,
                              "variant": rg.variant.value, "eps": rg.eps,
                              "residual": rg.residual})

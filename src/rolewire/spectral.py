@@ -2,7 +2,7 @@
 
 The dense shifts come from their owners, `Graph.shift` and
 `RewiredGraph.shift` (built by `graph.normalized_shift`, re-exported
-here), and `role_basis` densifies the membership indicator. Everything
+here), and `role_basis` is filled from the partition's labels. Everything
 after is 64-bit dense linear algebra at desk scale. The central
 quantity is the spectral role lift: project the normalized shifts of the
 original and the augmented graph onto the (rotated) role basis, form one
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EmptyLabelsError
 from .graph import fixed, normalized_shift, require_symmetric, write_table
-from .partition import Partition, membership_matrix
+from .partition import Partition
 from .rewire import RewiredGraph
 
 __all__ = [
@@ -53,8 +53,10 @@ _JACOBI_MAX_SWEEPS = 100
 def role_basis(partition: Partition) -> np.ndarray:
     """Column-orthonormalized block indicator: the dense membership
     indicator R with column j scaled by 1/sqrt(|B_j|)."""
-    return membership_matrix(partition).multiply(
-        1.0 / np.sqrt(partition.block_sizes())).toarray()
+    basis = np.zeros((partition.num_nodes, partition.k))
+    scale = 1.0 / np.sqrt(partition.block_sizes())
+    basis[np.arange(partition.num_nodes), partition.block_of] = scale[partition.block_of]
+    return basis
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,14 @@ import pytest
 import scipy.sparse as sp
 
 from rolewire.generators import erdos_renyi, make_graph
-from rolewire.graph import (PERCENTILE_GRID, Graph, bfs_distances, degree_percentile,
-                            graph_from_edges, one_hot_labels, require_symmetric)
-from rolewire.errors import InputError, NoEligibleNodesError, NonSymmetricError
+from rolewire.graph import (PERCENTILE_GRID, UNLABELED, Csr, Graph, bfs_distances,
+                            degree_percentile, graph_from_edges, one_hot_labels,
+                            require_symmetric)
+from rolewire.errors import (DimensionMismatchError, InputError, NoEligibleNodesError,
+                             NonSymmetricError)
 from rolewire.metrics import EpsCandidate, srl_star, two_hop_class_similarity
-from rolewire.partition import Partition, QuotientPair, membership_matrix, refine_eps_be
-from rolewire.rewire import Variant, build_rewired
+from rolewire.partition import Partition, QuotientPair, refine_eps_be
+from rolewire.rewire import RewiredGraph, Variant, build_rewired
 from rolewire.seeding import rng_for
 from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, srl_report
 from rolewire.teacher_student import LinearGnnWeights, _ChainGradient, _stacked_mse
@@ -36,6 +38,13 @@ def from_blocks(n: int, raw_blocks: Sequence[Sequence[int]]) -> Partition:
     if np.any(labels < 0):
         raise ValueError("blocks do not cover all nodes")
     return Partition.from_assignment(labels)
+
+
+def membership_matrix(partition: Partition) -> sp.csr_matrix:
+    """Sparse n x k 0/1 int64 indicator R: R[u, block_of[u]] = 1."""
+    n = partition.num_nodes
+    return sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), partition.block_of)),
+                         shape=(n, partition.k))
 
 
 def as_block_set(partition: Partition) -> frozenset[frozenset[int]]:
@@ -237,6 +246,54 @@ def evaluate_candidates_oracle(graph: Graph, data, variant=Variant.REP_NODES):
     return srl_star(candidates)
 
 
+def two_hop_class_similarity_by_product(graph_or_rewired, labels: np.ndarray,
+                                        mask: np.ndarray) -> float:
+    """Average same-label fraction among labeled exact-distance-2 neighbors,
+    with the 2-walk ends of each chunk of centers from the sparse product
+    A[centers] @ A[:, eligible] + A[centers, eligible].
+
+    Oracle for `metrics.two_hop_class_similarity`, which reads the same
+    ends off the CSR arrays and must give the same float."""
+    if isinstance(graph_or_rewired, RewiredGraph):
+        graph, block_of = graph_or_rewired.graph, graph_or_rewired.partition.block_of
+    else:
+        graph, block_of = graph_or_rewired, np.arange(graph_or_rewired.num_nodes)
+    if len(labels) != graph.num_nodes or len(mask) != graph.num_nodes:
+        raise DimensionMismatchError(
+            f"labels ({len(labels)}) and mask ({len(mask)}) need one entry per "
+            f"original node ({graph.num_nodes})")
+    eligible = np.flatnonzero(mask & (labels != UNLABELED))
+    block = block_of[eligible]
+    # classes renumbered 0..c-1, so block * c + class cannot overflow
+    classes, cls = np.unique(labels[eligible], return_inverse=True)
+    _, pair, pair_count = np.unique(block * len(classes) + cls,
+                                    return_inverse=True, return_counts=True)
+    to_eligible = graph.adjacency[:, eligible].tocsr()    # loopless 0/1
+    first = to_eligible[eligible].tocoo()                 # N(u), eligible ends only
+    labeled = np.bincount(block)[block] - 1 - np.bincount(first.row, minlength=len(eligible))
+    same = pair_count[pair] - 1 - np.bincount(first.row[cls[first.row] == cls[first.col]],
+                                              minlength=len(eligible))
+    walks = np.cumsum(graph.adjacency[eligible] @ np.diff(to_eligible.indptr))
+    budget = graph.adjacency.nnz + graph.num_nodes
+    start = 0
+    while start < len(eligible):
+        done = walks[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(walks, done + budget, side="right")))
+        centers = eligible[start:stop]
+        reach = (graph.adjacency[centers] @ to_eligible + to_eligible[centers]).tocoo()
+        row = reach.row + start
+        outside = block[reach.col] != block[row]        # B(u) is counted whole above
+        row, col = row[outside], reach.col[outside]
+        labeled[start:stop] += np.bincount(row - start, minlength=stop - start)
+        same[start:stop] += np.bincount(row[cls[col] == cls[row]] - start,
+                                        minlength=stop - start)
+        start = stop
+    hit = labeled > 0
+    if not hit.any():
+        raise NoEligibleNodesError("no masked labeled node has labeled two-hop neighbors")
+    return float(np.mean(same[hit] / labeled[hit]))
+
+
 def block_degree_matrix(graph: Graph, partition) -> np.ndarray:
     """Dense n x k integer counts A @ R: entry (u, j) counts u's neighbors
     in block j, so row u sums to deg(u).
@@ -331,8 +388,7 @@ def quotient_by_product(graph: Graph, partition: Partition) -> QuotientPair:
     q = sums / partition.block_sizes()[block]
     residual = float(np.maximum(hi - q, q - lo).max(initial=0.0))
     indptr = np.searchsorted(block, np.arange(k + 1))
-    return QuotientPair(Q=sp.csr_matrix((q, column, indptr), shape=(k, k)),
-                        residual=residual)
+    return QuotientPair(csr=Csr(indptr, column, q, (k, k)), residual=residual)
 
 
 def rewired_adjacency_by_bmat(graph: Graph, partition: Partition,

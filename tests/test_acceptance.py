@@ -28,7 +28,6 @@ from rolewire.metrics import (
 )
 from rolewire.partition import (
     color_refinement_oracle,
-    membership_matrix,
     quotient,
     refine_eps_be,
     validate_aep,
@@ -51,8 +50,8 @@ from rolewire.teacher_student import (
 )
 
 from conftest import (as_block_set, complete_graph, crop_to_observed, cycle_graph, gradients,
-                      is_connected, master_node_adjacency, mse_loss, path_graph,
-                      random_partition)
+                      is_connected, master_node_adjacency, membership_matrix, mse_loss,
+                      path_graph, random_partition)
 from test_spectral import oracle_srl
 
 PERCENTILES = (0, 25, 50, 75, 100)

@@ -779,6 +779,46 @@ class TestReproducibility:
             f"--out {tmp_path / 's'}")
         assert loads_linalg(f"effres --graph {g} --percentile 25 --variant repnodes")
 
+    def test_only_effres_loads_scipy(self, tmp_path):
+        """Every verb but effres computes on the library's CSR arrays and
+        never imports scipy, and effres loads its sparse LU. The verbs run in
+        a fresh interpreter, since pytest's warning filters have already
+        imported scipy.sparse into this one."""
+        d = tmp_path / "d"
+        script = (
+            "import sys\n"
+            "import rolewire\n"
+            "from rolewire.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split()) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rolewire.__file__).resolve().parents[1]))
+
+        def scipy_modules(*argvs):
+            done = subprocess.run([sys.executable, "-c", script, *argvs], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()[-1]
+
+        features = tmp_path / "x.csv"
+        features.write_text("node,f0,f1\n" + "".join(f"{u},{u % 3}.5,-{u}\n" for u in range(63)))
+        accuracy = tmp_path / "acc.csv"
+        accuracy.write_text("percentile,accuracy\n0,0.9\n25,0.8\n50,0.7\n75,0.6\n100,0.5\n")
+        io = f"--graph {d / 'graph.txt'} --labels {d / 'labels.csv'}"
+        assert scipy_modules(
+            f"gen --family tree --n 63 --classes 3 --out {d}",
+            f"partition --graph {d / 'graph.txt'} --percentile 25 --out {tmp_path / 'p'}",
+            f"rewire --graph {d / 'graph.txt'} --percentile 25 --variant full "
+            f"--features {features} --out {tmp_path / 'r'}",
+            f"srl {io} --percentile 0 --variant repedges --out {tmp_path / 's'}",
+            f"select-eps {io} --out {tmp_path / 'e'}",
+            f"srl-correlate --table {tmp_path / 'e' / 'candidates.csv'} "
+            f"--accuracy {accuracy} --out {tmp_path / 'c'}",
+            f"ts-sim --epochs 20 --out {tmp_path / 't'}") == "[]"
+        assert "'scipy.sparse.linalg'" in scipy_modules(
+            f"effres --graph {d / 'graph.txt'} --percentile 25 --variant repnodes")
+
     def test_golden_cases_never_densify_a_graph(self, tmp_path, monkeypatch):
         """No library path builds a graph's dense adjacency: every verb of
         the golden corpus gives its recorded bytes with it disabled."""

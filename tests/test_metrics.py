@@ -161,6 +161,16 @@ class TestEffectiveResistance:
         with pytest.raises(DisconnectedError):
             mean_effective_resistance(zeros)
 
+    @pytest.mark.parametrize("one_sided", [(0, 2), (2, 0)])
+    def test_a_link_stored_on_one_side_only_does_not_connect(self, one_sided):
+        """A 1e-300 weight stored on one side passes the symmetry gate but
+        carries no current both ways: the graph is disconnected, and the
+        factorization never sees its singular Laplacian."""
+        rows, cols = [0, 1, one_sided[0]], [1, 0, one_sided[1]]
+        adjacency = sp.csr_matrix((np.array([1.0, 1.0, 1e-300]), (rows, cols)), shape=(3, 3))
+        with pytest.raises(DisconnectedError):
+            mean_effective_resistance(adjacency)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             mean_effective_resistance(sp.csr_matrix([[0.0, -1.0], [-1.0, 0.0]]))

@@ -12,7 +12,6 @@ from rolewire.generators import erdos_renyi
 from rolewire.graph import bfs_distances
 from rolewire.partition import (
     color_refinement_oracle,
-    membership_matrix,
     quotient,
     refine_eps_be,
     validate_aep,
@@ -26,7 +25,7 @@ from rolewire.rewire import (
     dump_rewired,
 )
 
-from conftest import dump_features_csv, from_blocks, master_node_adjacency
+from conftest import dump_features_csv, from_blocks, master_node_adjacency, membership_matrix
 
 
 

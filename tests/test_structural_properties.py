@@ -26,6 +26,7 @@ from rolewire.graph import (
     Graph,
     bfs_distances,
     compact_ids,
+    component_labels,
     degree_percentile,
     graph_from_edges,
 )
@@ -34,7 +35,6 @@ from rolewire.partition import (
     Partition,
     _refine_round,
     color_refinement_oracle,
-    membership_matrix,
     quotient,
     refine_eps_be,
     validate_aep,
@@ -43,11 +43,11 @@ from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
 from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
-                      mean_effective_resistance_by_solves,
+                      mean_effective_resistance_by_solves, membership_matrix,
                       mean_effective_resistance_oracle, pairwise_resistance,
                       quotient_by_product, refine_eps_be_by_splitters,
                       rewired_adjacency_by_bmat, splitter_round_by_product, star_graph,
-                      two_hop_neighbors)
+                      two_hop_class_similarity_by_product, two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -541,6 +541,75 @@ def test_two_hop_over_several_chunks_matches_reference(graph):
     _same_similarity(graph, graph, n, labels, mask)
     rewired = build_rewired(graph, refine_eps_be(graph, 0.0), Variant.REP_NODES)
     _same_similarity(rewired, pattern_graph(rewired.adjacency), n, labels, mask)
+
+
+@st.composite
+def labelled_relabelled(draw):
+    """A labelled graph: a small random graph, a union of components or a
+    family draw, node ids shuffled."""
+    graph = draw(st.one_of(graphs(), component_unions(), relabelled_family_graphs(max_nodes=120)))
+    n = graph.num_nodes
+    labels = np.array(draw(st.lists(st.sampled_from([UNLABELED, 0, 1, 2]),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return graph, labels, mask
+
+
+def _same_as_product(obj, labels, mask):
+    try:
+        want = two_hop_class_similarity_by_product(obj, labels, mask)
+    except NoEligibleNodesError:
+        with pytest.raises(NoEligibleNodesError):
+            two_hop_class_similarity(obj, labels, mask)
+        return
+    assert two_hop_class_similarity(obj, labels, mask).hex() == want.hex()
+
+
+@PROPERTY_SETTINGS
+@given(case=labelled_relabelled(), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_two_hop_kernel_matches_the_sparse_product(case, eps, variant):
+    """The CSR two-walk kernel gives the float of the sparse-product form,
+    on the graph and on its rewiring."""
+    graph, labels, mask = case
+    n = graph.num_nodes
+    part = from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
+        else refine_eps_be(graph, eps)
+    _same_as_product(graph, labels, mask)
+    _same_as_product(build_rewired(graph, part, variant, eps=eps), labels, mask)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_two_hop_kernel_matches_the_sparse_product_over_several_chunks(seed, variant):
+    rng = np.random.default_rng(seed)
+    graph = relabelled(star_graph(60) if seed == 0 else generators.lobster(80, rng), seed)
+    n = graph.num_nodes
+    assert int((graph.adjacency @ graph.adjacency).sum()) > graph.adjacency.nnz + n
+    labels = rng.integers(-1, 3, n)
+    mask = rng.random(n) < 0.9
+    part = from_blocks(n, [list(range(n))]) if variant is Variant.MASTER_NODE \
+        else refine_eps_be(graph, 0.0)
+    _same_as_product(graph, labels, mask)
+    _same_as_product(build_rewired(graph, part, variant), labels, mask)
+
+
+@st.composite
+def sparse_er_graphs(draw, max_nodes=300):
+    """ER draws of mean degree 0.2 to 3, most with many components, ids shuffled."""
+    n = draw(st.integers(2, max_nodes))
+    graph = generators.make_graph("er", n, seed=draw(st.integers(0, 2**16)),
+                                  p=draw(st.floats(0.2, 3.0)) / n)
+    return relabelled(graph, draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(graph=st.one_of(graphs(), component_unions(), sparse_er_graphs()))
+def test_component_labels_match_bfs_reachability(graph):
+    want = np.full(graph.num_nodes, -1)
+    for s in range(graph.num_nodes):          # ascending: s is its component's least id
+        if want[s] < 0:
+            want[bfs_distances(graph.indptr, graph.indices, s) >= 0] = s
+    assert np.array_equal(component_labels(graph.csr), want)
 
 
 @PROPERTY_SETTINGS
