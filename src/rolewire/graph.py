@@ -6,7 +6,8 @@ neighbor lists. Node ids are dense 0-based integers.
 
 Every matrix a caller hands the library passes `require_symmetric` (an
 adjacency, `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
-The library computes on CSR arrays (`Csr`). The sparse-matrix package
+The library computes on CSR arrays (`Csr`), and every CSR it assembles
+from entries comes from `Csr.from_entries`. The sparse-matrix package
 loads only on the first call of `sparse`, which the views callers read
 (`Graph.adjacency`, `Csr.view`) and effective resistance make.
 
@@ -36,7 +37,7 @@ from .errors import (
 
 UNLABELED = -1
 
-# graph_from_edges keys each entry as u * n + v in int64, which holds
+# Csr.from_entries keys each entry as u * n + v in int64, which holds
 # exactly while n <= isqrt(2**63 - 1); larger ids would wrap silently.
 MAX_NODE_ID = math.isqrt(2**63 - 1) - 1
 
@@ -85,6 +86,25 @@ class Csr(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                     n: int) -> "Csr":
+        """The one constructor: n x n CSR arrays of the int64 entries (rows[i],
+        cols[i]) with values[i], listed in any order. Entries at one position
+        are summed in listed order (one stable sort of the keys row * n +
+        col); entries already row-major and distinct are taken as they are."""
+        keys = rows * n + cols
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            values = (np.add.reduceat(values[order], first) if len(first) < len(keys)
+                      else values[order])
+            rows, cols = rows[order[first]], cols[order[first]]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, cols, values, (n, n))
 
     def tocsr(self) -> "Csr":
         return self
@@ -192,16 +212,27 @@ class NodeData:
 def require_symmetric(m, what: str) -> None:
     """The one gate for a matrix a caller hands the library: square and
     within 1e-12 * max(1, max |m|) of m^T (else NonSymmetricError), and finite
-    (else ValueError). A dense m (an ndarray) is read whole; any other is
-    read through its `tocsr()` on its entries, duplicates summed."""
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSymmetricError(f"{what} must be square")
-        values, mirror = m, m.T
+    (else ValueError). A dense m (an ndarray) is read whole; any other
+    passes `_symmetric_csr`."""
+    if not isinstance(m, np.ndarray):
+        _symmetric_csr(m, what)
+    elif m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonSymmetricError(f"{what} must be square")
     else:
-        m = _summed_csr(m, what)
-        at = _mirrors(m)
-        values, mirror = m.data, np.where(at >= 0, m.data[at], 0.0)
+        _require_close(m, m.T, what)
+
+
+def _symmetric_csr(m, what: str) -> tuple[Csr, np.ndarray]:
+    """The gate on m's CSR arrays (see `_summed_csr`), each entry compared
+    with its mirror, 0 where none is stored. Returns the arrays and each
+    entry's mirror position (`_mirrors`), for callers to reuse."""
+    csr = _summed_csr(m, what)
+    at = _mirrors(csr)
+    _require_close(csr.data, np.where(at >= 0, csr.data[at], 0.0), what)
+    return csr, at
+
+
+def _require_close(values: np.ndarray, mirror: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{what} has a non-finite entry")
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
@@ -218,28 +249,14 @@ def _summed_csr(m, what: str) -> Csr:
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise NonSymmetricError(f"{what} must be square")
         rows, cols = np.nonzero(dense)
-        return Csr(_offsets(rows, dense.shape[0]), cols, dense[rows, cols], dense.shape)
+        return Csr.from_entries(rows, cols, dense[rows, cols], dense.shape[0])
     m = m.tocsr()
     if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetricError(f"{what} must be square")
-    n = m.shape[0]
-    csr = Csr(np.asarray(m.indptr, dtype=np.int64), np.asarray(m.indices, dtype=np.int64),
-              np.asarray(m.data, dtype=np.float64), (n, n))
-    keys = csr.rows() * n + csr.indices
-    if (keys[1:] > keys[:-1]).all():
-        return csr
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    rows, cols = np.divmod(keys[first], n)
-    return Csr(_offsets(rows, n), cols, np.add.reduceat(csr.data[order], first), (n, n))
-
-
-def _offsets(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row offsets of entries listed by ascending row."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+    n, indptr = m.shape[0], np.asarray(m.indptr, dtype=np.int64)
+    return Csr.from_entries(np.repeat(np.arange(n), np.diff(indptr)),
+                            np.asarray(m.indices, dtype=np.int64),
+                            np.asarray(m.data, dtype=np.float64), n)
 
 
 def _mirrors(csr: Csr) -> np.ndarray:
@@ -256,16 +273,16 @@ def _mirrors(csr: Csr) -> np.ndarray:
     return np.where(keys[at] == mirrors, at, -1) if len(keys) else at
 
 
-def weighted_adjacency(adjacency) -> Csr:
-    """Float64 CSR arrays of an adjacency (see `_summed_csr`) that passes
-    `require_symmetric`, with weights >= 0 and finite degrees (else ValueError)."""
-    a = _summed_csr(adjacency, "adjacency")
-    require_symmetric(a, "adjacency")
+def weighted_adjacency(adjacency) -> tuple[Csr, np.ndarray]:
+    """Float64 CSR arrays of an adjacency that passes `_symmetric_csr`, and
+    their mirror positions, with weights >= 0 and finite degrees (else
+    ValueError)."""
+    a, at = _symmetric_csr(adjacency, "adjacency")
     if a.data.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
     if not np.isfinite(np.bincount(a.rows(), a.data, minlength=a.shape[0])).all():
         raise ValueError("adjacency's weighted degrees overflow")
-    return a
+    return a, at
 
 
 def normalized_shift(adjacency) -> np.ndarray:
@@ -284,7 +301,7 @@ def normalized_shift(adjacency) -> np.ndarray:
     The bits are those of (dinv[:, None] * (A + I)) * dinv[None, :] averaged
     with its transpose.
     """
-    a = weighted_adjacency(adjacency)
+    a, _ = weighted_adjacency(adjacency)
     n = a.shape[0]
     rows = a.rows()
     b = np.zeros((n, n))
@@ -301,8 +318,9 @@ def normalized_shift(adjacency) -> np.ndarray:
 
 def component_labels(csr: Csr) -> np.ndarray:
     """Each node's connected component, labelled by its smallest node id,
-    in the graph whose edges are the entries of a square CSR matrix that
-    are stored on both sides of the diagonal.
+    in the graph whose edges are the stored entries of a square CSR
+    matrix. The pattern must be symmetric: (j, i) is stored wherever
+    (i, j) is.
 
     Min-label hooking with full pointer jumping (Shiloach and Vishkin,
     J. Algorithms 1982): each round hooks every root to the smallest root
@@ -310,8 +328,7 @@ def component_labels(csr: Csr) -> np.ndarray:
     point to smaller ids only, so the forest never cycles, and every
     round that finds two roots joined by an edge removes at least one.
     """
-    both = _mirrors(csr) >= 0
-    u, v = csr.rows()[both], csr.indices[both]     # each edge in both directions
+    u, v = csr.rows(), csr.indices                 # each edge in both directions
     label = np.arange(csr.shape[0])
     while True:
         lu, lv = label[u], label[v]
@@ -334,9 +351,8 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Self-loops and ids outside 0..num_nodes-1 are rejected, naming the
     first such edge in input order.
 
-    Both directions of every edge become keys row * n + col; one sorted
-    `np.unique` over them is the CSR entry list, rows ascending and
-    neighbors ascending within each row.
+    Both directions of every edge are entries of `Csr.from_entries`,
+    which collapses repeats: its rows and columns are the CSR lists.
     """
     if num_nodes < 1:
         raise EmptyGraphError("graph must have at least one node")
@@ -350,9 +366,9 @@ def graph_from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise SelfLoopError(f"self-loop at node {bu}")
         raise ParseError(f"edge ({bu},{bv}) outside node range 0..{num_nodes - 1}")
     u, v = u.astype(np.int64), v.astype(np.int64)
-    keys = np.unique(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
-    rows, indices = np.divmod(keys, num_nodes)
-    return Graph(indptr=_offsets(rows, num_nodes), indices=indices)
+    csr = Csr.from_entries(np.concatenate([u, v]), np.concatenate([v, u]),
+                           np.ones(2 * len(u), dtype=np.int64), num_nodes)
+    return Graph(indptr=csr.indptr, indices=csr.indices)
 
 
 def load_edge_list(stream: IO[str]) -> Graph:

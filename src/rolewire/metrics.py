@@ -51,9 +51,11 @@ def mean_effective_resistance(
     """Mean pairwise effective resistance of a weighted graph.
 
     Each weighted edge of an adjacency that passes `weighted_adjacency` (a
-    dense array, a `Csr` or a sparse matrix) is a conductance; self-loops
-    carry no current and are dropped. A graph that is not connected raises
-    DisconnectedError, from its component labels. With the last
+    dense array, a `Csr` or a sparse matrix) is a conductance. An edge is
+    an entry off the diagonal, not a stored 0.0, whose mirror is stored
+    and nonzero; other entries carry no current and are dropped. A graph
+    that is not connected raises DisconnectedError, from its component
+    labels. With the last
     node g grounded, X is the inverse of the Laplacian without g's row and
     column, padded with zeros at g, and R_ij = X_ii + X_jj - 2 X_ij for
     every pair. So the pair sum over a node set S of size s is s * tr(X_SS)
@@ -71,13 +73,13 @@ def mean_effective_resistance(
     comes from one vector solve, so no dense m x m matrix is formed and
     no identity column is solved.
     """
-    weights = weighted_adjacency(adjacency)
-    rows = weights.rows()
-    # self-loops carry no current, and a stored 0.0 is no edge
-    edge = (rows != weights.indices) & (weights.data != 0)
+    weights, at = weighted_adjacency(adjacency)
+    rows, cols, data = weights.rows(), weights.indices, weights.data
+    # An edge carries current both ways: it is no self-loop and no stored
+    # 0.0, and its mirror is stored and nonzero.
+    edge = (rows != cols) & (data != 0) & (at >= 0) & (data[at] != 0)
     m = weights.shape[0]
-    weights = Csr(np.searchsorted(np.flatnonzero(edge), weights.indptr), weights.indices[edge],
-                  weights.data[edge], weights.shape)
+    weights = Csr.from_entries(rows[edge], cols[edge], data[edge], m)
     if component_labels(weights).any():
         raise DisconnectedError("effective resistance needs a connected graph")
     span = m if origin_count is None else origin_count

@@ -313,8 +313,8 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     k = partition.k
     q = counts.sums / partition.block_sizes()[counts.block]
     residual = float(np.maximum(counts.hi - q, q - counts.lo).max(initial=0.0))
-    indptr = np.searchsorted(counts.block, np.arange(k + 1))   # pairs come row-major
-    return QuotientPair(csr=Csr(indptr, counts.column, q, (k, k)), residual=residual)
+    return QuotientPair(csr=Csr.from_entries(counts.block, counts.column, q, k),
+                        residual=residual)
 
 
 # ---------------------------------------------------------------------------

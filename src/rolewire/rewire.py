@@ -2,12 +2,10 @@
 
 Each block gets a virtual node adjacent to exactly its members. The
 augmented adjacency, in the block form below with A the graph's
-adjacency and R the membership indicator, is written straight into CSR
-arrays from the graph's rows, the labels and the quotient's CSR: the
-block columns [A; R'] and [R; corner] are interleaved row by row, so
-original row u is A's row u followed by its virtual node n +
-block_of[u], and virtual row j is block j's members followed by the
-corner's row j shifted by n.
+adjacency and R the membership indicator, is the CSR of the entries of
+its four blocks: A's from the graph's rows, R's (u, n + block_of[u]) and
+their mirrors from the labels, and the corner's from the quotient's CSR
+shifted by n, sorted row-major by `Csr.from_entries`.
 
     [ A  R ]        virtual-virtual corner: (Q + Q')/2  (full, weighted)
     [ R' * ]                                 empty       (repnodes)
@@ -42,7 +40,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .graph import Csr, Graph, fixed, write_meta, write_table
+from .graph import Csr, Graph, _mirrors, fixed, write_meta, write_table
 from .partition import Partition, quotient
 
 __all__ = [
@@ -139,51 +137,28 @@ def build_rewired(
 
     qpair = quotient(graph, partition)
     q = qpair.csr
-    if variant is Variant.FULL:
-        # A symmetric graph gives Q a symmetric pattern, so the entries
-        # sorted by (column, row) are the mirrors of those in row order.
-        corner = (q.indptr, q.indices,
-                  (q.data + q.data[np.argsort(q.indices * k + q.rows())]) / 2.0)
-    elif variant is Variant.REP_EDGES:
-        corner = (q.indptr, q.indices, np.ones(len(q.data)))
-    else:
-        corner = (np.zeros(k + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     # The corner's diagonal is kept: it is the within-block degree.
-    corner_ptr, corner_idx, corner_data = corner
-    nnz = len(graph.indices)
-    left = (np.append(graph.indptr, nnz + np.cumsum(partition.block_sizes())),      # [A; R']
-            np.append(graph.indices, np.argsort(partition.block_of, kind="stable")),
-            np.ones(nnz + n))
-    right = (np.append(np.arange(n + 1), n + corner_ptr[1:]),                       # [R; corner]
-             np.append(partition.block_of, corner_idx),
-             np.append(np.ones(n), corner_data))
-    indptr, indices, data = _side_by_side(left, right, n)
+    corner_rows, corner_cols = n + q.rows(), n + q.indices
+    if variant is Variant.FULL:
+        # A symmetric graph gives Q a symmetric pattern: every entry has a mirror.
+        corner = (q.data + q.data[_mirrors(q)]) / 2.0
+    elif variant is Variant.REP_EDGES:
+        corner = np.ones(len(q.data))
+    else:
+        corner_rows, corner_cols, corner = corner_rows[:0], corner_cols[:0], q.data[:0]
+    nodes, virtual = np.arange(n), n + partition.block_of
+    csr = Csr.from_entries(                                 # A, R, R', corner
+        np.concatenate([np.repeat(nodes, graph.degrees()), nodes, virtual, corner_rows]),
+        np.concatenate([graph.indices, virtual, nodes, corner_cols]),
+        np.concatenate([np.ones(len(graph.indices) + 2 * n), corner]), n + k)
     return RewiredGraph(
         graph=graph,
         partition=partition,
         variant=variant,
-        csr=Csr(indptr, indices, data, (n + k, n + k)),
+        csr=csr,
         eps=eps,
         residual=qpair.residual,
     )
-
-
-def _side_by_side(left, right, shift: int):
-    """(indptr, indices, data) of the rows [L | R], with R's columns
-    shifted by `shift` past L's; each side is an (indptr, indices, data)
-    triple over the same rows, each row sorted."""
-    left_ptr, left_idx, left_data = left
-    right_ptr, right_idx, right_data = right
-    indptr = left_ptr + right_ptr
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    # A left entry moves past the right entries of the rows above it; a
-    # right entry past the left entries of its own row and those above.
-    at = np.arange(len(left_idx)) + np.repeat(right_ptr[:-1], np.diff(left_ptr))
-    indices[at], data[at] = left_idx, left_data
-    at = np.arange(len(right_idx)) + np.repeat(left_ptr[1:], np.diff(right_ptr))
-    indices[at], data[at] = right_idx + shift, right_data
-    return indptr, indices, data
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,9 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = np.ascontiguousarray(b[order, n:].T)
-    for j in range(n):
-        nz = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
-        if len(nz) and v[nz[0], j] < 0:
-            v[:, j] = -v[:, j]
+    big = np.abs(v) > 1e-12
+    first = big & (np.cumsum(big, axis=0) == 1)     # each column's first big entry
+    np.negative(v, out=v, where=(first & (v < 0)).any(axis=0))
     return w, v
 
 

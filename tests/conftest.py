@@ -391,12 +391,29 @@ def quotient_by_product(graph: Graph, partition: Partition) -> QuotientPair:
     return QuotientPair(csr=Csr(indptr, column, q, (k, k)), residual=residual)
 
 
+def csr_by_dict(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> Csr:
+    """n x n CSR arrays of the entries (rows[i], cols[i], values[i]), those
+    at one position summed in listed order into a dict, keys then sorted.
+
+    Oracle for `Csr.from_entries`: int64 offsets and columns, and values
+    of the input's dtype."""
+    sums = {}
+    for key, value in zip(zip(rows.tolist(), cols.tolist()), values.tolist()):
+        sums[key] = sums[key] + value if key in sums else value
+    keys = sorted(sums)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for row, _ in keys:
+        indptr[row + 1:] += 1
+    return Csr(indptr, np.array([col for _, col in keys], dtype=np.int64),
+               np.array([sums[key] for key in keys], dtype=values.dtype), (n, n))
+
+
 def rewired_adjacency_by_bmat(graph: Graph, partition: Partition,
                               variant: Variant) -> sp.csr_matrix:
     """The augmented adjacency [[A, R], [R', corner]] from `scipy.sparse.bmat`.
 
-    Oracle for `rewire.build_rewired`, which writes the same CSR arrays
-    directly."""
+    Oracle for `rewire.build_rewired`, which sorts the four blocks'
+    entries into the same CSR arrays."""
     q = quotient_by_product(graph, partition).Q
     if variant is Variant.FULL:
         corner = (q + q.T) / 2.0
@@ -435,9 +452,12 @@ def jacobi_eig_oracle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     apq = a[p, q]
                     if abs(apq) <= 1e-300:
                         continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
-                        if theta != 0.0 else 1.0
+                    # A tiny apq makes theta * theta overflow to inf, and t to
+                    # 0, as in the library's Python floats, which do not warn.
+                    with np.errstate(over="ignore"):
+                        theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                        t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0)) \
+                            if theta != 0.0 else 1.0
                     c = 1.0 / np.sqrt(t * t + 1.0)
                     s = t * c
                     col_p, col_q = a[:, p].copy(), a[:, q].copy()

@@ -15,6 +15,7 @@ from rolewire.errors import (
     NoEligibleNodesError,
     NumericError,
 )
+import rolewire.graph
 from rolewire import metrics
 from rolewire.generators import assign_splits, eccentricity_labels, erdos_renyi, make_graph
 from rolewire.graph import (PERCENTILE_GRID, bfs_distances, degree_percentile,
@@ -161,15 +162,38 @@ class TestEffectiveResistance:
         with pytest.raises(DisconnectedError):
             mean_effective_resistance(zeros)
 
-    @pytest.mark.parametrize("one_sided", [(0, 2), (2, 0)])
+    @pytest.mark.parametrize("one_sided", [
+        {(0, 2): 1e-300}, {(2, 0): 1e-300}, {(0, 2): 1e-13, (2, 0): 0.0}])
     def test_a_link_stored_on_one_side_only_does_not_connect(self, one_sided):
-        """A 1e-300 weight stored on one side passes the symmetry gate but
-        carries no current both ways: the graph is disconnected, and the
-        factorization never sees its singular Laplacian."""
-        rows, cols = [0, 1, one_sided[0]], [1, 0, one_sided[1]]
-        adjacency = sp.csr_matrix((np.array([1.0, 1.0, 1e-300]), (rows, cols)), shape=(3, 3))
+        """A tiny weight whose mirror is missing, or stored as 0.0, passes
+        the symmetry gate but carries no current both ways: the graph is
+        disconnected, and the factorization never sees its singular Laplacian."""
+        rows, cols = [0, 1, *(i for i, _ in one_sided)], [1, 0, *(j for _, j in one_sided)]
+        adjacency = sp.csr_matrix((np.array([1.0, 1.0, *one_sided.values()]), (rows, cols)),
+                                  shape=(3, 3))
+        assert adjacency.nnz == len(rows)
         with pytest.raises(DisconnectedError):
             mean_effective_resistance(adjacency)
+
+    def test_mirrors_are_found_once_per_call(self, monkeypatch):
+        """The gate's mirror positions give the edge rule, and component
+        labelling reads a symmetric pattern without looking for mirrors."""
+        g = make_graph("tree", 31)
+        rg = build_rewired(g, refine_eps_be(g, 0), Variant.FULL)
+        calls = []
+
+        def counting(csr, _original=rolewire.graph._mirrors):
+            calls.append(csr.shape)
+            return _original(csr)
+
+        monkeypatch.setattr(rolewire.graph, "_mirrors", counting)
+        for adjacency in (g.adjacency, g.csr, g.dense_adjacency(), rg.adjacency, rg.csr):
+            calls.clear()
+            mean_effective_resistance(adjacency, origin_count=g.num_nodes)
+            assert calls == [adjacency.shape]
+        calls.clear()
+        assert not rolewire.graph.component_labels(rg.csr).any()
+        assert calls == []
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -23,6 +23,7 @@ from rolewire.generators import eccentricity_labels
 from rolewire.graph import (
     PERCENTILE_GRID,
     UNLABELED,
+    Csr,
     Graph,
     bfs_distances,
     compact_ids,
@@ -42,7 +43,8 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import (as_block_set, block_degree_matrix, from_blocks, largest_component,
+from conftest import (as_block_set, block_degree_matrix, csr_by_dict, from_blocks,
+                      largest_component,
                       mean_effective_resistance_by_solves, membership_matrix,
                       mean_effective_resistance_oracle, pairwise_resistance,
                       quotient_by_product, refine_eps_be_by_splitters,
@@ -696,6 +698,33 @@ def test_eccentricity_chunks_do_not_change_labels(monkeypatch):
         assert all(len(chunk) <= 64 for chunk in chunks)
         assert np.array_equal(whole, reference_eccentricity_labels(graph, 4))
         monkeypatch.undo()
+
+
+@st.composite
+def csr_entries(draw, max_nodes=8):
+    """Entries (rows, cols, values) of an n x n matrix with repeated
+    positions and integer values, int64 or float64: shuffled, or in one
+    draw of three sorted by position, so runs of equal keys reach the
+    constructor's sorted fast path."""
+    n = draw(st.integers(1, max_nodes))
+    ids = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(ids, ids, st.integers(-9, 9)), max_size=30))
+    entries = draw(st.permutations(entries))
+    if draw(st.integers(0, 2)) == 0:
+        entries = sorted(entries, key=lambda e: e[:2])
+    rows, cols, values = (np.array([e[i] for e in entries], dtype=np.int64) for i in range(3))
+    return rows, cols, values.astype(draw(st.sampled_from([np.int64, np.float64]))), n
+
+
+@PROPERTY_SETTINGS
+@given(case=csr_entries())
+@example(case=(np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([2.0, 3.0, 5.0]), 2))
+def test_csr_from_entries_matches_a_dict(case):
+    got, want = Csr.from_entries(*case), csr_by_dict(*case)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @PROPERTY_SETTINGS
