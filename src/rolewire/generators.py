@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, NodeData, bfs_distances, graph_from_edges
+from .graph import Graph, NodeData, bfs_distances, graph_from_edges, ranges
 from .seeding import rng_for
 
 __all__ = [
@@ -154,11 +154,9 @@ def _bfs_depths(graph: Graph, sources: np.ndarray) -> np.ndarray:
 def _induced_lists(graph: Graph, nodes: np.ndarray) -> tuple[list, list]:
     """CSR lists of the subgraph on `nodes`, sorted whole components; node
     i of the lists is nodes[i]."""
-    lo = graph.indptr[nodes]
-    span = graph.indptr[nodes + 1] - lo
-    ends = np.cumsum(span)
-    pos = np.arange(ends[-1]) + np.repeat(lo - ends + span, span)
-    return [0] + ends.tolist(), np.searchsorted(nodes, graph.indices[pos]).tolist()
+    span = graph.indptr[nodes + 1] - graph.indptr[nodes]
+    pos = ranges(graph.indptr[nodes], span)
+    return [0] + np.cumsum(span).tolist(), np.searchsorted(nodes, graph.indices[pos]).tolist()
 
 
 def _eccentricities(graph: Graph) -> np.ndarray:

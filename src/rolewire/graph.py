@@ -4,8 +4,9 @@ Graphs are simple (no self-loops, no multi-edges), undirected and
 unweighted, stored in compressed sparse form: row offsets plus sorted
 neighbor lists. Node ids are dense 0-based integers.
 
-Every matrix a caller hands the library passes `require_symmetric` (an
-adjacency, `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
+Every matrix a caller hands the library, dense or sparse, passes one gate,
+`require_symmetric`, on its CSR arrays (an adjacency then passes the
+weight rules of `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
 The library computes on CSR arrays (`Csr`), and every CSR it assembles
 from entries comes from `Csr.from_entries`. The sparse-matrix package
 loads only on the first call of `sparse`, which the views callers read
@@ -98,7 +99,7 @@ class Csr(NamedTuple):
         if not (keys[1:] > keys[:-1]).all():
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            first = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            first = runs(keys)[0]
             values = (np.add.reduceat(values[order], first) if len(first) < len(keys)
                       else values[order])
             rows, cols = rows[order[first]], cols[order[first]]
@@ -209,54 +210,32 @@ class NodeData:
             raise ValueError("every masked node must carry a label")
 
 
-def require_symmetric(m, what: str) -> None:
+def require_symmetric(m, what: str) -> tuple[Csr, np.ndarray]:
     """The one gate for a matrix a caller hands the library: square and
-    within 1e-12 * max(1, max |m|) of m^T (else NonSymmetricError), and finite
-    (else ValueError). A dense m (an ndarray) is read whole; any other
-    passes `_symmetric_csr`."""
-    if not isinstance(m, np.ndarray):
-        _symmetric_csr(m, what)
-    elif m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetricError(f"{what} must be square")
-    else:
-        _require_close(m, m.T, what)
-
-
-def _symmetric_csr(m, what: str) -> tuple[Csr, np.ndarray]:
-    """The gate on m's CSR arrays (see `_summed_csr`), each entry compared
-    with its mirror, 0 where none is stored. Returns the arrays and each
-    entry's mirror position (`_mirrors`), for callers to reuse."""
-    csr = _summed_csr(m, what)
-    at = _mirrors(csr)
-    _require_close(csr.data, np.where(at >= 0, csr.data[at], 0.0), what)
-    return csr, at
-
-
-def _require_close(values: np.ndarray, mirror: np.ndarray, what: str) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} has a non-finite entry")
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    if np.abs(values - mirror).max(initial=0.0) > 1e-12 * scale:
-        raise NonSymmetricError(f"{what} is not symmetric")
-
-
-def _summed_csr(m, what: str) -> Csr:
-    """Square float64 CSR arrays of m, duplicates summed and columns
-    ascending (else NonSymmetricError): the nonzeros of a dense m,
-    the entries of any other through its `tocsr()`. m is never written."""
-    if not hasattr(m, "tocsr"):
-        dense = np.asarray(m, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise NonSymmetricError(f"{what} must be square")
-        rows, cols = np.nonzero(dense)
-        return Csr.from_entries(rows, cols, dense[rows, cols], dense.shape[0])
-    m = m.tocsr()
+    within 1e-12 * max(1, max |m|) of m^T (else NonSymmetricError), and
+    finite (else ValueError). m is read as float64 CSR arrays, the nonzeros
+    of a dense m or the entries of any other through its `tocsr()`, with
+    duplicates summed; each stored entry is compared with its mirror, 0
+    where none is stored. Returns the arrays and each entry's mirror
+    position (`_mirrors`), for callers to reuse. m is never written."""
+    m = m.tocsr() if hasattr(m, "tocsr") else np.asarray(m, dtype=np.float64)
     if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetricError(f"{what} must be square")
-    n, indptr = m.shape[0], np.asarray(m.indptr, dtype=np.int64)
-    return Csr.from_entries(np.repeat(np.arange(n), np.diff(indptr)),
-                            np.asarray(m.indices, dtype=np.int64),
-                            np.asarray(m.data, dtype=np.float64), n)
+    n = m.shape[0]
+    if hasattr(m, "indptr"):
+        rows = np.repeat(np.arange(n), np.diff(np.asarray(m.indptr, dtype=np.int64)))
+        cols, values = np.asarray(m.indices, dtype=np.int64), np.asarray(m.data, dtype=np.float64)
+    else:
+        rows, cols = np.nonzero(m)
+        values = m[rows, cols]
+    csr = Csr.from_entries(rows, cols, values, n)
+    at = _mirrors(csr)
+    if not np.isfinite(csr.data).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    scale = max(1.0, float(np.abs(csr.data).max(initial=0.0)))
+    if np.abs(csr.data - np.where(at >= 0, csr.data[at], 0.0)).max(initial=0.0) > 1e-12 * scale:
+        raise NonSymmetricError(f"{what} is not symmetric")
+    return csr, at
 
 
 def _mirrors(csr: Csr) -> np.ndarray:
@@ -274,10 +253,10 @@ def _mirrors(csr: Csr) -> np.ndarray:
 
 
 def weighted_adjacency(adjacency) -> tuple[Csr, np.ndarray]:
-    """Float64 CSR arrays of an adjacency that passes `_symmetric_csr`, and
-    their mirror positions, with weights >= 0 and finite degrees (else
+    """Float64 CSR arrays of an adjacency that passes `require_symmetric`,
+    and their mirror positions, with weights >= 0 and finite degrees (else
     ValueError)."""
-    a, at = _symmetric_csr(adjacency, "adjacency")
+    a, at = require_symmetric(adjacency, "adjacency")
     if a.data.min(initial=0.0) < 0:
         raise ValueError("adjacency weights must be nonnegative")
     if not np.isfinite(np.bincount(a.rows(), a.data, minlength=a.shape[0])).all():
@@ -497,6 +476,22 @@ def int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+def runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=len(key))
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 def node_ids(body: Sequence[tuple[int, list[str]]], num_nodes: int,

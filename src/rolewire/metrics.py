@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graph import (
     PERCENTILE_GRID, Csr, Graph, NodeData, UNLABELED, component_labels, degree_percentile,
-    fixed, one_hot_labels, sparse, weighted_adjacency, write_table,
+    fixed, one_hot_labels, ranges, sparse, weighted_adjacency, write_table,
 )
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
@@ -69,7 +69,8 @@ def mean_effective_resistance(
     minimum-degree ordering of L + L^T, which keeps the fill near nnz(L)
     on trees and their rewirings. The diagonal of X is read off that
     factor by selected inversion on L's own pattern, with the factor's
-    dense trailing block run densely (`_inverse_diagonal`), and 1^T X_SS 1
+    dense trailing block run densely and fill that underflowed to 0.0
+    restored as explicit zeros (`_inverse_diagonal`), and 1^T X_SS 1
     comes from one vector solve, so no dense m x m matrix is formed and
     no identity column is solved.
     """
@@ -119,7 +120,11 @@ def _inverse_diagonal(factor, pivots: np.ndarray) -> np.ndarray:
         Z[J, j] = -Z[J, J] l,    Z_jj = 1/d_j - l^T Z[J, j],
     from Z of the rows of J only, which are the ancestors of j in the
     elimination tree. J and j form a clique of the filled graph, so
-    Z[J, J] lies on L's own pattern, and Z is kept only there.
+    Z[J, J] lies on L's own pattern, and Z is kept only there. Fill that
+    underflowed to 0.0 (values decay along long paths) is missing from
+    `splu`'s L: the pass collects the entries of Z[J, J] it did not find
+    and the inversion runs again with them stored as explicit zeros. A
+    pass that misses none is final, for its pattern is then closed.
 
     The trailing columns that are full below the diagonal form a dense
     block, whose Z comes from the recurrence run densely
@@ -162,7 +167,8 @@ def _inverse_diagonal(factor, pivots: np.ndarray) -> np.ndarray:
     owner = np.repeat(np.arange(block, n), np.diff(lower.indptr[block:]))
     first = lower.indptr[owner] - base
     keys = owner * n + rows
-    z = np.empty(len(rows))
+    z = np.zeros(len(rows))             # a pass that misses reads Z unwritten, then is discarded
+    missed = [keys[:0]]
 
     # y = Z[J, J] l, which starts as the block rows' share, off Z's diagonal
     y = np.zeros(len(rows))
@@ -192,15 +198,21 @@ def _inverse_diagonal(factor, pivots: np.ndarray) -> np.ndarray:
             b = np.repeat(b, pairs[b])
             a = first[b] + np.arange(b.size) - np.searchsorted(b, b)
             want = rows[b] * n + rows[a]
-            at = np.searchsorted(keys, want)
-            if not np.array_equal(keys[np.minimum(at, len(keys) - 1)], want):
-                raise NumericError("selected inversion left the factor's pattern")
+            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            missed.append(want[keys[at] != want])
             z_ab = z[at]
             y_batch += np.bincount(a - e0, z_ab * vals[b], minlength=e1 - e0)
             y_batch += np.bincount(b - e0, z_ab * vals[a], minlength=e1 - e0)
         z[e0:e1] = -y_batch
         diag[block + c0:block + c1] += np.bincount(
             owner[e0:e1] - block - c0, y_batch * vals[e0:e1], minlength=c1 - c0)
+    missed = np.unique(np.concatenate(missed))
+    if missed.size:                     # fill that underflowed: store it as explicit zeros
+        ends = order[np.array(np.divmod(missed, n))]
+        return _inverse_diagonal(sp.csc_matrix(
+            (np.r_[coo.data, np.zeros(missed.size)],
+             (np.r_[coo.row, ends.max(axis=0)], np.r_[coo.col, ends.min(axis=0)])),
+            shape=(n, n)), pivots)
     inverse = np.empty(n)
     inverse[order] = diag
     return inverse
@@ -282,7 +294,7 @@ def two_hop_class_similarity(
     near_count = np.bincount(np.repeat(np.arange(n), degree)[to], minlength=n)
     near_ptr = np.append(0, np.cumsum(near_count))
     near = rank[graph.indices[to]]
-    first = near[_ranges(near_ptr[eligible], near_count[eligible])]   # N(u), eligible ends
+    first = near[ranges(near_ptr[eligible], near_count[eligible])]   # N(u), eligible ends
     first_row = np.repeat(np.arange(e), near_count[eligible])
     labeled = np.bincount(block)[block] - 1 - near_count[eligible]
     same = pair_count[pair] - 1 - np.bincount(first_row[cls[first_row] == cls[first]],
@@ -296,10 +308,10 @@ def two_hop_class_similarity(
         stop = max(start + 1, int(np.searchsorted(walks, done + budget, side="right")))
         centers = eligible[start:stop]
         local = np.arange(stop - start)
-        mid = np.concatenate([graph.indices[_ranges(graph.indptr[centers], degree[centers])],
+        mid = np.concatenate([graph.indices[ranges(graph.indptr[centers], degree[centers])],
                               centers])
         mid_row = np.concatenate([np.repeat(local, degree[centers]), local])
-        ends = near[_ranges(near_ptr[mid], near_count[mid])]
+        ends = near[ranges(near_ptr[mid], near_count[mid])]
         row, col = np.divmod(np.unique(np.repeat(mid_row, near_count[mid]) * e + ends), e)
         row += start
         outside = block[col] != block[row]              # B(u) is counted whole above
@@ -312,13 +324,6 @@ def two_hop_class_similarity(
     if not hit.any():
         raise NoEligibleNodesError("no masked labeled node has labeled two-hop neighbors")
     return float(np.mean(same[hit] / labeled[hit]))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated ranges starts[i] .. starts[i] + lengths[i] - 1."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ from typing import IO, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError, ParseError
-from .graph import Csr, Graph, fixed, int_array, node_ids, parse_column, table_rows, write_table
+from .graph import (
+    Csr, Graph, fixed, int_array, node_ids, parse_column, runs, table_rows, write_table,
+)
 
 __all__ = [
     "Partition",
@@ -133,15 +135,6 @@ class _BlockCounts(NamedTuple):
     lo: np.ndarray
 
 
-def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal values in a sorted array."""
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return starts, np.diff(starts, append=len(key))
-
-
 def _block_counts(graph: Graph, partition: Partition) -> _BlockCounts:
     """Sort the keys row * k + block_of[indices] (k <= n <= MAX_NODE_ID,
     so they fit in int64): each run is one (node, column) count, and one
@@ -153,13 +146,13 @@ def _block_counts(graph: Graph, partition: Partition) -> _BlockCounts:
     # rows[i] stays the row of sorted key i. Stable sorts run faster
     # here than the default on such ordered runs.
     key = np.sort(rows * k + partition.block_of[graph.indices], kind="stable")
-    starts, cnt = _runs(key)
+    starts, cnt = runs(key)
     node = rows[starts]
     col = key[starts] - node * k
     pair = partition.block_of[node] * k + col
     order = np.argsort(pair, kind="stable")
     pair, data = pair[order], cnt[order]
-    starts, stored = _runs(pair)
+    starts, stored = runs(pair)
     block, column = np.divmod(pair[starts], k)
     lo = np.minimum.reduceat(data, starts)
     lo[stored < partition.block_sizes()[block]] = 0

@@ -99,8 +99,18 @@ def four_cycle(weight_01=1.0) -> np.ndarray:
 ONE_SIDED = four_cycle()
 ONE_SIDED[0, 1] = 3.0
 
-# (input, the class every entry point that takes it raises, whether it is a
-# weighted adjacency only: a general symmetric matrix may be negative or huge)
+
+def skewed(asymmetry):
+    """The 4-cycle scaled to max |m| = 1000, with entry (0, 1) off its
+    mirror by `asymmetry` times that scale."""
+    a = 1000.0 * four_cycle()
+    a[0, 1] += asymmetry * 1000.0
+    return a
+
+
+# (input, the class every entry point that takes it raises or None where
+# each accepts it, whether it is a weighted adjacency only: a general
+# symmetric matrix may be negative or huge)
 GATE_CASES = {
     "asymmetric-4-cycle": (ONE_SIDED, NonSymmetricError, False),
     "nan-weight": (four_cycle(np.nan), ValueError, False),
@@ -109,28 +119,39 @@ GATE_CASES = {
     "non-square": (four_cycle()[:3], NonSymmetricError, False),
     "1e308-weights": (1e308 * four_cycle(), ValueError, True),
     "nan-off-diagonal": (np.array([[1.0, np.nan], [np.nan, 2.0]]), ValueError, False),
+    "asymmetry-5e-13-of-scale": (skewed(5e-13), None, False),
+    "asymmetry-2e-12-of-scale": (skewed(2e-12), NonSymmetricError, False),
 }
+FORMS = {"dense": np.asarray, "csr": sp.csr_matrix}
+# (call, the forms it accepts, whether it takes weighted adjacencies)
 ENTRY_POINTS = {
-    "normalized_shift": (lambda m: normalized_shift(sp.csr_matrix(m)), True),
-    "mean_effective_resistance": (lambda m: mean_effective_resistance(sp.csr_matrix(m)), True),
-    "symmetric_eig": (symmetric_eig, False),
-    "forward": (lambda m: forward(m, np.ones((len(m), 1)),
-                                  LinearGnnWeights(layers=(np.ones((1, 1)),))), False),
+    "require_symmetric": (lambda m: rolewire.graph.require_symmetric(m, "matrix"),
+                          ("dense", "csr"), False),
+    "normalized_shift": (normalized_shift, ("dense", "csr"), True),
+    "mean_effective_resistance": (mean_effective_resistance, ("dense", "csr"), True),
+    "symmetric_eig": (symmetric_eig, ("dense",), False),
+    "forward": (lambda m: forward(m, np.ones((m.shape[0], 1)),
+                                  LinearGnnWeights(layers=(np.ones((1, 1)),))),
+                ("dense", "csr"), False),
 }
 
 
 class TestMatrixGate:
-    """Every matrix a caller hands the library passes one gate in graph.py."""
+    """Every matrix a caller hands the library passes one gate in graph.py,
+    whether it comes dense or sparse."""
 
-    @pytest.mark.parametrize("case,entry", [
-        (case, entry) for case, (_, _, weights_only) in GATE_CASES.items()
-        for entry, (_, takes_weights) in ENTRY_POINTS.items()
-        if takes_weights or not weights_only])
-    def test_each_input_raises_its_class(self, case, entry):
+    @pytest.mark.parametrize("case,entry,form", [
+        (case, entry, form) for case, (_, _, weights_only) in GATE_CASES.items()
+        for entry, (_, forms, takes_weights) in ENTRY_POINTS.items()
+        if takes_weights or not weights_only for form in forms])
+    def test_each_input_meets_its_rule(self, case, entry, form):
         matrix, error, _ = GATE_CASES[case]
-        call, _ = ENTRY_POINTS[entry]
+        call, _, _ = ENTRY_POINTS[entry]
+        if error is None:
+            call(FORMS[form](matrix))
+            return
         with pytest.raises(error) as caught:
-            call(matrix)
+            call(FORMS[form](matrix))
         assert caught.type is error
 
     def test_symmetric_eig_refuses_an_overflowing_norm(self):

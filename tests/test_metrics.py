@@ -236,6 +236,24 @@ class TestEffectiveResistance:
             assert mean_effective_resistance(adjacency, origin_count) == pytest.approx(
                 mean_effective_resistance_by_solves(adjacency, origin_count), rel=1e-12)
 
+    @pytest.mark.parametrize("family,n,seed,percentile", [
+        ("lobster", 2710, 1, 50), ("caterpillar", 3700, 0, 25)])
+    def test_fill_that_underflows_is_stored_as_zeros(self, monkeypatch, family, n, seed,
+                                                     percentile):
+        # Values decay along the long spines, so some fill of L underflows
+        # to 0.0 and is not stored: the first pass misses those entries and
+        # the next passes run with them as explicit zeros.
+        passes = []
+        inverse_diagonal = metrics._inverse_diagonal
+        monkeypatch.setattr(metrics, "_inverse_diagonal",
+                            lambda *args: passes.append(1) or inverse_diagonal(*args))
+        g = make_graph(family, n, seed=seed)
+        eps = degree_percentile(g, percentile)
+        rg = build_rewired(g, refine_eps_be(g, eps), Variant.REP_NODES, eps=eps)
+        assert mean_effective_resistance(rg.csr, g.num_nodes) == pytest.approx(
+            mean_effective_resistance_by_solves(rg.adjacency, g.num_nodes), rel=1e-12)
+        assert len(passes) > 1
+
     def test_one_vector_solve_and_no_identity_solves(self, monkeypatch):
         splu = scipy.sparse.linalg.splu
         solves = []
