@@ -18,6 +18,7 @@ from .graph import *
 from .partition import *
 from .rewire import *
 from .spectral import *
+from .ldl import *
 from .metrics import *
 from .teacher_student import *
 from .generators import *

@@ -9,8 +9,8 @@ Every matrix a caller hands the library, dense or sparse, passes one gate,
 weight rules of `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
 The library computes on CSR arrays (`Csr`), and every CSR it assembles
 from entries comes from `Csr.from_entries`. The sparse-matrix package
-loads only on the first call of `sparse`, which the views callers read
-(`Graph.adjacency`, `Csr.view`) and effective resistance make.
+loads only on the first call of `sparse`, which only the views callers
+read (`Graph.adjacency`, `Csr.view`) make.
 
 File formats (read through `table_rows`, written through `write_table`)
 ------------------------------------------------------------------------
@@ -71,8 +71,7 @@ __all__ = [
 
 def sparse():
     """The sparse-matrix module, imported on the first call. Only the views
-    (`Csr.view`) and `metrics.mean_effective_resistance` call it, so the
-    other verbs never load it."""
+    (`Csr.view`) call it, so no verb loads it; it needs the `views` extra."""
     import scipy.sparse as sp     # ~17 MB of RSS and ~0.3 s of start-up when imported
     return sp
 
@@ -94,15 +93,18 @@ class Csr(NamedTuple):
         """The one constructor: n x n CSR arrays of the int64 entries (rows[i],
         cols[i]) with values[i], listed in any order. Entries at one position
         are summed in listed order (one stable sort of the keys row * n +
-        col); entries already row-major and distinct are taken as they are."""
+        col, which only merges where the entries come as a few sorted runs);
+        entries already row-major and distinct are taken as they are."""
         keys = rows * n + cols
         if not (keys[1:] > keys[:-1]).all():
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            first = runs(keys)[0]
-            values = (np.add.reduceat(values[order], first) if len(first) < len(keys)
-                      else values[order])
-            rows, cols = rows[order[first]], cols[order[first]]
+            if (keys[1:] > keys[:-1]).all():       # distinct: only reordered
+                cols, values = cols[order], values[order]
+            else:
+                first = runs(keys)[0]
+                values = np.add.reduceat(values[order], first)
+                rows, cols = rows[order[first]], cols[order[first]]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols, values, (n, n))

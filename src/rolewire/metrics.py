@@ -22,8 +22,9 @@ from .errors import (
 )
 from .graph import (
     PERCENTILE_GRID, Csr, Graph, NodeData, UNLABELED, component_labels, degree_percentile,
-    fixed, one_hot_labels, ranges, sparse, weighted_adjacency, write_table,
+    fixed, one_hot_labels, ranges, weighted_adjacency, write_table,
 )
+from .ldl import Ldl
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
 from .spectral import srl_report
@@ -64,15 +65,13 @@ def mean_effective_resistance(
     makes augmented graphs comparable to their source; without it, all pairs
     are. For a rewiring the grounded node is virtual and lies outside S.
 
-    The grounded Laplacian is symmetric positive definite, so SuperLU
-    (`splu`) factors it without pivoting, on the
-    minimum-degree ordering of L + L^T, which keeps the fill near nnz(L)
-    on trees and their rewirings. The diagonal of X is read off that
-    factor by selected inversion on L's own pattern, with the factor's
-    dense trailing block run densely and fill that underflowed to 0.0
-    restored as explicit zeros (`_inverse_diagonal`), and 1^T X_SS 1
-    comes from one vector solve, so no dense m x m matrix is formed and
-    no identity column is solved.
+    The grounded Laplacian B is symmetric positive definite, and
+    `ldl.Ldl` factors it on its CSR arrays: numpy stages of independent
+    low-degree nodes, then a minimum-degree core by dense supernodes. The
+    diagonal of X is read off that factor by selected inversion on the
+    factor's pattern, which stores every fill entry whatever its value,
+    and 1^T X_SS 1 comes from one forward pass over the factor, so no
+    dense m x m matrix is formed and no identity column is solved.
     """
     weights, at = weighted_adjacency(adjacency)
     rows, cols, data = weights.rows(), weights.indices, weights.data
@@ -88,157 +87,13 @@ def mean_effective_resistance(
         raise ValueError("need at least two nodes in the pair set")
     if span > m:
         raise ValueError(f"origin_count {span} exceeds the graph's {m} nodes")
-    from scipy.sparse.linalg import splu   # several MB of RSS; only this function needs it
-    sp = sparse()
-    weights = weights.view()
-    lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
-    grounded = splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options={"SymmetricMode": True})
-    if not np.array_equal(grounded.perm_r, grounded.perm_c):
-        raise NumericError("the grounded Laplacian needed pivoting")
+    factor = Ldl(weights)
     inside = min(span, m - 1)          # nodes of S other than the grounded one
     ones = np.zeros(m - 1)
     ones[:inside] = 1.0
-    total = float(grounded.solve(ones)[:inside].sum())
-    # The inversion needs only these copies (perm_r is a view that would keep
-    # the factor alive). Freeing SuperLU's storage first lets the inversion's
-    # arrays reuse it instead of stacking above it.
-    lower, pivots, where = grounded.L, grounded.U.diagonal(), grounded.perm_r[:inside].copy()
-    del grounded
-    trace = float(_inverse_diagonal(lower, pivots)[where].sum())
+    total = factor.quadratic(ones)
+    trace = float(factor.selected_inverse()[0][:inside].sum())
     return (span * trace - total) / (span * (span - 1) / 2)
-
-
-def _inverse_diagonal(factor, pivots: np.ndarray) -> np.ndarray:
-    """Diagonal of B^-1, in B's order, for the unpivoted `splu` factor
-    B = L U of a symmetric positive definite B, given as L and the
-    pivots diag(U): selected inversion (Takahashi, Fagan and Chin 1973;
-    Erisman and Tinney 1975).
-
-    With U = D L^T, Z = B^-1 solves Z = D^-1 L^-1 + (I - L^T) Z. For a
-    column j with strictly-lower rows J and l = L[J, j], that reads
-        Z[J, j] = -Z[J, J] l,    Z_jj = 1/d_j - l^T Z[J, j],
-    from Z of the rows of J only, which are the ancestors of j in the
-    elimination tree. J and j form a clique of the filled graph, so
-    Z[J, J] lies on L's own pattern, and Z is kept only there. Fill that
-    underflowed to 0.0 (values decay along long paths) is missing from
-    `splu`'s L: the pass collects the entries of Z[J, J] it did not find
-    and the inversion runs again with them stored as explicit zeros. A
-    pass that misses none is final, for its pattern is then closed.
-
-    The trailing columns that are full below the diagonal form a dense
-    block, whose Z comes from the recurrence run densely
-    (`_block_inverse`). L is relabelled so that the block comes first and
-    the other columns follow by depth in the elimination tree; each
-    column's rows then precede it, and those columns run in batches of one
-    depth at a time, each batch a bounded number of numpy calls. Of
-    Z[J, J] l, the block's share is a sparse-dense product per chunk of
-    block rows, and the rest is gathered from Z on the pattern, pair by
-    pair of J. Batches and chunks hold about nnz(L) + n values each.
-    """
-    sp = sparse()
-    lower = sp.tril(factor, -1, format="csc")     # L's unit diagonal is implicit
-    lower.sort_indices()
-    if not (pivots > 0).all():
-        raise NumericError("the grounded Laplacian is not positive definite")
-    n = len(pivots)
-    count = np.diff(lower.indptr)
-    start = int(np.flatnonzero(count != np.arange(n - 1, -1, -1)).max(initial=-1)) + 1
-    block = n - start
-    parent = np.arange(n)
-    parent[count > 0] = lower.indices[lower.indptr[:-1][count > 0]]
-    depth = _tree_depths(parent)
-    order = np.r_[start:n, np.argsort(depth[:start], kind="stable")]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    coo = lower.tocoo()
-    lower = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=(n, n))
-    lower.sort_indices()
-    tail = _block_inverse(lower[:block, :block], pivots[start:])
-    diag = np.r_[tail.diagonal(), 1.0 / pivots[order[block:]]]   # Z_jj, once its batch ran
-    np.fill_diagonal(tail, 0.0)
-
-    # The entries of the columns after the block: their rows, L and Z
-    # values, owning column, first entry of that column, and the (column,
-    # row) keys of the pattern, sorted.
-    base = lower.indptr[block]
-    rows = lower.indices[base:].astype(np.int64)
-    vals = lower.data[base:]
-    owner = np.repeat(np.arange(block, n), np.diff(lower.indptr[block:]))
-    first = lower.indptr[owner] - base
-    keys = owner * n + rows
-    z = np.zeros(len(rows))             # a pass that misses reads Z unwritten, then is discarded
-    missed = [keys[:0]]
-
-    # y = Z[J, J] l, which starts as the block rows' share, off Z's diagonal
-    y = np.zeros(len(rows))
-    share = lower[:block, block:].tocoo()     # block rows sort first in each column
-    across = share.T.tocsr()
-    budget = lower.nnz + n
-    width = max(1, budget // max(1, n - block))
-    values = np.empty(share.nnz)
-    for r in range(0, block, width):
-        near = (share.row >= r) & (share.row < r + width)
-        values[near] = (across @ tail[:, r:r + width])[share.col[near], share.row[near] - r]
-    y[rows < block] = values
-    del tail, share, across
-
-    # Entry b pairs with each earlier entry a of its column when its row
-    # lies after the block: Z[row_a, row_b] then sits in column row_b.
-    # Batches hold the columns of one depth, and about `budget` pairs.
-    pairs = np.where(rows >= block, np.arange(len(rows)) - first, 0)
-    through = np.r_[0, np.cumsum(pairs)][lower.indptr[block + 1:] - base]
-    cuts = np.flatnonzero(np.diff(depth[order[block:]]) | np.diff(through // budget)) + 1
-    for c0, c1 in zip(np.r_[0, cuts], np.r_[cuts, n - block]):
-        e0, e1 = lower.indptr[block + c0] - base, lower.indptr[block + c1] - base
-        y_batch = y[e0:e1]
-        y_batch += diag[rows[e0:e1]] * vals[e0:e1]
-        b = e0 + np.flatnonzero(pairs[e0:e1])
-        if b.size:
-            b = np.repeat(b, pairs[b])
-            a = first[b] + np.arange(b.size) - np.searchsorted(b, b)
-            want = rows[b] * n + rows[a]
-            at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            missed.append(want[keys[at] != want])
-            z_ab = z[at]
-            y_batch += np.bincount(a - e0, z_ab * vals[b], minlength=e1 - e0)
-            y_batch += np.bincount(b - e0, z_ab * vals[a], minlength=e1 - e0)
-        z[e0:e1] = -y_batch
-        diag[block + c0:block + c1] += np.bincount(
-            owner[e0:e1] - block - c0, y_batch * vals[e0:e1], minlength=c1 - c0)
-    missed = np.unique(np.concatenate(missed))
-    if missed.size:                     # fill that underflowed: store it as explicit zeros
-        ends = order[np.array(np.divmod(missed, n))]
-        return _inverse_diagonal(sp.csc_matrix(
-            (np.r_[coo.data, np.zeros(missed.size)],
-             (np.r_[coo.row, ends.max(axis=0)], np.r_[coo.col, ends.min(axis=0)])),
-            shape=(n, n)), pivots)
-    inverse = np.empty(n)
-    inverse[order] = diag
-    return inverse
-
-
-def _block_inverse(factor, pivots: np.ndarray) -> np.ndarray:
-    """(L D L^T)^-1 of a dense block, from its strictly-lower unit factor
-    L (sparse) and its pivots D, by the same recurrence run densely: one
-    column at a time from the last, each a matrix-vector product."""
-    upper = factor.T.toarray()          # row j holds column j of L
-    z = np.zeros_like(upper)
-    for j in range(len(pivots) - 1, -1, -1):
-        l = upper[j, j + 1:]
-        z[j + 1:, j] = z[j, j + 1:] = -(z[j + 1:, j + 1:] @ l)
-        z[j, j] = 1.0 / pivots[j] - l @ z[j, j + 1:]
-    return z
-
-
-def _tree_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node of a forest whose roots are their own parents,
-    by pointer jumping: O(n log depth)."""
-    depth = (parent != np.arange(len(parent))).astype(np.int64)
-    while not np.array_equal(parent[parent], parent):
-        depth = depth + depth[parent]
-        parent = parent[parent]
-    return depth
 
 
 # ---------------------------------------------------------------------------

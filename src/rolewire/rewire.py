@@ -147,9 +147,13 @@ def build_rewired(
     else:
         corner_rows, corner_cols, corner = corner_rows[:0], corner_cols[:0], q.data[:0]
     nodes, virtual = np.arange(n), n + partition.block_of
+    # R' lists its entries by block, so all four blocks are sorted runs
+    # and the stable sort in `Csr.from_entries` only merges them.
+    members = np.argsort(partition.block_of, kind="stable")
     csr = Csr.from_entries(                                 # A, R, R', corner
-        np.concatenate([np.repeat(nodes, graph.degrees()), nodes, virtual, corner_rows]),
-        np.concatenate([graph.indices, virtual, nodes, corner_cols]),
+        np.concatenate([np.repeat(nodes, graph.degrees()), nodes, virtual[members],
+                        corner_rows]),
+        np.concatenate([graph.indices, virtual, members, corner_cols]),
         np.concatenate([np.ones(len(graph.indices) + 2 * n), corner]), n + k)
     return RewiredGraph(
         graph=graph,

@@ -753,60 +753,27 @@ class TestReproducibility:
             digests.append(tree_digest(base))
         assert digests[0] == digests[1]
 
-    def test_only_effres_imports_sparse_linalg(self, tmp_path, star_files):
-        """`select-eps` and `srl` never load scipy.sparse.linalg, whose import
-        alone adds several MB of resident memory; effres does load it."""
-        g, labels = star_files / "graph.txt", star_files / "labels.csv"
+    def test_no_verb_loads_scipy(self, tmp_path):
+        """Every verb computes on the library's CSR arrays: all eight run in
+        a fresh interpreter where importing scipy fails, effres on a lobster
+        whose factor has fill that underflows. (pytest's warning filters
+        have already imported scipy into this one.)"""
+        d, lobster = tmp_path / "d", tmp_path / "lobster"
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from rolewire.cli import main\n"
             "for argv in sys.argv[1:]:\n"
             "    assert main(argv.split()) == 0, argv\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
-        )
-        src = str(Path(rolewire.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-
-        def loads_linalg(*argvs):
-            done = subprocess.run([sys.executable, "-c", script, *argvs], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            return done.stdout.splitlines()[-1] == "True"
-
-        assert not loads_linalg(
-            f"select-eps --graph {g} --labels {labels} --out {tmp_path / 'e'}",
-            f"srl --graph {g} --labels {labels} --percentile 0 --variant full "
-            f"--out {tmp_path / 's'}")
-        assert loads_linalg(f"effres --graph {g} --percentile 25 --variant repnodes")
-
-    def test_only_effres_loads_scipy(self, tmp_path):
-        """Every verb but effres computes on the library's CSR arrays and
-        never imports scipy, and effres loads its sparse LU. The verbs run in
-        a fresh interpreter, since pytest's warning filters have already
-        imported scipy.sparse into this one."""
-        d = tmp_path / "d"
-        script = (
-            "import sys\n"
-            "import rolewire\n"
-            "from rolewire.cli import main\n"
-            "for argv in sys.argv[1:]:\n"
-            "    assert main(argv.split()) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(rolewire.__file__).resolve().parents[1]))
-
-        def scipy_modules(*argvs):
-            done = subprocess.run([sys.executable, "-c", script, *argvs], env=env,
-                                  capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            return done.stdout.splitlines()[-1]
-
         features = tmp_path / "x.csv"
         features.write_text("node,f0,f1\n" + "".join(f"{u},{u % 3}.5,-{u}\n" for u in range(63)))
         accuracy = tmp_path / "acc.csv"
         accuracy.write_text("percentile,accuracy\n0,0.9\n25,0.8\n50,0.7\n75,0.6\n100,0.5\n")
         io = f"--graph {d / 'graph.txt'} --labels {d / 'labels.csv'}"
-        assert scipy_modules(
+        done = subprocess.run([
+            sys.executable, "-c", script,
             f"gen --family tree --n 63 --classes 3 --out {d}",
             f"partition --graph {d / 'graph.txt'} --percentile 25 --out {tmp_path / 'p'}",
             f"rewire --graph {d / 'graph.txt'} --percentile 25 --variant full "
@@ -815,9 +782,13 @@ class TestReproducibility:
             f"select-eps {io} --out {tmp_path / 'e'}",
             f"srl-correlate --table {tmp_path / 'e' / 'candidates.csv'} "
             f"--accuracy {accuracy} --out {tmp_path / 'c'}",
-            f"ts-sim --epochs 20 --out {tmp_path / 't'}") == "[]"
-        assert "'scipy.sparse.linalg'" in scipy_modules(
-            f"effres --graph {d / 'graph.txt'} --percentile 25 --variant repnodes")
+            f"ts-sim --epochs 20 --out {tmp_path / 't'}",
+            f"gen --family lobster --n 2710 --seed 1 --out {lobster}",
+            f"effres --graph {lobster / 'graph.txt'} --percentile 50 --variant repnodes "
+            f"--out {tmp_path / 'f'}",
+        ], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "f" / "effres.csv").read_text().count("\n") == 3
 
     def test_golden_cases_never_densify_a_graph(self, tmp_path, monkeypatch):
         """No library path builds a graph's dense adjacency: every verb of

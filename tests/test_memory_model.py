@@ -15,29 +15,29 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from rolewire.cli import main
 from rolewire.generators import make_graph
-from rolewire.graph import degree_percentile, dump_edge_list
+from rolewire.graph import Csr, degree_percentile, dump_edge_list
+from rolewire.ldl import Ldl
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 
 SLACK = 1.25      # stated once; widening it to let a change through defeats the test
-SIZES = {"tree": (1023, 4095), "grid": (1024, 4096)}
+SIZES = {"tree": (1023, 4095), "grid": (1024, 4096), "lobster": (1000, 4000)}
 GEN_SIZES = (1000, 4000)
 
 
-def factor_nnz(adjacency: sp.spmatrix) -> int:
-    """nnz(L) of the grounded Laplacian's factor, ordered and pivoted as
-    `metrics.mean_effective_resistance` factors it."""
-    weights = sp.csr_matrix(adjacency, dtype=np.float64)
-    weights = weights - sp.diags(weights.diagonal())
-    weights.eliminate_zeros()
-    lap = sp.diags(np.asarray(weights.sum(axis=1)).ravel()) - weights
-    return splu(sp.csc_matrix(lap[:-1, :-1]), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0, options={"SymmetricMode": True}).L.nnz
+def factor_nnz(csr: Csr) -> int:
+    """nnz(L) of the grounded Laplacian's factor that
+    `metrics.mean_effective_resistance` builds: the stages' column entries
+    and their pivots, and the supernodes' dense column blocks."""
+    rows, cols = csr.rows(), csr.indices
+    edge = rows != cols
+    factor = Ldl(Csr.from_entries(rows[edge], cols[edge], csr.data[edge].astype(np.float64),
+                                  csr.shape[0]))
+    return (sum(len(stage[0]) + len(stage[2]) for stage in factor.stages)
+            + sum(g.size + u.size for g, u, *_ in factor.factors))
 
 
 def model(family: str, n: int, verb: str) -> int:
@@ -47,7 +47,7 @@ def model(family: str, n: int, verb: str) -> int:
     size = graph.num_edges + n * part.k
     if verb == "effres":
         rewired = build_rewired(graph, part, Variant.REP_NODES, eps=eps)
-        size += max(factor_nnz(graph.adjacency), factor_nnz(rewired.adjacency))
+        size += max(factor_nnz(graph.csr), factor_nnz(rewired.csr))
     return size
 
 
@@ -74,8 +74,6 @@ def test_peak_grows_with_the_model(verb, family, tmp_path):
         with open(path, "w") as fh:
             dump_edge_list(make_graph(family, n), fh)
         runs.append([verb, "--graph", str(path), "--percentile", "25", *args])
-    if verb == "effres":
-        peak(runs[0])      # the first call imports scipy.sparse.linalg
     small, large = map(peak, runs)
     growth = model(family, SIZES[family][1], verb) / model(family, SIZES[family][0], verb)
     assert large / small <= SLACK * growth, (large / small, growth)

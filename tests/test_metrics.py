@@ -6,7 +6,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from rolewire.errors import (
     DimensionMismatchError,
@@ -146,7 +145,7 @@ class TestEffectiveResistance:
         def refuse(*args, **kwargs):
             raise AssertionError("factorized")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(metrics, "Ldl", refuse)
         with pytest.raises(DisconnectedError):
             mean_effective_resistance(graph_from_edges(4, [(0, 1), (2, 3)]).adjacency)
         path = path_graph(4)
@@ -238,39 +237,26 @@ class TestEffectiveResistance:
 
     @pytest.mark.parametrize("family,n,seed,percentile", [
         ("lobster", 2710, 1, 50), ("caterpillar", 3700, 0, 25)])
-    def test_fill_that_underflows_is_stored_as_zeros(self, monkeypatch, family, n, seed,
-                                                     percentile):
-        # Values decay along the long spines, so some fill of L underflows
-        # to 0.0 and is not stored: the first pass misses those entries and
-        # the next passes run with them as explicit zeros.
-        passes = []
-        inverse_diagonal = metrics._inverse_diagonal
-        monkeypatch.setattr(metrics, "_inverse_diagonal",
-                            lambda *args: passes.append(1) or inverse_diagonal(*args))
+    def test_fill_that_underflows_is_stored_as_zeros(self, family, n, seed, percentile):
+        # Along these long spines some fill of an LU factor underflows to
+        # 0.0 (SuperLU then dropped it). The factor's pattern keeps every
+        # fill entry whatever its value, so the selected inversion finds
+        # every entry it reads, and the result matches the blocked solves.
         g = make_graph(family, n, seed=seed)
         eps = degree_percentile(g, percentile)
         rg = build_rewired(g, refine_eps_be(g, eps), Variant.REP_NODES, eps=eps)
         assert mean_effective_resistance(rg.csr, g.num_nodes) == pytest.approx(
             mean_effective_resistance_by_solves(rg.adjacency, g.num_nodes), rel=1e-12)
-        assert len(passes) > 1
 
     def test_one_vector_solve_and_no_identity_solves(self, monkeypatch):
-        splu = scipy.sparse.linalg.splu
         solves = []
+        quadratic = metrics.Ldl.quadratic
 
-        class Counted:
-            def __init__(self, factor):
-                self.factor = factor
+        def counted(factor, rhs):
+            solves.append(np.ndim(rhs))
+            return quadratic(factor, rhs)
 
-            def __getattr__(self, name):
-                return getattr(self.factor, name)
-
-            def solve(self, rhs, *args, **kwargs):
-                solves.append(np.ndim(rhs))
-                return self.factor.solve(rhs, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            lambda *args, **kwargs: Counted(splu(*args, **kwargs)))
+        monkeypatch.setattr(metrics.Ldl, "quadratic", counted)
         g = make_graph("tree", 300)
         rg = build_rewired(g, refine_eps_be(g, 0), Variant.FULL)
         for adjacency, origin_count in ((g.adjacency, None), (rg.adjacency, 300),

@@ -31,6 +31,7 @@ from rolewire.graph import (
     degree_percentile,
     graph_from_edges,
 )
+from rolewire.ldl import Ldl
 from rolewire.metrics import mean_effective_resistance, two_hop_class_similarity
 from rolewire.partition import (
     Partition,
@@ -872,6 +873,41 @@ def test_selected_inversion_matches_blocked_solves(graph, eps, variant, origin_c
         got = mean_effective_resistance(adjacency, origin_count=count)
         assert got == pytest.approx(mean_effective_resistance_by_solves(adjacency, count),
                                     rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(graph=st.one_of(graphs(max_nodes=30), sparse_connected_graphs()), eps=tolerances,
+       variant=st.sampled_from(list(Variant)))
+@example(graph=generators.make_graph("grid", 400), eps=0.0, variant=Variant.FULL)
+@example(graph=generators.make_graph("er", 300), eps=0.0, variant=Variant.REP_EDGES)
+def test_selected_inverse_satisfies_fosters_theorem(graph, eps, variant):
+    """Foster (1949): on a connected graph of N nodes, sum_e w_e R_e = N - 1.
+    Each edge's R_uv = Z_uu + Z_vv - 2 Z_uv comes from the selected inverse
+    Z on the factor's pattern, which holds every edge of the grounded graph;
+    an edge to the grounded last node has R = Z_uu. Checked on the graph
+    and on its rewiring, whose FULL corner carries weights and self-loops.
+    The drawn graphs leave at most 128 nodes to the core, one dense block;
+    the two examples leave more, so the minimum-degree order and several
+    supernodes run too."""
+    graph = largest_component(graph)
+    assume(graph.num_nodes >= 2)
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    for csr in (graph.csr, rewired.csr):
+        m = csr.shape[0]
+        rows, cols = csr.rows(), csr.indices
+        edge = rows != cols
+        weights = Csr.from_entries(rows[edge], cols[edge],
+                                   csr.data[edge].astype(np.float64), m)
+        zdiag, z = Ldl(weights).selected_inverse()
+        rows, cols, w = weights.rows(), weights.indices, weights.data
+        inner = (rows < cols) & (cols < m - 1)
+        grounded = cols == m - 1
+        u, v = rows[inner], cols[inner]
+        total = ((w[inner] * (zdiag[u] + zdiag[v] - 2 * z[:inner.sum()])).sum()
+                 + (w[grounded] * zdiag[rows[grounded]]).sum())
+        assert abs(total - (m - 1)) / (m - 1) < 1e-10
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_EDGES))
