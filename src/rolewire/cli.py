@@ -64,7 +64,9 @@ from .graph import (
     degree_percentile,
     dump_edge_list,
     dump_labels_csv,
+    first_repeat,
     fixed,
+    int_array,
     load_edge_list,
     load_features_csv,
     load_labels_csv,
@@ -442,7 +444,7 @@ def _run_effres(ns) -> int:
 
 
 def _run_ts_sim(ns) -> int:
-    graphs = [(fam, make_graph(fam, ns.n, seed=ns.seed)) for fam in ns.families]
+    graphs = [make_graph(fam, ns.n, seed=ns.seed) for fam in ns.families]
     variant = Variant(ns.variant)
     config = TrainConfig(learning_rate=ns.lr, epochs=ns.epochs, seed=ns.seed)
     results, corr = run_ts_experiment(
@@ -477,13 +479,12 @@ def _read_percentile_table(path: str, column: str) -> dict[int, float]:
             if not finite.all():
                 raise ParseError(f"line {body[int(np.argmin(finite))][0]}: "
                                  f"non-finite {column} value")
-            table = dict(zip(percentiles, values))
-            if len(table) < len(percentiles):
-                i = next(i for i, p in enumerate(percentiles) if p in percentiles[:i])
+            i = first_repeat(int_array(percentiles))
+            if i >= 0:
                 raise ParseError(f"line {body[i][0]}: percentile {percentiles[i]} listed twice")
         except ParseError as exc:
             raise ParseError(f"{path!r} {exc}") from None
-    return table
+    return dict(zip(percentiles, values))
 
 
 def _run_srl_correlate(ns) -> int:

@@ -149,9 +149,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -480,6 +477,17 @@ def int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def first_repeat(values: np.ndarray) -> int:
+    """Index of the first value listed earlier too, or -1 when all differ;
+    one sort, O(n log n)."""
+    _, first = np.unique(values, return_index=True)
+    if len(first) == len(values):
+        return -1
+    repeat = np.ones(len(values), dtype=bool)
+    repeat[first] = False
+    return int(np.argmax(repeat))
+
+
 def runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values in a sorted array."""
     first = np.empty(len(key), dtype=bool)
@@ -508,11 +516,8 @@ def node_ids(body: Sequence[tuple[int, list[str]]], num_nodes: int,
         i = int(np.argmax(outside))
         raise ParseError(f"line {body[i][0]}: node {ids[i]} out of range")
     ids = ids.astype(np.int64)
-    _, first = np.unique(ids, return_index=True)
-    if len(first) < len(ids):
-        repeat = np.ones(len(ids), dtype=bool)
-        repeat[first] = False
-        i = int(np.argmax(repeat))
+    i = first_repeat(ids)
+    if i >= 0:
         raise ParseError(f"line {body[i][0]}: node {ids[i]} listed twice")
     if require_all and len(ids) < num_nodes:
         raise ParseError(f"no row for node {np.setdiff1d(np.arange(num_nodes), ids)[0]}")
@@ -593,15 +598,11 @@ def dump_labels_csv(data: NodeData, stream: IO[str]) -> None:
 # Degree statistics and neighborhoods
 # ---------------------------------------------------------------------------
 
-def one_hot_labels(
-    labels: np.ndarray,
-    mask: np.ndarray,
-    num_classes: Optional[int] = None,
-) -> np.ndarray:
-    """One-hot matrix over masked labeled nodes; other rows stay zero."""
+def one_hot_labels(labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """One-hot matrix over masked labeled nodes, one column per class up
+    to the largest masked label; other rows stay zero."""
     active = mask & (labels != UNLABELED)
-    if num_classes is None:
-        num_classes = int(labels[active].max()) + 1 if active.any() else 1
+    num_classes = int(labels[active].max()) + 1 if active.any() else 1
     y = np.zeros((len(mask), num_classes))
     y[active, labels[active]] = 1.0
     return y

@@ -73,13 +73,6 @@ class Partition:
     def block_sizes(self) -> np.ndarray:
         return np.bincount(self.block_of, minlength=self.k)
 
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Each block's nodes in ascending order, blocks in canonical order."""
-        members = np.argsort(self.block_of, kind="stable")
-        ends = np.cumsum(self.block_sizes())
-        return tuple(tuple(b.tolist()) for b in np.split(members, ends)[:-1])
-
     @classmethod
     def from_assignment(cls, block_of: Sequence[int]) -> "Partition":
         """Canonicalize any label array; the one place labels are renumbered."""
@@ -327,8 +320,8 @@ def color_refinement_oracle(graph: Graph) -> Partition:
     num_colors = 1
     while True:
         signatures = [
-            (int(colors[u]), tuple(sorted(int(colors[v]) for v in graph.neighbors(u))))
-            for u in range(n)
+            (int(colors[u]), tuple(sorted(colors[graph.indices[start:end]].tolist())))
+            for u, (start, end) in enumerate(zip(graph.indptr[:-1], graph.indptr[1:]))
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new_colors = np.array([palette[sig] for sig in signatures], dtype=np.int64)

@@ -15,10 +15,11 @@ Q is the partition's sparse quotient, so every block stays sparse.
 The master node (`mn`) is repnodes over the single block, which is the
 partition refinement returns at eps = infinity.
 
-A rewiring carries no node features. `augment_features` builds them,
-one-hot for the virtual nodes and appended block-diagonally to X, for
-the teacher; `dump_augmented_features_csv` writes the same rows to the
-`rewire` verb's features.csv without building the dense array.
+A rewiring carries no node features. `augment_features` builds the
+teacher's featureless input, a constant column for the original nodes
+and one-hot for the virtual ones; `dump_augmented_features_csv` writes
+the block-diagonal [X 0; 0 I_k] of given features X to the `rewire`
+verb's features.csv without building the dense array.
 
 A `RewiredGraph` is the one record of a rewiring: it keeps the graph and
 the partition it was built from, and what is derived from the rewiring,
@@ -85,30 +86,15 @@ class RewiredGraph:
     def virtual_count(self) -> int:
         return self.partition.k
 
-    @property
-    def size(self) -> int:
-        return self.origin_count + self.virtual_count
-
     shift = Graph.shift     # the one read-only normalized shift of `csr`, cached
 
 
-def _node_features(x: Optional[np.ndarray], n: int) -> np.ndarray:
-    if x is None:
-        return np.ones((n, 1))
-    if x.shape[0] != n:
-        raise DimensionMismatchError(
-            f"feature rows {x.shape[0]} != node count {n}")
-    return x
-
-
-def augment_features(x: Optional[np.ndarray], n: int, k: int) -> np.ndarray:
-    """Block-diagonal [X 0; 0 I_k]; a constant all-ones column stands in
-    for X in the featureless regime."""
-    x = _node_features(x, n)
-    d = x.shape[1]
-    out = np.zeros((n + k, d + k))
-    out[:n, :d] = x
-    out[n + np.arange(k), d + np.arange(k)] = 1.0
+def augment_features(n: int, k: int) -> np.ndarray:
+    """Block-diagonal [1 0; 0 I_k]: a constant all-ones column for the n
+    original nodes, one-hot for the k virtual nodes."""
+    out = np.zeros((n + k, 1 + k))
+    out[:n, 0] = 1.0
+    out[n + np.arange(k), 1 + np.arange(k)] = 1.0
     return out
 
 
@@ -184,13 +170,17 @@ def dump_rewired(rg: RewiredGraph, edge_stream: IO[str], meta_stream: IO[str]) -
 
 def dump_augmented_features_csv(x: Optional[np.ndarray], n: int, k: int,
                                 stream: IO[str]) -> None:
-    """Write `augment_features(x, n, k)` in the `node,f0,f1,...` format.
+    """Write the block-diagonal [X 0; 0 I_k] in the `node,f0,f1,...`
+    format, a constant all-ones column standing in for X when it is None.
 
     The bytes are those of formatting every cell of the dense array, but
     only X's own values are formatted: the padding zeros and the virtual
     nodes' one-hot entries are constant cells.
     """
-    x = _node_features(x, n)
+    if x is None:
+        x = np.ones((n, 1))
+    elif x.shape[0] != n:
+        raise DimensionMismatchError(f"feature rows {x.shape[0]} != node count {n}")
     d = x.shape[1]
     zero, one = fixed(0.0), fixed(1.0)
     original = ([str(u), *map(fixed, row), *[zero] * k]

@@ -180,15 +180,12 @@ def per_role_lift(
     return mu_obs, mu_rew, tau, nu, float(lam_plus), float(lam_plus - mu_obs)
 
 
-def role_energies(
-    c: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, float, np.ndarray]:
+def role_energies(c: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Energy split of a label matrix over the role subspace.
 
-    Returns (rho, omega, e_tot, beta): rho is the fraction of squared
-    label mass inside span(c), omega the per-role shares of that mass
-    (all zero when the role energy vanishes), e_tot the total squared
-    mass, beta the k x C coefficient matrix.
+    Returns (rho, omega, e_tot): rho is the fraction of squared label
+    mass inside span(c), omega the per-role shares of that mass (all zero
+    when the role energy vanishes), e_tot the total squared mass.
     """
     e_tot = float((y * y).sum())
     if e_tot == 0.0:
@@ -200,7 +197,7 @@ def role_energies(
         omega = (beta * beta).sum(axis=1) / role_energy
     else:
         omega = np.zeros(c.shape[1])
-    return rho, omega, e_tot, beta
+    return rho, omega, e_tot
 
 
 def commutator_norm(c: np.ndarray, s_obs: np.ndarray, s_oo: np.ndarray) -> float:
@@ -288,7 +285,7 @@ def srl_report(rewired: RewiredGraph, y: np.ndarray, h_degree: int = 2) -> SrlRe
                       for j in range(k)])
     mu_obs, mu_rew, tau, nu, lam_plus, delta = lifts.T
 
-    rho, omega, e_tot, _ = role_energies(c, y)
+    rho, omega, e_tot = role_energies(c, y)
     srl = rho * float((omega * delta ** 2).sum())
 
     kappa_max, bound_rhs = bound_error(mu_obs, lam_plus, e_tot, srl, h_degree)
@@ -309,6 +306,6 @@ def dump_srl_csv(report: SrlReport, stream: IO[str]) -> None:
                 zip(map(str, range(report.k)), *(map(fixed, c.tolist()) for c in columns)),
                 footer=[("rho", report.rho), ("srl", report.srl),
                         ("commutator_norm", report.commutator_norm),
-                        # Dead-role label mass is not computed (ROADMAP item 10).
+                        # Dead-role label mass is not computed (ROADMAP item 8).
                         ("kappa0", 0.0), ("kappa_max", report.kappa_max),
                         ("bound_rhs", report.bound_rhs), ("E_tot", report.e_tot)])

@@ -106,7 +106,6 @@ class TsResult:
     mse_final: float
     loss_trace: np.ndarray            # read-only float64 view, one entry per epoch
     seed: int
-    dataset_tag: str = ""
     eps: float = float("nan")
 
 
@@ -150,7 +149,7 @@ def forward(shift: np.ndarray, x: np.ndarray, weights: LinearGnnWeights) -> np.n
 def teacher_labels(rewired: RewiredGraph, weights: LinearGnnWeights) -> np.ndarray:
     """Teacher outputs on the augmented graph from its featureless inputs,
     restricted to original nodes."""
-    x = augment_features(None, rewired.origin_count, rewired.virtual_count)
+    x = augment_features(rewired.origin_count, rewired.virtual_count)
     full = forward(rewired.shift, x, weights)
     return full[:rewired.origin_count, :]
 
@@ -377,7 +376,7 @@ TEACHER_SIGMAS = (1.0, 40.0)
 
 
 def run_ts_experiment(
-    graphs: Sequence[tuple[str, Graph]],
+    graphs: Sequence[Graph],
     variant: Variant,
     percentiles: Sequence[int],
     config: TrainConfig,
@@ -385,12 +384,13 @@ def run_ts_experiment(
 ) -> tuple[list[TsResult], float]:
     """One point per (graph, percentile): rewire, draw a teacher, train a
     student on the original graph, record the lift and the final error.
-    Returns all points plus their Pearson correlation.
+    Returns all points, graph by graph and percentile by percentile, plus
+    their Pearson correlation.
 
-    Graph entries are (tag, graph); every graph carries the constant
-    feature column. Teacher draws and student initializations take their
-    own sub-seeds per task index. Teacher, student and lift all use one
-    layer per entry of TEACHER_SIGMAS.
+    Every graph carries the constant feature column. Teacher draws and
+    student initializations take their own sub-seeds per task index.
+    Teacher, student and lift all use one layer per entry of
+    TEACHER_SIGMAS.
 
     Every point's teacher, labels and lift are built in task order before
     any student trains, so an input error there is raised first; then one
@@ -399,7 +399,7 @@ def run_ts_experiment(
     num_layers = len(TEACHER_SIGMAS)
     points, inputs, targets, seeds = [], [], [], []
     task = 0
-    for tag, graph in graphs:
+    for graph in graphs:
         propagated = _propagate(graph.shift, np.ones((graph.num_nodes, 1)), num_layers)
         for p in percentiles:
             eps = degree_percentile(graph, p)
@@ -410,13 +410,13 @@ def run_ts_experiment(
                                     derive_seed(config.seed, task))
             y_true = teacher_labels(rewired, teacher)
             report = srl_report(rewired, y_true, h_degree=num_layers)
-            points.append((f"{tag}:{variant.value}", eps, report.srl))
+            points.append((eps, report.srl))
             inputs.append(propagated)
             targets.append(y_true)
             seeds.append(derive_seed(config.seed, task + 1))
             task += 2
     trained = train_students(inputs, targets, seeds, config, num_layers)
-    results = [replace(result, srl=srl, dataset_tag=tag, eps=eps)
-               for (tag, eps, srl), (_, result) in zip(points, trained)]
+    results = [replace(result, srl=srl, eps=eps)
+               for (eps, srl), (_, result) in zip(points, trained)]
     corr = pearson([r.srl for r in results], [r.mse_final for r in results])
     return results, corr

@@ -47,9 +47,32 @@ def membership_matrix(partition: Partition) -> sp.csr_matrix:
                          shape=(n, partition.k))
 
 
+def block_tuples(partition: Partition) -> tuple[tuple[int, ...], ...]:
+    """Each block's nodes in ascending order, blocks in canonical order."""
+    members = np.argsort(partition.block_of, kind="stable")
+    ends = np.cumsum(partition.block_sizes())
+    return tuple(tuple(b.tolist()) for b in np.split(members, ends)[:-1])
+
+
 def as_block_set(partition: Partition) -> frozenset[frozenset[int]]:
     """The partition's blocks as a set of node sets, for order-free equality."""
-    return frozenset(frozenset(b) for b in partition.blocks)
+    return frozenset(frozenset(b) for b in block_tuples(partition))
+
+
+def neighbors(graph: Graph, u: int) -> np.ndarray:
+    return graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+
+
+def augment_features_oracle(x: np.ndarray | None, n: int, k: int) -> np.ndarray:
+    """Dense block-diagonal [X 0; 0 I_k], a constant all-ones column
+    standing in for X when it is None: every cell of the rows
+    `dump_augmented_features_csv` writes."""
+    x = np.ones((n, 1)) if x is None else x
+    d = x.shape[1]
+    out = np.zeros((n + k, d + k))
+    out[:n, :d] = x
+    out[n + np.arange(k), d + np.arange(k)] = 1.0
+    return out
 
 
 def dump_features_csv(x: np.ndarray, stream: IO[str]) -> None:
@@ -78,10 +101,10 @@ def complete_graph(n: int) -> Graph:
 
 def two_hop_neighbors(graph: Graph, u: int) -> set[int]:
     """Nodes at shortest-path distance exactly 2 from u."""
-    first = set(int(v) for v in graph.neighbors(u))
+    first = set(int(v) for v in neighbors(graph, u))
     second = set()
     for v in first:
-        second.update(int(w) for w in graph.neighbors(v))
+        second.update(int(w) for w in neighbors(graph, v))
     second.discard(u)
     return second - first
 
@@ -500,7 +523,7 @@ def master_node_adjacency(graph: Graph) -> sp.csr_matrix:
     n = graph.num_nodes
     a = np.zeros((n + 1, n + 1))
     for u in range(n):
-        for v in graph.neighbors(u):
+        for v in neighbors(graph, u):
             a[u, v] = 1.0
     a[:n, n] = 1.0
     a[n, :n] = 1.0

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -379,12 +380,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("rows, lineno", [
         ("0,0.5\n0,0.7\n50,0.2\n", 3),
+        ("50,0.1\n0,0.2\n0,0.3\n50,0.4\n", 4),
         ("x,0.5\n50,0.2\n", 2),
         ("0,abc\n50,0.2\n", 2),
         ("50,0.2\n0,nan\n", 3),
         ("0,inf\n50,0.2\n", 2),
-    ], ids=["percentile-twice", "percentile-not-int", "score-not-number",
-            "score-nan", "score-inf"])
+    ], ids=["percentile-twice", "first-repeat-by-line", "percentile-not-int",
+            "score-not-number", "score-nan", "score-inf"])
     def test_bad_table_row_names_file_and_line(self, tmp_path, capsys, rows, lineno):
         table = tmp_path / "t.csv"
         table.write_text("percentile,srl_star\n" + rows)
@@ -397,6 +399,23 @@ class TestExitCodes:
         assert err.startswith("ERR:INPUT:") and err.count("\n") == 1
         assert str(table) in err and f"line {lineno}:" in err
         assert not out.exists()
+
+    def test_repeat_at_the_end_of_a_long_table_is_found_quickly(self, tmp_path, capsys):
+        # percentiles 0..49999, then 49999 again: a scan of the earlier rows
+        # per row takes tens of seconds here, one sort milliseconds
+        rows = 50_000
+        table = tmp_path / "big.csv"
+        table.write_text("percentile,srl_star\n" + "".join(f"{p},0.5\n" for p in range(rows))
+                         + f"{rows - 1},0.5\n")
+        acc = tmp_path / "a.csv"
+        acc.write_text("percentile,accuracy\n0,0.1\n50,0.2\n")
+        start = time.perf_counter()
+        code, stdout, err = run(["srl-correlate", "--table", table, "--accuracy", acc], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 3 and stdout == ""
+        assert err == (f"ERR:INPUT: {str(table)!r} line {rows + 2}: "
+                       f"percentile {rows - 1} listed twice\n")
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("flags, code, kind", [
         (["--n", "1"], 2, "ERR:USAGE:"),

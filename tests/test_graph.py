@@ -31,7 +31,8 @@ from rolewire.metrics import mean_effective_resistance
 from rolewire.spectral import symmetric_eig
 from rolewire.teacher_student import LinearGnnWeights, forward
 
-from conftest import cycle_graph, dump_features_csv, is_connected, star_graph, two_hop_neighbors
+from conftest import (cycle_graph, dump_features_csv, is_connected, neighbors, star_graph,
+                      two_hop_neighbors)
 
 
 def load(text):
@@ -182,7 +183,7 @@ class TestNeighborhoods:
         for u in range(n):
             second = two_hop_neighbors(g, u)
             assert u not in second
-            assert not second & set(int(v) for v in g.neighbors(u))
+            assert not second & set(int(v) for v in neighbors(g, u))
 
 
 class TestDegreePercentile:

@@ -34,8 +34,8 @@ from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import (cycle_graph, evaluate_candidates_oracle, from_blocks, is_connected,
-                      largest_component, mean_effective_resistance_by_solves,
+from conftest import (block_tuples, cycle_graph, evaluate_candidates_oracle, from_blocks,
+                      is_connected, largest_component, mean_effective_resistance_by_solves,
                       mean_effective_resistance_oracle, pairwise_resistance, path_graph,
                       star_graph)
 
@@ -81,7 +81,7 @@ class TestEffectiveResistance:
                 after = mean_effective_resistance(rg.adjacency,
                                                   origin_count=g.num_nodes)
                 assert after <= base + 1e-9, name
-                if max(len(b) for b in part.blocks) >= 2:
+                if max(len(b) for b in block_tuples(part)) >= 2:
                     assert base - after > 1e-6, name
 
     def test_rayleigh_per_pair(self):
@@ -132,7 +132,7 @@ class TestEffectiveResistance:
         # virtual node outside S
         g = make_graph("tree", 15)
         rg = build_rewired(g, refine_eps_be(g, 0), Variant.REP_NODES)
-        n, m = g.num_nodes, rg.size
+        n, m = g.num_nodes, rg.csr.shape[0]
         for adjacency, origin_count, span in ((g.adjacency, None, n),
                                               (rg.adjacency, n, n),
                                               (rg.adjacency, None, m)):

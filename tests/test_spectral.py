@@ -104,7 +104,7 @@ def labeled_case(graph, eps, variant, seed=0, num_classes=3):
     train, _, _ = assign_splits(graph.num_nodes, seed)
     if not train.any():
         train = np.ones(graph.num_nodes, dtype=bool)
-    y = one_hot_labels(labels, train, num_classes)
+    y = one_hot_labels(labels, train)
     return part, rg, y
 
 
@@ -391,7 +391,7 @@ class TestRoleEnergies:
     def test_orthogonal_labels_zero_rho(self):
         c = np.array([[1.0], [0.0]])
         y = np.array([[0.0], [2.0]])
-        rho, omega, e_tot, beta = role_energies(c, y)
+        rho, omega, e_tot = role_energies(c, y)
         assert rho == 0.0 and e_tot == 4.0
         assert np.array_equal(omega, [0.0])
 
@@ -399,13 +399,13 @@ class TestRoleEnergies:
         part = refine_eps_be(star4, 0)
         c = role_basis(part)
         y = one_hot_labels(np.array([0, 1, 1, 1]), np.ones(4, dtype=bool))
-        rho, omega, _, _ = role_energies(c, y)
+        rho, omega, _ = role_energies(c, y)
         assert rho == pytest.approx(1.0)
         assert omega.sum() == pytest.approx(1.0)
 
     def test_singleton_identity(self):
         y = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        rho, omega, e_tot, _ = role_energies(np.eye(3), y)
+        rho, omega, e_tot = role_energies(np.eye(3), y)
         assert rho == pytest.approx(1.0)
         assert np.allclose(omega, [1.0 / 5.0, 4.0 / 5.0, 0.0])
 
@@ -569,7 +569,7 @@ class TestShiftOwners:
         assert shift_orders.count(8) == 1       # rewired shifts have order n + k > n
 
     def test_ts_experiment_builds_one_shift_per_graph(self, shift_orders):
-        graphs = [("path", path_graph(6)), ("star", star_graph(5))]
+        graphs = [path_graph(6), star_graph(5)]
         run_ts_experiment(graphs, Variant.FULL, [0, 100], TrainConfig(epochs=3))
         assert len(shift_orders) == 2 + 2 * 2   # graphs + rewired graphs
         assert shift_orders.count(6) == 2

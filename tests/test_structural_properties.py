@@ -44,10 +44,10 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.seeding import rng_for
 
-from conftest import (as_block_set, block_degree_matrix, csr_by_dict, from_blocks,
-                      largest_component,
+from conftest import (as_block_set, block_degree_matrix, block_tuples, csr_by_dict,
+                      from_blocks, largest_component,
                       mean_effective_resistance_by_solves, membership_matrix,
-                      mean_effective_resistance_oracle, pairwise_resistance,
+                      mean_effective_resistance_oracle, neighbors, pairwise_resistance,
                       quotient_by_product, refine_eps_be_by_splitters,
                       rewired_adjacency_by_bmat, splitter_round_by_product, star_graph,
                       two_hop_class_similarity_by_product, two_hop_neighbors)
@@ -65,8 +65,8 @@ def reference_refine_eps_be(graph, eps):
     part = from_blocks(n, [list(range(n))])
     while True:
         # toward[u][s]: u's neighbors in splitter s, a round-start block
-        toward = [Counter(part.block_of[graph.neighbors(u)].tolist()) for u in range(n)]
-        current = [list(b) for b in part.blocks]
+        toward = [Counter(part.block_of[neighbors(graph, u)].tolist()) for u in range(n)]
+        current = [list(b) for b in block_tuples(part)]
         for splitter in range(part.k):
             next_blocks = []
             for block in current:
@@ -85,7 +85,7 @@ def reference_refine_eps_be(graph, eps):
                 next_blocks.extend(groups)
             current = next_blocks
         refined = from_blocks(n, current)
-        if refined.blocks == part.blocks:
+        if block_tuples(refined) == block_tuples(part):
             return refined
         part = refined
 
@@ -110,8 +110,8 @@ def reference_partition_assignment(labels):
 
 def reference_validate_aep(graph, partition, eps):
     """Per-block spread of per-node neighbor counts."""
-    for block in partition.blocks:
-        rows = np.array([np.bincount(partition.block_of[graph.neighbors(u)],
+    for block in block_tuples(partition):
+        rows = np.array([np.bincount(partition.block_of[neighbors(graph, u)],
                                      minlength=partition.k) for u in block])
         if (rows.max(axis=0) - rows.min(axis=0)).max(initial=0) > eps:
             return False
@@ -234,7 +234,7 @@ def reference_rewired_adjacency(graph, partition, qpair, variant):
     n, k = graph.num_nodes, partition.k
     a = np.zeros((n + k, n + k))
     for u in range(n):
-        for v in graph.neighbors(u):
+        for v in neighbors(graph, u):
             a[u, v] = 1.0
     r = membership_matrix(partition).toarray()
     a[:n, n:] = r
@@ -382,7 +382,7 @@ def test_from_assignment_matches_dict_construction(labels):
     part = Partition.from_assignment(labels)
     assert part.block_of.dtype == np.int64
     assert np.array_equal(part.block_of, block_of)
-    assert part.k == len(blocks) and part.blocks == blocks
+    assert part.k == len(blocks) and block_tuples(part) == blocks
 
 
 @PROPERTY_SETTINGS
@@ -392,7 +392,7 @@ def test_from_blocks_matches_dict_construction(case):
     block_of, blocks = reference_partition_blocks(n, raw_blocks)
     part = from_blocks(n, raw_blocks)
     assert np.array_equal(part.block_of, block_of)
-    assert part.k == len(blocks) and part.blocks == blocks
+    assert part.k == len(blocks) and block_tuples(part) == blocks
 
 
 @PROPERTY_SETTINGS
@@ -400,7 +400,7 @@ def test_from_blocks_matches_dict_construction(case):
 def test_refine_matches_greedy_loop(graph, eps):
     fast = refine_eps_be(graph, eps)
     slow = reference_refine_eps_be(graph, eps)
-    assert fast.blocks == slow.blocks
+    assert block_tuples(fast) == block_tuples(slow)
     assert np.array_equal(fast.block_of, slow.block_of)
     assert validate_aep(graph, fast, eps)
 
@@ -473,7 +473,7 @@ def test_exact_refine_is_relabelling_invariant(graph, data):
     n = graph.num_nodes
     perm = data.draw(st.permutations(range(n)))         # node u becomes perm[u]
     permuted = graph_from_edges(n, [(perm[u], perm[v]) for u, v in graph.edges()])
-    want = {frozenset(perm[u] for u in b) for b in refine_eps_be(graph, 0.0).blocks}
+    want = {frozenset(perm[u] for u in b) for b in block_tuples(refine_eps_be(graph, 0.0))}
     assert as_block_set(refine_eps_be(permuted, 0.0)) == want
 
 
@@ -853,6 +853,42 @@ def sparse_connected_graphs(draw, max_nodes=120):
     return graph_from_edges(n, edges)
 
 
+@st.composite
+def dense_core_graphs(draw):
+    """A random tree on 260 to 320 nodes plus 5n to 8n random chords,
+    from a drawn seed: the stages stall early and leave 160 or more nodes
+    to the core (the least in 1500 draws), so the minimum-degree order
+    and several supernodes run."""
+    n = draw(st.integers(260, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chords = rng.integers(0, n, (draw(st.integers(5 * n, 8 * n)), 2))
+    u = np.concatenate([rng.integers(0, np.arange(1, n)), chords[:, 0]])
+    v = np.concatenate([np.arange(1, n), chords[:, 1]])
+    return graph_from_edges(n, list(zip(u[u != v].tolist(), v[u != v].tolist())))
+
+
+def assert_fosters_theorem(csr: Csr) -> Ldl:
+    """Foster (1949): on a connected graph of N nodes, sum_e w_e R_e = N - 1
+    within 1e-10. Each edge's R_uv = Z_uu + Z_vv - 2 Z_uv comes from the
+    selected inverse Z on the factor's pattern, which holds every edge of
+    the grounded graph; an edge to the grounded last node has R = Z_uu.
+    Self-loops are dropped. Returns the factor."""
+    m = csr.shape[0]
+    rows, cols = csr.rows(), csr.indices
+    edge = rows != cols
+    weights = Csr.from_entries(rows[edge], cols[edge], csr.data[edge].astype(np.float64), m)
+    factor = Ldl(weights)
+    zdiag, z = factor.selected_inverse()
+    rows, cols, w = weights.rows(), weights.indices, weights.data
+    inner = (rows < cols) & (cols < m - 1)
+    grounded = cols == m - 1
+    u, v = rows[inner], cols[inner]
+    total = ((w[inner] * (zdiag[u] + zdiag[v] - 2 * z[:inner.sum()])).sum()
+             + (w[grounded] * zdiag[rows[grounded]]).sum())
+    assert abs(total - (m - 1)) / (m - 1) < 1e-10
+    return factor
+
+
 @PROPERTY_SETTINGS
 @given(graph=st.one_of(graphs(max_nodes=30), sparse_connected_graphs()), eps=tolerances,
        variant=st.sampled_from([Variant.FULL, Variant.MASTER_NODE]),
@@ -881,33 +917,36 @@ def test_selected_inversion_matches_blocked_solves(graph, eps, variant, origin_c
 @example(graph=generators.make_graph("grid", 400), eps=0.0, variant=Variant.FULL)
 @example(graph=generators.make_graph("er", 300), eps=0.0, variant=Variant.REP_EDGES)
 def test_selected_inverse_satisfies_fosters_theorem(graph, eps, variant):
-    """Foster (1949): on a connected graph of N nodes, sum_e w_e R_e = N - 1.
-    Each edge's R_uv = Z_uu + Z_vv - 2 Z_uv comes from the selected inverse
-    Z on the factor's pattern, which holds every edge of the grounded graph;
-    an edge to the grounded last node has R = Z_uu. Checked on the graph
-    and on its rewiring, whose FULL corner carries weights and self-loops.
-    The drawn graphs leave at most 128 nodes to the core, one dense block;
-    the two examples leave more, so the minimum-degree order and several
-    supernodes run too."""
+    """Foster's theorem on the graph and on its rewiring, whose FULL
+    corner carries weights and self-loops. The drawn graphs leave at most
+    128 nodes to the core, one dense block; the two examples leave more,
+    so the minimum-degree order and several supernodes run too."""
     graph = largest_component(graph)
     assume(graph.num_nodes >= 2)
     if variant is Variant.MASTER_NODE:
         eps = math.inf
     rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
     for csr in (graph.csr, rewired.csr):
-        m = csr.shape[0]
-        rows, cols = csr.rows(), csr.indices
-        edge = rows != cols
-        weights = Csr.from_entries(rows[edge], cols[edge],
-                                   csr.data[edge].astype(np.float64), m)
-        zdiag, z = Ldl(weights).selected_inverse()
-        rows, cols, w = weights.rows(), weights.indices, weights.data
-        inner = (rows < cols) & (cols < m - 1)
-        grounded = cols == m - 1
-        u, v = rows[inner], cols[inner]
-        total = ((w[inner] * (zdiag[u] + zdiag[v] - 2 * z[:inner.sum()])).sum()
-                 + (w[grounded] * zdiag[rows[grounded]]).sum())
-        assert abs(total - (m - 1)) / (m - 1) < 1e-10
+        assert_fosters_theorem(csr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=dense_core_graphs(), eps=tolerances, variant=st.sampled_from(list(Variant)))
+def test_minimum_degree_core_matches_solves_and_fosters_theorem(graph, eps, variant):
+    """On graphs whose core exceeds the 128-node dense block, the factor
+    has several supernodes, and the mean effective resistance read off it
+    matches identity solves within 1e-12 relative and satisfies Foster's
+    theorem, on the graph and on its rewiring."""
+    if variant is Variant.MASTER_NODE:
+        eps = math.inf
+    rewired = build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+    factor = assert_fosters_theorem(graph.csr)
+    assert len(factor.core) > 128 and len(factor.factors) > 1
+    assert_fosters_theorem(rewired.csr)
+    for adjacency, count in ((graph.adjacency, None), (rewired.adjacency, graph.num_nodes)):
+        got = mean_effective_resistance(adjacency, origin_count=count)
+        assert got == pytest.approx(mean_effective_resistance_by_solves(adjacency, count),
+                                    rel=1e-12)
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_EDGES))

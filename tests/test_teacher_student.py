@@ -148,7 +148,7 @@ class TestTeacherLabels:
         x = np.ones((3, 1))
         s_obs = normalized_shift(p3.adjacency)
         via_crop = forward(s_obs, x, crop_to_observed(w, d))
-        signal = (augment_features(None, 3, k) @ layer_product(w.layers))[:3]
+        signal = (augment_features(3, k) @ layer_product(w.layers))[:3]
         assert np.allclose(via_crop, s_obs @ s_obs @ signal, atol=1e-12)
 
 
@@ -230,7 +230,7 @@ class TestTrainStudent:
 
 class TestRunExperiment:
     def test_point_count_and_determinism(self):
-        graphs = [("path", path_graph(8)), ("star", star_graph(5))]
+        graphs = [path_graph(8), star_graph(5)]
         cfg = TrainConfig(seed=4, epochs=60)
         for variant in (Variant.FULL, Variant.REP_NODES):
             res1, corr1 = run_ts_experiment(graphs, variant, [0, 100], cfg, d_out=2)
@@ -240,11 +240,9 @@ class TestRunExperiment:
             assert [r.mse_final for r in res1] == [r.mse_final for r in res2]
             assert all(np.isfinite(r.srl) for r in res1)
 
-    def test_tags_and_eps_recorded(self):
+    def test_eps_recorded(self):
         cfg = TrainConfig(seed=1, epochs=30)
-        res, _ = run_ts_experiment([("cycle", cycle_graph(6))], Variant.FULL,
-                                   [0, 100], cfg, d_out=2)
-        assert res[0].dataset_tag == "cycle:full"
+        res, _ = run_ts_experiment([cycle_graph(6)], Variant.FULL, [0, 100], cfg, d_out=2)
         assert res[0].eps == 0.0
         assert res[1].eps == 2.0
 
@@ -530,7 +528,7 @@ def record_labels(monkeypatch):
 
 
 def test_experiment_traces_are_read_only_views_of_the_group_array():
-    graphs = [("path", path_graph(6)), ("cycle", cycle_graph(6))]
+    graphs = [path_graph(6), cycle_graph(6)]
     results, _ = run_ts_experiment(graphs, Variant.FULL, [0, 100], TrainConfig(epochs=7))
     group = results[0].loss_trace.base
     assert group is not None and group.shape == (7, 4)
@@ -555,11 +553,11 @@ def count_lockstep_groups(monkeypatch):
 
 def test_experiment_groups_by_shape_and_matches_one_at_a_time(monkeypatch):
     graphs = [
-        ("path", path_graph(8)),
-        ("star", star_graph(5)),      # 6 nodes
-        ("cycle", cycle_graph(6)),
-        ("ring", cycle_graph(8)),     # 8 nodes again
-        ("long", path_graph(10)),
+        path_graph(8),
+        star_graph(5),      # 6 nodes
+        cycle_graph(6),
+        cycle_graph(8),     # 8 nodes again
+        path_graph(10),
     ]
     percentiles = [0, 100]
     config = TrainConfig(seed=7, epochs=80, learning_rate=0.05)
@@ -570,7 +568,7 @@ def test_experiment_groups_by_shape_and_matches_one_at_a_time(monkeypatch):
     assert group_sizes == [4, 4, 2]
     assert len(results) == len(labels) == len(graphs) * len(percentiles)
     for i, (res, y) in enumerate(zip(results, labels)):
-        _, graph = graphs[i // len(percentiles)]
+        graph = graphs[i // len(percentiles)]
         x = np.ones((graph.num_nodes, 1))
         _, want = train_student(graph, x, y, replace(config, seed=res.seed))
         assert [v.hex() for v in res.loss_trace] == [v.hex() for v in want.loss_trace]
@@ -585,7 +583,7 @@ def test_no_student_trains_when_a_teacher_point_fails(monkeypatch, variant,
                                                        percentiles, error):
     # the earlier points would diverge if they trained
     group_sizes = count_lockstep_groups(monkeypatch)
-    graphs = [("path", path_graph(6)), ("star", star_graph(5))]
+    graphs = [path_graph(6), star_graph(5)]
     with pytest.raises(error):
         run_ts_experiment(graphs, variant, percentiles,
                           TrainConfig(learning_rate=1e300, epochs=5))
@@ -598,8 +596,7 @@ def test_default_points_reach_least_squares_optimum(monkeypatch):
     families = ["star", "path", "cycle", "grid", "ladder", "tree"]
     graphs = [make_graph(fam, 24, seed=0) for fam in families]
     labels = record_labels(monkeypatch)
-    results, _ = run_ts_experiment(list(zip(families, graphs)), Variant.FULL,
-                                   [0, 50, 100], TrainConfig(seed=0))
+    results, _ = run_ts_experiment(graphs, Variant.FULL, [0, 50, 100], TrainConfig(seed=0))
     assert len(results) == len(labels) == 18
     for i, (res, y) in enumerate(zip(results, labels)):
         graph = graphs[i // 3]
