@@ -6,7 +6,8 @@ neighbor lists. Node ids are dense 0-based integers.
 
 Every matrix a caller hands the library, dense or sparse, passes one gate,
 `require_symmetric`, on its CSR arrays (an adjacency then passes the
-weight rules of `weighted_adjacency`); `Graph.shift` caches `normalized_shift`.
+weight rules of `weighted_adjacency`); `Graph.shift` builds `normalized_shift`
+on each access.
 The library computes on CSR arrays (`Csr`), and every CSR it assembles
 from entries comes from `Csr.from_entries`. The sparse-matrix package
 loads only on the first call of `sparse`, which only the views callers
@@ -177,9 +178,11 @@ class Graph:
         dense[self.csr.rows(), self.indices] = 1.0
         return dense
 
-    @cached_property
+    @property
     def shift(self) -> np.ndarray:
-        """Read-only normalized shift of `csr`, cached; `RewiredGraph` shares it."""
+        """Read-only normalized shift of `csr`, built on each access, so a
+        caller holds this n x n array only as long as it keeps it
+        (`RewiredGraph.shift` caches its own)."""
         shift = normalized_shift(self.csr)
         shift.setflags(write=False)
         return shift

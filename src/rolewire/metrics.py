@@ -27,7 +27,7 @@ from .graph import (
 from .ldl import Ldl
 from .partition import Partition, refine_eps_be
 from .rewire import RewiredGraph, Variant, build_rewired
-from .spectral import srl_report
+from .spectral import ObservedSide, observed_side, srl_report
 
 __all__ = [
     "EpsCandidate",
@@ -249,8 +249,10 @@ def evaluate_candidates(
     tolerances often refine to the same partition, whose scores do not
     depend on the ε that produced it. Partitions are canonical, so equal
     ones have equal label arrays. Every grid entry keeps its own
-    percentile, ε and k. Each rewiring (and its dense shift) is released
-    before the next is built.
+    percentile, ε and k. Each distinct partition is rewired as soon as
+    it is refined, and its observed side is read from the original
+    shift, which is built once and released before any rewired shift is
+    built. Each rewiring (and its dense shift) is released once scored.
 
     Label information is restricted to the training mask throughout, both
     for the role energies and for the two-hop similarity.
@@ -258,30 +260,38 @@ def evaluate_candidates(
     if variant is Variant.MASTER_NODE:
         raise ValueError("the master-node variant has no tolerance to select")
     y = one_hot_labels(data.labels, data.train_mask)
+    grid = [(int(p), degree_percentile(graph, p)) for p in PERCENTILE_GRID]
+    s_obs = graph.shift
     partitions: dict[float, Partition] = {}
-    scores: dict[bytes, tuple[float, float, float]] = {}
-    candidates = []
-    for p in PERCENTILE_GRID:
-        eps = degree_percentile(graph, p)
-        if eps not in partitions:
-            partitions[eps] = refine_eps_be(graph, eps)
-        part = partitions[eps]
+    pending: dict[bytes, tuple[RewiredGraph, ObservedSide]] = {}
+    for _, eps in grid:
+        if eps in partitions:
+            continue
+        part = partitions[eps] = refine_eps_be(graph, eps)
         key = part.block_of.tobytes()
-        if key not in scores:
-            scores[key] = _partition_scores(
-                build_rewired(graph, part, variant, eps=eps), y, data)
-        srl, rho, ncs2 = scores[key]
+        if key not in pending:          # the quotient reads refinement's last summary
+            pending[key] = (build_rewired(graph, part, variant, eps=eps),
+                            observed_side(part, s_obs))
+    del s_obs
+    scores = {}
+    for key in list(pending):
+        rewired, side = pending.pop(key)
+        scores[key] = _partition_scores(rewired, y, data, side)
+    candidates = []
+    for p, eps in grid:
+        part = partitions[eps]
+        srl, rho, ncs2 = scores[part.block_of.tobytes()]
         candidates.append(EpsCandidate(
-            percentile=int(p), eps=eps, k=part.k, srl=srl, rho=rho, ncs2=ncs2,
+            percentile=p, eps=eps, k=part.k, srl=srl, rho=rho, ncs2=ncs2,
         ))
     return srl_star(candidates)
 
 
 def _partition_scores(
-    rewired: RewiredGraph, y: np.ndarray, data: NodeData,
+    rewired: RewiredGraph, y: np.ndarray, data: NodeData, observed: ObservedSide,
 ) -> tuple[float, float, float]:
     """(srl, rho, ncs2) of one rewiring on the training labels."""
-    report = srl_report(rewired, y)
+    report = srl_report(rewired, y, observed=observed)
     try:
         ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
     except NoEligibleNodesError:

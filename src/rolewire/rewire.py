@@ -86,7 +86,9 @@ class RewiredGraph:
     def virtual_count(self) -> int:
         return self.partition.k
 
-    shift = Graph.shift     # the one read-only normalized shift of `csr`, cached
+    # Graph's read-only normalized shift of `csr`, cached: the teacher of
+    # `run_ts_experiment` and the lift both read a rewiring's shift.
+    shift = cached_property(Graph.shift.fget)
 
 
 def augment_features(n: int, k: int) -> np.ndarray:

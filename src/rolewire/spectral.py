@@ -10,16 +10,24 @@ original and the augmented graph onto the (rotated) role basis, form one
 eigenvalue exceeds the role's response on the original graph. Label
 energies in the role subspace weight the per-role contributions.
 
+The lift has two sides. The observed side (`observed_side`) reads only
+the original shift S_obs and the partition: the rotated basis c, each
+role's response c_j' S_obs c_j and the restriction c' S_obs c. The
+rewired side reads only the rewiring's shift. Every observed side is
+computed before any rewired shift is built, so S_obs (n x n) and a
+rewired shift ((n+k) x (n+k)) are never held at once.
+
 The lift is a property of one rewiring: `srl_report` takes the
-`RewiredGraph` alone and reads the original graph and the partition from
-it, so the roles it lifts are always the blocks the rewiring was built on.
+`RewiredGraph` and reads the original graph and the partition from it,
+so the roles it lifts are always the blocks the rewiring was built on;
+an observed side handed to it must be of that partition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Optional
 
 import numpy as np
 
@@ -33,6 +41,8 @@ __all__ = [
     "role_basis",
     "symmetric_eig",
     "rotate_basis",
+    "ObservedSide",
+    "observed_side",
     "per_role_lift",
     "role_energies",
     "commutator_norm",
@@ -149,23 +159,42 @@ def rotate_basis(c: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Per-role quantities
+# The observed side and the per-role lift
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ObservedSide:
+    """What the lift reads of the original shift S_obs for one partition:
+    the rotated role basis c (n x k), each role's response
+    mu_obs[j] = c_j' S_obs c_j, and the restriction t_obs = c' S_obs c."""
+
+    partition: Partition
+    c: np.ndarray
+    mu_obs: np.ndarray
+    t_obs: np.ndarray
+
+
+def observed_side(partition: Partition, s_obs: np.ndarray) -> ObservedSide:
+    """The observed side of the lift of `partition` on the shift s_obs."""
+    c = rotate_basis(role_basis(partition), s_obs)
+    mu_obs = np.array([c[:, j] @ s_obs @ c[:, j] for j in range(c.shape[1])])
+    return ObservedSide(partition, c, mu_obs, c.T @ s_obs @ c)
+
 
 def per_role_lift(
     c_j: np.ndarray,
-    s_obs: np.ndarray,
+    mu_obs: float,
     s_oo: np.ndarray,
     s_vo: np.ndarray,
     s_vv: np.ndarray,
 ) -> tuple[float, float, float, float, float, float]:
-    """Lifted response of one role direction.
+    """Lifted response of one role direction, whose observed response is
+    mu_obs.
 
     Returns (mu_obs, mu_rew, tau, nu, lambda_plus, delta). The coupling
     tau is the norm of the virtual-block image of c_j; below 1e-12 the
     virtual branch is dropped and lambda_plus falls back to mu_rew.
     """
-    mu_obs = float(c_j @ s_obs @ c_j)
     mu_rew = float(c_j @ s_oo @ c_j)
     t_vec = s_vo @ c_j
     tau = float(np.linalg.norm(t_vec))
@@ -200,10 +229,8 @@ def role_energies(c: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, floa
     return rho, omega, e_tot
 
 
-def commutator_norm(c: np.ndarray, s_obs: np.ndarray, s_oo: np.ndarray) -> float:
-    """Frobenius norm of the commutator of the two restricted shifts."""
-    m1 = c.T @ s_obs @ c
-    m2 = c.T @ s_oo @ c
+def commutator_norm(m1: np.ndarray, m2: np.ndarray) -> float:
+    """Frobenius norm of the commutator of two restricted shifts."""
     return float(np.linalg.norm(m1 @ m2 - m2 @ m1))
 
 
@@ -262,26 +289,36 @@ def bound_error(
     return kappa_max, kappa_max * e_tot * srl
 
 
-def srl_report(rewired: RewiredGraph, y: np.ndarray, h_degree: int = 2) -> SrlReport:
+def srl_report(
+    rewired: RewiredGraph,
+    y: np.ndarray,
+    h_degree: int = 2,
+    observed: Optional[ObservedSide] = None,
+) -> SrlReport:
     """Full spectral-role-lift pipeline for one rewiring.
 
-    Reads the original graph and the partition from the rewiring, takes
-    both normalized shifts from their owners (`Graph.shift`,
-    `RewiredGraph.shift`), rotates the role basis so the observed
-    restriction is diagonal, lifts each rotated role direction through
-    the rewired blocks, and aggregates with the label energies of y
-    (n x C, zero rows for unlabeled nodes).
+    Reads the original graph and the partition from the rewiring. The
+    observed side is `observed`, which must be of the rewiring's
+    partition (else ValueError), or is computed here from `Graph.shift`,
+    which is released before `RewiredGraph.shift` is read. Each rotated
+    role direction is lifted through the rewired blocks, and the lifts
+    are aggregated with the label energies of y (n x C, zero rows for
+    unlabeled nodes).
     """
     graph, partition = rewired.graph, rewired.partition
     n = graph.num_nodes
     if y.shape[0] != n:
         raise ValueError(f"labels have {y.shape[0]} rows, the graph has {n} nodes")
-    s_obs, s_rew = graph.shift, rewired.shift
+    if observed is None:
+        observed = observed_side(partition, graph.shift)
+    elif not np.array_equal(observed.partition.block_of, partition.block_of):
+        raise ValueError("the observed side is of another partition than the rewiring's")
+    s_rew = rewired.shift
     s_oo, s_vo, s_vv = s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:]
 
-    c = rotate_basis(role_basis(partition), s_obs)
+    c = observed.c
     k = c.shape[1]
-    lifts = np.array([per_role_lift(c[:, j], s_obs, s_oo, s_vo, s_vv)
+    lifts = np.array([per_role_lift(c[:, j], observed.mu_obs[j], s_oo, s_vo, s_vv)
                       for j in range(k)])
     mu_obs, mu_rew, tau, nu, lam_plus, delta = lifts.T
 
@@ -293,7 +330,7 @@ def srl_report(rewired: RewiredGraph, y: np.ndarray, h_degree: int = 2) -> SrlRe
         mu_obs=mu_obs, mu_rewired=mu_rew, tau=tau, nu=nu,
         lambda_plus=lam_plus, delta=delta, omega=omega,
         rho=rho, srl=srl, e_tot=e_tot,
-        commutator_norm=commutator_norm(c, s_obs, s_oo),
+        commutator_norm=commutator_norm(observed.t_obs, c.T @ s_oo @ c),
         kappa_max=kappa_max, bound_rhs=bound_rhs,
         negative_delta_count=int((delta < 0).sum()),
     )

@@ -32,7 +32,7 @@ from .metrics import pearson
 from .partition import refine_eps_be
 from .rewire import RewiredGraph, Variant, augment_features, build_rewired
 from .seeding import derive_seed
-from .spectral import srl_report
+from .spectral import observed_side, srl_report
 
 __all__ = [
     "LinearGnnWeights",
@@ -392,25 +392,34 @@ def run_ts_experiment(
     Teacher, student and lift all use one layer per entry of
     TEACHER_SIGMAS.
 
-    Every point's teacher, labels and lift are built in task order before
-    any student trains, so an input error there is raised first; then one
+    Each graph's shift is built once: it propagates the students' input
+    and gives the observed side of the lift at every percentile, and is
+    released before any rewiring's shift is built. Every point's
+    teacher, labels and lift are built in task order before any student
+    trains, so an input error there is raised first; then one
     `train_students` call trains all the students.
     """
     num_layers = len(TEACHER_SIGMAS)
     points, inputs, targets, seeds = [], [], [], []
     task = 0
     for graph in graphs:
-        propagated = _propagate(graph.shift, np.ones((graph.num_nodes, 1)), num_layers)
+        s_obs = graph.shift
+        propagated = _propagate(s_obs, np.ones((graph.num_nodes, 1)), num_layers)
+        pending = []
         for p in percentiles:
             eps = degree_percentile(graph, p)
             part = refine_eps_be(graph, eps)
-            rewired = build_rewired(graph, part, variant, eps=eps)
-            teacher_dims = [1 + part.k] * num_layers + [d_out]
+            pending.append((build_rewired(graph, part, variant, eps=eps),
+                            observed_side(part, s_obs)))
+        del s_obs
+        while pending:
+            rewired, side = pending.pop(0)      # released before the next shift is built
+            teacher_dims = [1 + rewired.partition.k] * num_layers + [d_out]
             teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS,
                                     derive_seed(config.seed, task))
             y_true = teacher_labels(rewired, teacher)
-            report = srl_report(rewired, y_true, h_degree=num_layers)
-            points.append((eps, report.srl))
+            report = srl_report(rewired, y_true, h_degree=num_layers, observed=side)
+            points.append((rewired.eps, report.srl))
             inputs.append(propagated)
             targets.append(y_true)
             seeds.append(derive_seed(config.seed, task + 1))

@@ -1,6 +1,7 @@
 """Shared fixtures: small named graphs and the seeded evaluation corpus."""
 
 import math
+from dataclasses import fields
 from itertools import chain
 from typing import IO, Sequence
 
@@ -18,7 +19,8 @@ from rolewire.metrics import EpsCandidate, srl_star, two_hop_class_similarity
 from rolewire.partition import Partition, QuotientPair, refine_eps_be
 from rolewire.rewire import RewiredGraph, Variant, build_rewired
 from rolewire.seeding import rng_for
-from rolewire.spectral import _JACOBI_MAX_SWEEPS, _JACOBI_TOL, srl_report
+from rolewire.spectral import (_JACOBI_MAX_SWEEPS, _JACOBI_TOL, SrlReport, bound_error,
+                               role_basis, role_energies, rotate_basis)
 from rolewire.teacher_student import LinearGnnWeights, _ChainGradient, _stacked_mse
 
 
@@ -257,7 +259,7 @@ def evaluate_candidates_oracle(graph: Graph, data, variant=Variant.REP_NODES):
         eps = degree_percentile(graph, p)
         part = refine_eps_be(graph, eps)
         rewired = build_rewired(graph, part, variant, eps=eps)
-        report = srl_report(rewired, y)
+        report = srl_report_oracle(rewired, y)
         try:
             ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
         except NoEligibleNodesError:
@@ -267,6 +269,63 @@ def evaluate_candidates_oracle(graph: Graph, data, variant=Variant.REP_NODES):
             srl=report.srl, rho=report.rho, ncs2=ncs2,
         ))
     return srl_star(candidates)
+
+
+def srl_report_oracle(rewired: RewiredGraph, y: np.ndarray, h_degree: int = 2) -> SrlReport:
+    """The lift in one shot, with both dense shifts held at once: each
+    role's observed response is read inside the per-role loop and the
+    commutator from both shifts.
+
+    Reference for `spectral.srl_report`, which reads S_obs only through
+    its observed side and must give every field the same bits."""
+    graph, partition = rewired.graph, rewired.partition
+    n = graph.num_nodes
+    s_obs, s_rew = graph.shift, rewired.shift
+    s_oo, s_vo, s_vv = s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:]
+
+    def lift(c_j):
+        mu_obs = float(c_j @ s_obs @ c_j)
+        mu_rew = float(c_j @ s_oo @ c_j)
+        t_vec = s_vo @ c_j
+        tau = float(np.linalg.norm(t_vec))
+        if tau < 1e-12:
+            nu, lam_plus = 0.0, mu_rew
+        else:
+            v_hat = t_vec / tau
+            nu = float(v_hat @ s_vv @ v_hat)
+            half_gap = (mu_rew - nu) / 2.0
+            lam_plus = (mu_rew + nu) / 2.0 + np.sqrt(half_gap * half_gap + tau * tau)
+        return mu_obs, mu_rew, tau, nu, float(lam_plus), float(lam_plus - mu_obs)
+
+    c = rotate_basis(role_basis(partition), s_obs)
+    lifts = np.array([lift(c[:, j]) for j in range(c.shape[1])])
+    mu_obs, mu_rew, tau, nu, lam_plus, delta = lifts.T
+    rho, omega, e_tot = role_energies(c, y)
+    srl = rho * float((omega * delta ** 2).sum())
+    kappa_max, bound_rhs = bound_error(mu_obs, lam_plus, e_tot, srl, h_degree)
+    m1 = c.T @ s_obs @ c
+    m2 = c.T @ s_oo @ c
+    return SrlReport(
+        mu_obs=mu_obs, mu_rewired=mu_rew, tau=tau, nu=nu,
+        lambda_plus=lam_plus, delta=delta, omega=omega,
+        rho=rho, srl=srl, e_tot=e_tot,
+        commutator_norm=float(np.linalg.norm(m1 @ m2 - m2 @ m1)),
+        kappa_max=kappa_max, bound_rhs=bound_rhs,
+        negative_delta_count=int((delta < 0).sum()),
+    )
+
+
+def assert_same_report(got: SrlReport, want: SrlReport) -> None:
+    """Every field of two SRL reports carries the same bits."""
+    for field in fields(SrlReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float):
+            assert float(a).hex() == b.hex(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
 
 
 def two_hop_class_similarity_by_product(graph_or_rewired, labels: np.ndarray,

@@ -196,7 +196,7 @@ def _aligned_teacher(graph, rg, part, d_out=3, scales=(1.0, -2.0, 0.5)):
     s_rew = normalized_shift(rg.adjacency)
     c = rotate_basis(role_basis(part), s_obs)[:, 0]
     mu_obs, mu_rew, tau, nu, lam, _ = per_role_lift(
-        c, s_obs, s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:])
+        c, c @ s_obs @ c, s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:])
     m = np.array([[mu_rew, tau], [tau, nu]])
     _, vecs = np.linalg.eigh(m)
     v_plus = vecs[:, -1]

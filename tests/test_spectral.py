@@ -6,17 +6,20 @@ explicit dense formulas (no shared code with the pipeline beyond numpy),
 then evaluates the lift formula symbol by symbol.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from rolewire import spectral
+from rolewire.cli import main
 from rolewire.errors import EmptyLabelsError, InputError, NonSymmetricError
 from rolewire.generators import (FAMILIES, assign_splits, eccentricity_labels, make_dataset,
                                  make_graph)
 from rolewire.graph import (PERCENTILE_GRID, NodeData, degree_percentile, graph_from_edges,
-                            one_hot_labels)
+                            load_edge_list, one_hot_labels)
 from rolewire.metrics import evaluate_candidates
 from rolewire.partition import Partition, refine_eps_be
 from rolewire.rewire import Variant, build_rewired
@@ -24,6 +27,7 @@ from rolewire.spectral import (
     bound_error,
     commutator_norm,
     normalized_shift,
+    observed_side,
     per_role_lift,
     role_basis,
     role_energies,
@@ -33,8 +37,8 @@ from rolewire.spectral import (
 )
 from rolewire.teacher_student import TrainConfig, run_ts_experiment
 
-from conftest import (cycle_graph, from_blocks, jacobi_eig_oracle, normalized_shift_oracle,
-                      path_graph, star_graph)
+from conftest import (assert_same_report, cycle_graph, from_blocks, jacobi_eig_oracle,
+                      normalized_shift_oracle, path_graph, srl_report_oracle, star_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +360,7 @@ class TestPerRoleLift:
     def test_zero_coupling_same_restriction(self):
         s = np.array([[0.3, 0.1], [0.1, 0.4]])
         c = np.array([1.0, 0.0])
-        out = per_role_lift(c, s, s, np.zeros((1, 2)), np.zeros((1, 1)))
+        out = per_role_lift(c, c @ s @ c, s, np.zeros((1, 2)), np.zeros((1, 1)))
         mu_obs, mu_rew, tau, nu, lam, delta = out
         assert tau == 0.0 and nu == 0.0
         assert lam == mu_rew == mu_obs
@@ -365,18 +369,18 @@ class TestPerRoleLift:
     def test_swap_lift(self):
         # engineered so the 2x2 is [[0, 1], [1, 0]]: lambda_plus = 1
         c = np.array([1.0])
-        s_obs = np.array([[0.0]])
+        mu_obs = 0.0
         s_oo = np.array([[0.0]])
         s_vo = np.array([[1.0]])
         s_vv = np.array([[0.0]])
         mu_obs, mu_rew, tau, nu, lam, delta = per_role_lift(
-            c, s_obs, s_oo, s_vo, s_vv)
+            c, mu_obs, s_oo, s_vo, s_vv)
         assert tau == 1.0 and lam == pytest.approx(1.0)
         assert delta == pytest.approx(1.0)
 
     def test_diagonal_case_takes_max(self):
         c = np.array([1.0])
-        out = per_role_lift(c, np.array([[0.0]]), np.array([[0.2]]),
+        out = per_role_lift(c, 0.0, np.array([[0.2]]),
                             np.array([[1e-15]]), np.array([[0.9]]))
         assert out[4] == pytest.approx(0.2)   # tau below cutoff: mu_rew wins
 
@@ -424,13 +428,12 @@ class TestCommutator:
             assert rep.commutator_norm == 0.0
 
     def test_diagonal_restrictions_commute(self):
-        c = np.eye(2)
-        assert commutator_norm(c, np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
+        assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
 
     def test_hand_case(self):
         m1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         m2 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert commutator_norm(np.eye(2), m1, m2) == pytest.approx(np.sqrt(2.0))
+        assert commutator_norm(m1, m2) == pytest.approx(np.sqrt(2.0))
 
 
 class TestBoundError:
@@ -531,6 +534,58 @@ class TestSrlPipeline:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), field
 
 
+@st.composite
+def lift_graphs(draw):
+    """A random edge set on up to 24 nodes, or a generator family draw."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        ends = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+        return graph_from_edges(n, [(u, v) for u, v in edges if u != v])
+    try:
+        return make_graph(draw(st.sampled_from(sorted(FAMILIES))),
+                          draw(st.sampled_from([12, 20, 31, 40])), seed=draw(st.integers(0, 9)))
+    except InputError:                      # a ladder needs an even n
+        reject()
+
+
+class TestObservedSide:
+    """The lift read through its observed side carries the bits of the
+    one-shot lift that held both dense shifts at once."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(graph=lift_graphs(), eps=st.one_of(st.integers(0, 4).map(float), st.floats(0, 8)),
+           variant=st.sampled_from(list(Variant)), h_degree=st.integers(1, 3),
+           columns=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(graph=make_graph("tree", 511), eps=0.0, variant=Variant.FULL, h_degree=2,
+             columns=3, seed=0)
+    def test_report_has_the_one_shot_oracles_bits(self, graph, eps, variant, h_degree,
+                                                   columns, seed):
+        if variant is Variant.MASTER_NODE:   # the master node is the single block
+            eps = math.inf
+        part = refine_eps_be(graph, eps)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((graph.num_nodes, columns))
+        y[rng.random(graph.num_nodes) < 0.4] = 0.0
+        assume(y.any())
+        want = srl_report_oracle(build_rewired(graph, part, variant, eps=eps), y, h_degree)
+        assert_same_report(srl_report(build_rewired(graph, part, variant, eps=eps), y, h_degree),
+                           want)
+        side = observed_side(part, graph.shift)
+        assert_same_report(srl_report(build_rewired(graph, part, variant, eps=eps), y, h_degree,
+                                      observed=side), want)
+
+    def test_side_of_another_partition_is_rejected(self):
+        g = path_graph(7)
+        rg = build_rewired(g, refine_eps_be(g, 0.0), Variant.REP_NODES)   # {0,6} {1,5} {2,4} {3}
+        y = np.ones((7, 1))
+        for other in (refine_eps_be(g, 1.0), from_blocks(7, [[0, 1], [5, 6], [2, 4], [3]])):
+            with pytest.raises(ValueError, match="another partition"):
+                srl_report(rg, y, observed=observed_side(other, g.shift))
+        same = observed_side(refine_eps_be(g, 0.0), g.shift)   # equal blocks, another object
+        assert_same_report(srl_report(rg, y, observed=same), srl_report_oracle(rg, y))
+
+
 class TestShiftOwners:
     """Each normalized shift is built once, by the graph that owns it."""
 
@@ -551,7 +606,12 @@ class TestShiftOwners:
         rg = build_rewired(g, refine_eps_be(g, 1.0), Variant.REP_NODES)
         for owner, want in ((g, normalized_shift(g.adjacency)),
                             (rg, normalized_shift(rg.adjacency))):
-            assert owner.shift is owner.shift
+            if owner is rg:
+                assert owner.shift is owner.shift
+            else:                               # a graph builds its shift on each access
+                again = owner.shift
+                assert owner.shift.tobytes() == again.tobytes()
+                assert not again.flags.writeable
             assert owner.shift.tobytes() == want.tobytes()
             assert not owner.shift.flags.writeable
             with pytest.raises(ValueError):
@@ -567,6 +627,17 @@ class TestShiftOwners:
                     for p in PERCENTILE_GRID}
         assert len(shift_orders) == 1 + len(distinct)   # one original + one per partition
         assert shift_orders.count(8) == 1       # rewired shifts have order n + k > n
+
+    def test_srl_verb_builds_one_shift_of_each_order(self, shift_orders, tmp_path):
+        assert main(["gen", "--family", "tree", "--n", "15", "--classes", "2",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "graph.txt") as fh:
+            g = load_edge_list(fh)
+        k = refine_eps_be(g, degree_percentile(g, 0)).k
+        assert main(["srl", "--graph", str(tmp_path / "graph.txt"),
+                     "--labels", str(tmp_path / "labels.csv"), "--percentile", "0",
+                     "--variant", "full", "--out", str(tmp_path / "srl")]) == 0
+        assert shift_orders == [g.num_nodes, g.num_nodes + k]
 
     def test_ts_experiment_builds_one_shift_per_graph(self, shift_orders):
         graphs = [path_graph(6), star_graph(5)]

@@ -9,7 +9,9 @@ Effective resistance, a float sum in another order than its per-pair
 oracle, is compared within a relative 1e-9.
 """
 
+import importlib
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -53,6 +55,20 @@ from conftest import (as_block_set, block_degree_matrix, block_tuples, csr_by_di
                       two_hop_class_similarity_by_product, two_hop_neighbors)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def test_a_failing_example_can_be_reported(monkeypatch):
+    """On a failing example hypothesis imports `hypothesis.extra._patching`,
+    which imports libcst, whose `mypy_extensions.TypedDict` classes warn
+    on import. Under the suite's filters that warning must not be an
+    error, or the run stops with INTERNALERROR in place of the report.
+    `importorskip` imports with every warning ignored, so libcst is then
+    imported afresh, under the suite's filters."""
+    pytest.importorskip("libcst")
+    for name in [m for m in sys.modules
+                 if m.split(".")[0] == "libcst" or m == "hypothesis.extra._patching"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("hypothesis.extra._patching")
 
 
 # ---------------------------------------------------------------------------
