@@ -60,6 +60,8 @@ from .graph import (
     PERCENTILE_GRID,
     Graph,
     NodeData,
+    _edge_ends,
+    _edge_graph,
     compact_ids,
     degree_percentile,
     dump_edge_list,
@@ -67,7 +69,6 @@ from .graph import (
     first_repeat,
     fixed,
     int_array,
-    load_edge_list,
     load_features_csv,
     load_labels_csv,
     one_hot_labels,
@@ -91,7 +92,7 @@ from .partition import (
 )
 from .rewire import (RewiredGraph, Variant, build_rewired, dump_augmented_features_csv,
                      dump_rewired)
-from .spectral import dump_srl_csv, srl_report
+from .spectral import dump_srl_csv, observed_side, srl_report
 from .teacher_student import TrainConfig, run_ts_experiment
 
 class _Parser(argparse.ArgumentParser):
@@ -296,8 +297,12 @@ def _all_or_nothing(ns: argparse.Namespace) -> Iterator[None]:
 
 
 def _load_graph(path: str) -> tuple[Graph, np.ndarray]:
+    """The graph at `path` and the ids it keeps, as
+    `compact_ids(load_edge_list(fh))` gives them, but numbered from the
+    ids the rows mention, so nothing is allocated for the largest one."""
     with _opened("graph", path) as fh:
-        return compact_ids(load_edge_list(fh))
+        kept, ends = np.unique(_edge_ends(fh), return_inverse=True)
+    return _edge_graph(len(kept), ends.reshape(-1, 2)), kept
 
 
 def _load_labels(path: str, num_nodes: int) -> NodeData:
@@ -408,7 +413,7 @@ def _run_srl(ns) -> int:
     data = _load_labels(ns.labels, graph.num_nodes)
     rewired, _ = _rewiring(graph, ns)
     y = one_hot_labels(data.labels, data.train_mask)
-    report = srl_report(rewired, y, h_degree=ns.layers)
+    report = srl_report(observed_side(rewired, graph.shift), y, h_degree=ns.layers)
     with _written(ns, "srl.csv") as fh:
         dump_srl_csv(report, fh)
     return 0

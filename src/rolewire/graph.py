@@ -361,6 +361,13 @@ def load_edge_list(stream: IO[str]) -> Graph:
     wanted). Duplicate and reversed mentions of an edge collapse to one
     undirected edge; duplicates emit a warning.
     """
+    ends = _edge_ends(stream)
+    return _edge_graph(int(ends.max()) + 1, ends)
+
+
+def _edge_ends(stream: IO[str]) -> np.ndarray:
+    """The m x 2 int64 node ids of an edge list's rows, under the rules of
+    `load_edge_list`."""
     body = list(table_rows(stream, width=2, sep=None))
     if not body:
         raise EmptyGraphError("edge list holds no nodes")
@@ -376,8 +383,13 @@ def load_edge_list(stream: IO[str]) -> Graph:
             raise SelfLoopError(f"line {lineno}: self-loop at node {ends[i, 0]}")
         what = "negative node id" if negative[i] else f"node id above {MAX_NODE_ID}"
         raise ParseError(f"line {lineno}: {what} in {' '.join(fields)!r}")
-    ends = ends.astype(np.int64)
-    graph = graph_from_edges(int(ends.max()) + 1, ends)
+    return ends.astype(np.int64)
+
+
+def _edge_graph(num_nodes: int, ends: np.ndarray) -> Graph:
+    """The graph of edge-list rows on nodes 0..num_nodes-1, warning when
+    duplicate mentions collapse."""
+    graph = graph_from_edges(num_nodes, ends)
     if graph.num_edges < len(ends):
         warnings.warn(f"collapsed {len(ends) - graph.num_edges} duplicate edge mentions")
     return graph

@@ -249,10 +249,10 @@ def evaluate_candidates(
     tolerances often refine to the same partition, whose scores do not
     depend on the ε that produced it. Partitions are canonical, so equal
     ones have equal label arrays. Every grid entry keeps its own
-    percentile, ε and k. Each distinct partition is rewired as soon as
-    it is refined, and its observed side is read from the original
-    shift, which is built once and released before any rewired shift is
-    built. Each rewiring (and its dense shift) is released once scored.
+    percentile, ε and k. The observed side of each distinct partition's
+    rewiring is read from the original shift, which is built once and
+    released before any rewired shift is built. Each side, and with it
+    its rewiring and that rewiring's dense shift, is released once scored.
 
     Label information is restricted to the training mask throughout, both
     for the role energies and for the two-hop similarity.
@@ -263,20 +263,18 @@ def evaluate_candidates(
     grid = [(int(p), degree_percentile(graph, p)) for p in PERCENTILE_GRID]
     s_obs = graph.shift
     partitions: dict[float, Partition] = {}
-    pending: dict[bytes, tuple[RewiredGraph, ObservedSide]] = {}
+    pending: dict[bytes, ObservedSide] = {}
     for _, eps in grid:
         if eps in partitions:
             continue
         part = partitions[eps] = refine_eps_be(graph, eps)
         key = part.block_of.tobytes()
-        if key not in pending:          # the quotient reads refinement's last summary
-            pending[key] = (build_rewired(graph, part, variant, eps=eps),
-                            observed_side(part, s_obs))
+        if key not in pending:
+            pending[key] = observed_side(build_rewired(graph, part, variant, eps=eps), s_obs)
     del s_obs
     scores = {}
     for key in list(pending):
-        rewired, side = pending.pop(key)
-        scores[key] = _partition_scores(rewired, y, data, side)
+        scores[key] = _partition_scores(pending.pop(key), y, data)
     candidates = []
     for p, eps in grid:
         part = partitions[eps]
@@ -288,12 +286,13 @@ def evaluate_candidates(
 
 
 def _partition_scores(
-    rewired: RewiredGraph, y: np.ndarray, data: NodeData, observed: ObservedSide,
+    observed: ObservedSide, y: np.ndarray, data: NodeData,
 ) -> tuple[float, float, float]:
-    """(srl, rho, ncs2) of one rewiring on the training labels."""
-    report = srl_report(rewired, y, observed=observed)
+    """(srl, rho, ncs2) of the rewiring of one observed side on the
+    training labels."""
+    report = srl_report(observed, y)
     try:
-        ncs2 = two_hop_class_similarity(rewired, data.labels, data.train_mask)
+        ncs2 = two_hop_class_similarity(observed.rewired, data.labels, data.train_mask)
     except NoEligibleNodesError:
         ncs2 = 0.0
     return report.srl, report.rho, ncs2

@@ -8,16 +8,14 @@ counts to differ by at most eps (infinity norm over the count vector).
 cross-check the eps=0 case.
 
 A `Partition` stores only its canonical label array and block count;
-R, its membership indicator, is never formed. `refine_eps_be`,
-`validate_aep` and `quotient` all read one summary of the counts A @ R,
-made from the graph's CSR arrays by sorting: the keys row * k +
+R, its membership indicator, is never formed. Each refinement round,
+`validate_aep` and `quotient` make their own summary of the counts A @ R
+from the graph's CSR arrays by sorting: the keys row * k +
 block_of[indices] sort into runs, one per (node, column) count, and a
 second sort of those pairs by (block, column) gives each pair's sum,
 max and min over the block's members. None of them forms the product
 A @ R or any n x k or k x k dense array; the quotient Q is k x k CSR
-arrays with at most nnz(A) entries. The last summary made is kept,
-keyed by its graph and partition, so the quotient of the partition that
-refinement returns reads the summary of refinement's last round.
+arrays with at most nnz(A) entries.
 
 Refinement starts from the single block and stops as soon as
 `validate_aep` holds. Until then each round splits along the columns
@@ -33,7 +31,6 @@ O(m log m + s n log n) for s splitters at eps >= 1.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, NamedTuple, Optional, Sequence
@@ -153,24 +150,6 @@ def _block_counts(graph: Graph, partition: Partition) -> _BlockCounts:
                         np.maximum.reduceat(data, starts), lo)
 
 
-# (graph, partition, summary) of the last summary made, the two keys held
-# weakly: refinement ends on a summary of the partition it returns, and
-# the quotient of that partition reads it from here instead of sorting
-# the same keys again.
-_last_summary: tuple = ()
-
-
-def _summary(graph: Graph, partition: Partition) -> _BlockCounts:
-    """`_block_counts(graph, partition)`, reused when it was the last made."""
-    global _last_summary
-    last = _last_summary              # one read: another thread may replace it
-    if last and last[0]() is graph and last[1]() is partition:
-        return last[2]
-    counts = _block_counts(graph, partition)
-    _last_summary = (weakref.ref(graph), weakref.ref(partition), counts)
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
@@ -206,7 +185,7 @@ def refine_eps_be(graph: Graph, eps: float) -> Partition:
 def _refine_round(graph: Graph, part: Partition, eps: float) -> Optional[Partition]:
     """The partition one round makes of `part`, or None when no block's
     spread exceeds eps."""
-    counts = _summary(graph, part)
+    counts = _block_counts(graph, part)
     splitters = np.unique(counts.column[counts.hi - counts.lo > eps])
     if not len(splitters):
         return None
@@ -283,7 +262,7 @@ def _greedy_splits(part: Partition, counts: _BlockCounts, splitters: np.ndarray,
 
 def validate_aep(graph: Graph, partition: Partition, eps: float) -> bool:
     """True iff within every block each per-block count spread is <= eps."""
-    counts = _summary(graph, partition)
+    counts = _block_counts(graph, partition)
     return not (counts.hi - counts.lo).max(initial=0) > eps
 
 
@@ -295,7 +274,7 @@ def quotient(graph: Graph, partition: Partition) -> QuotientPair:
     largest deviation is at its max or min count (fl(c - q) is monotone
     in c); a pair with no stored count has q = 0 and deviation 0.
     """
-    counts = _summary(graph, partition)
+    counts = _block_counts(graph, partition)
     k = partition.k
     q = counts.sums / partition.block_sizes()[counts.block]
     residual = float(np.maximum(counts.hi - q, q - counts.lo).max(initial=0.0))

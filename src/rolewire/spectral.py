@@ -1,8 +1,9 @@
 """Dense symmetric spectral machinery for role-lift diagnostics.
 
-The dense shifts come from their owners, `Graph.shift` and
-`RewiredGraph.shift` (built by `graph.normalized_shift`, re-exported
-here), and `role_basis` is filled from the partition's labels. Everything
+The dense shifts come from their owners: the caller hands the original
+graph's `Graph.shift` to `observed_side`, and `srl_report` reads
+`RewiredGraph.shift` (both built by `graph.normalized_shift`, re-exported
+here); `role_basis` is filled from the partition's labels. Everything
 after is 64-bit dense linear algebra at desk scale. The central
 quantity is the spectral role lift: project the normalized shifts of the
 original and the augmented graph onto the (rotated) role basis, form one
@@ -11,23 +12,20 @@ eigenvalue exceeds the role's response on the original graph. Label
 energies in the role subspace weight the per-role contributions.
 
 The lift has two sides. The observed side (`observed_side`) reads only
-the original shift S_obs and the partition: the rotated basis c, each
-role's response c_j' S_obs c_j and the restriction c' S_obs c. The
-rewired side reads only the rewiring's shift. Every observed side is
-computed before any rewired shift is built, so S_obs (n x n) and a
-rewired shift ((n+k) x (n+k)) are never held at once.
-
-The lift is a property of one rewiring: `srl_report` takes the
-`RewiredGraph` and reads the original graph and the partition from it,
-so the roles it lifts are always the blocks the rewiring was built on;
-an observed side handed to it must be of that partition.
+S_obs and the rewiring's partition: the rotated basis c, each role's
+response c_j' S_obs c_j and the restriction c' S_obs c. It keeps the
+`RewiredGraph` it was read for, so `srl_report` lifts exactly the blocks
+that rewiring was built on, reading only the rewiring's shift. A caller
+that reads every observed side before any rewired shift is built, and
+then releases S_obs, never holds S_obs (n x n) and a rewired shift
+((n+k) x (n+k)) at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 
@@ -164,21 +162,23 @@ def rotate_basis(c: np.ndarray, s_obs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservedSide:
-    """What the lift reads of the original shift S_obs for one partition:
-    the rotated role basis c (n x k), each role's response
-    mu_obs[j] = c_j' S_obs c_j, and the restriction t_obs = c' S_obs c."""
+    """What the lift of `rewired` reads of the original shift S_obs: the
+    rotated role basis c (n x k) of the rewiring's partition, each role's
+    response mu_obs[j] = c_j' S_obs c_j, and the restriction
+    t_obs = c' S_obs c."""
 
-    partition: Partition
+    rewired: RewiredGraph
     c: np.ndarray
     mu_obs: np.ndarray
     t_obs: np.ndarray
 
 
-def observed_side(partition: Partition, s_obs: np.ndarray) -> ObservedSide:
-    """The observed side of the lift of `partition` on the shift s_obs."""
-    c = rotate_basis(role_basis(partition), s_obs)
+def observed_side(rewired: RewiredGraph, s_obs: np.ndarray) -> ObservedSide:
+    """The observed side of the lift of `rewired`, on s_obs, the shift of
+    the rewiring's original graph."""
+    c = rotate_basis(role_basis(rewired.partition), s_obs)
     mu_obs = np.array([c[:, j] @ s_obs @ c[:, j] for j in range(c.shape[1])])
-    return ObservedSide(partition, c, mu_obs, c.T @ s_obs @ c)
+    return ObservedSide(rewired, c, mu_obs, c.T @ s_obs @ c)
 
 
 def per_role_lift(
@@ -240,7 +240,7 @@ def commutator_norm(m1: np.ndarray, m2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SrlReport:
-    """Per-role spectral quantities plus the global lift diagnostics."""
+    """Per-role spectral quantities plus the diagnostics of the whole lift."""
 
     mu_obs: np.ndarray
     mu_rewired: np.ndarray
@@ -289,31 +289,17 @@ def bound_error(
     return kappa_max, kappa_max * e_tot * srl
 
 
-def srl_report(
-    rewired: RewiredGraph,
-    y: np.ndarray,
-    h_degree: int = 2,
-    observed: Optional[ObservedSide] = None,
-) -> SrlReport:
-    """Full spectral-role-lift pipeline for one rewiring.
+def srl_report(observed: ObservedSide, y: np.ndarray, h_degree: int = 2) -> SrlReport:
+    """Full spectral-role-lift pipeline for the rewiring of one observed side.
 
-    Reads the original graph and the partition from the rewiring. The
-    observed side is `observed`, which must be of the rewiring's
-    partition (else ValueError), or is computed here from `Graph.shift`,
-    which is released before `RewiredGraph.shift` is read. Each rotated
-    role direction is lifted through the rewired blocks, and the lifts
-    are aggregated with the label energies of y (n x C, zero rows for
-    unlabeled nodes).
+    Each rotated role direction of the side is lifted through the blocks
+    of the rewiring's shift, and the lifts are aggregated with the label
+    energies of y (n x C, zero rows for unlabeled nodes).
     """
-    graph, partition = rewired.graph, rewired.partition
-    n = graph.num_nodes
+    n = observed.rewired.origin_count
     if y.shape[0] != n:
         raise ValueError(f"labels have {y.shape[0]} rows, the graph has {n} nodes")
-    if observed is None:
-        observed = observed_side(partition, graph.shift)
-    elif not np.array_equal(observed.partition.block_of, partition.block_of):
-        raise ValueError("the observed side is of another partition than the rewiring's")
-    s_rew = rewired.shift
+    s_rew = observed.rewired.shift
     s_oo, s_vo, s_vv = s_rew[:n, :n], s_rew[n:, :n], s_rew[n:, n:]
 
     c = observed.c

@@ -409,17 +409,16 @@ def run_ts_experiment(
         for p in percentiles:
             eps = degree_percentile(graph, p)
             part = refine_eps_be(graph, eps)
-            pending.append((build_rewired(graph, part, variant, eps=eps),
-                            observed_side(part, s_obs)))
+            pending.append(observed_side(build_rewired(graph, part, variant, eps=eps), s_obs))
         del s_obs
         while pending:
-            rewired, side = pending.pop(0)      # released before the next shift is built
-            teacher_dims = [1 + rewired.partition.k] * num_layers + [d_out]
+            side = pending.pop(0)       # released, with its rewiring, before the next shift
+            teacher_dims = [1 + side.rewired.partition.k] * num_layers + [d_out]
             teacher = gaussian_init(teacher_dims, TEACHER_SIGMAS,
                                     derive_seed(config.seed, task))
-            y_true = teacher_labels(rewired, teacher)
-            report = srl_report(rewired, y_true, h_degree=num_layers, observed=side)
-            points.append((rewired.eps, report.srl))
+            y_true = teacher_labels(side.rewired, teacher)
+            report = srl_report(side, y_true, h_degree=num_layers)
+            points.append((side.rewired.eps, report.srl))
             inputs.append(propagated)
             targets.append(y_true)
             seeds.append(derive_seed(config.seed, task + 1))

@@ -35,6 +35,7 @@ from rolewire.partition import (
 from rolewire.rewire import Variant, build_rewired
 from rolewire.spectral import (
     normalized_shift,
+    observed_side,
     per_role_lift,
     role_basis,
     rotate_basis,
@@ -161,7 +162,7 @@ def test_criterion_6_srl_structural_sanity(corpus):
         for p in (0, 50, 100):
             eps = degree_percentile(g, p)
             part, rg = rewired_at(g, eps, Variant.REP_NODES)
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, g.shift), y)
             assert -1e-12 <= rep.rho <= 1.0 + 1e-12, (name, p)
             role_energy = rep.rho * rep.e_tot
             if role_energy > 1e-12:
@@ -182,7 +183,7 @@ def test_criterion_7_commutator_zero_at_single_block(corpus):
         eps = degree_percentile(g, 100)
         part, rg = rewired_at(g, eps, Variant.REP_NODES)
         assert part.k == 1
-        rep = srl_report(rg, train_label_matrix(g))
+        rep = srl_report(observed_side(rg, g.shift), train_label_matrix(g))
         assert rep.commutator_norm == 0.0, name
     report(7, "commutator norm is exactly zero for every single-block case")
 
@@ -229,7 +230,7 @@ def test_criterion_8_error_bound_on_commuting_instances():
             s_obs = normalized_shift(g.adjacency)
             x = np.ones((g.num_nodes, 1))
             y_obs = forward(s_obs, x, crop_to_observed(teacher, 1))
-            rep = srl_report(rg, y_true, h_degree=2)
+            rep = srl_report(observed_side(rg, g.shift), y_true, h_degree=2)
             if rep.commutator_norm >= 1e-8:
                 continue
             measured = float(((y_true - y_obs) ** 2).sum())

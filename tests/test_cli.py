@@ -16,7 +16,7 @@ from rolewire import cli
 from rolewire.cli import main, parse_args
 from rolewire.errors import UsageError
 from rolewire.generators import FAMILIES, make_graph
-from rolewire.graph import Graph, dump_edge_list
+from rolewire.graph import MAX_NODE_ID, Graph, dump_edge_list
 from rolewire.partition import refine_eps_be
 from rolewire.rewire import Variant, build_rewired
 
@@ -347,6 +347,25 @@ class TestExitCodes:
                                  "--out", tmp_path / "o"], capsys)
         assert code == 3 and stdout == ""
         assert err.startswith("ERR:INPUT: line 2:") and err.count("\n") == 1
+
+    def test_largest_node_id_loads_without_a_per_id_array(self, tmp_path):
+        """Ids are numbered densely before any per-node array is built, so
+        the largest id allowed loads under a 2 GiB address-space cap, where
+        one int64 per id up to it would take 22.6 GiB."""
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"0 1\n1 {MAX_NODE_ID}\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from rolewire.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(rolewire.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, "partition", "--graph", str(graph),
+                               "--eps", "0", "--out", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        meta = (tmp_path / "o" / "meta.txt").read_text()
+        assert f"remap=0:0;1:1;{MAX_NODE_ID}:2\n" in meta
 
     def test_select_eps_has_no_layers_flag(self, capsys, star_files):
         code, stdout, err = run(["select-eps", "--graph", star_files / "graph.txt",

@@ -193,3 +193,12 @@ def test_readme_library_example_runs(capsys):
                            flags=re.MULTILINE | re.DOTALL)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_no_module_rebinds_a_global():
+    """A `global` statement rebinds state that every caller in the process
+    shares, so one call's result or memory could depend on the calls made
+    before it."""
+    rebinds = [f"{module}:{node.lineno}" for module, tree in _trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert rebinds == []

@@ -6,9 +6,9 @@ Each case runs one verb in process at two sizes (`partition`, `rewire`
 and `effres` at the 25th degree percentile and `repnodes`), and compares
 the ratio of the two peaks with the ratio of the model's values. Peaks of one allocation sequence repeat
 exactly, so the bound needs no timing noise margin, only SLACK for the
-constant terms the model leaves out. `srl` and `select-eps` still build
-dense shifts (ROADMAP item 1), so their case bounds the peak by the
-largest one instead.
+constant terms the model leaves out. `srl`, `select-eps` (ROADMAP item
+1) and `ts-sim` (item 10) still build dense shifts, so their case bounds
+the peak by the largest one instead.
 """
 
 import contextlib
@@ -96,21 +96,25 @@ def test_labelled_gen_peak_grows_with_m_plus_n(family, tmp_path):
 
 
 @pytest.mark.parametrize("n", SIZES["tree"])
-@pytest.mark.parametrize("verb", ["srl", "select-eps"])
+@pytest.mark.parametrize("verb", ["srl", "select-eps", "ts-sim"])
 def test_one_dense_shift_at_a_time(verb, n, tmp_path):
-    """`srl` and `select-eps` read every observed side of the lift from the
-    n x n original shift before any rewired shift is built, so they hold
-    one dense shift at a time: their peak stays within 1.5 times the
-    largest rewired shift, 8 (n + k_max)^2 bytes. Holding the original
-    shift beside it reads about 2."""
+    """`srl`, `select-eps` and `ts-sim` read every observed side of the
+    lift from the n x n original shift before any rewired shift is built,
+    and release each rewiring once its lift is read, so they hold one
+    dense shift at a time: their peak stays within 1.5 times the largest
+    rewired shift, 8 (n + k_max)^2 bytes, k_max taken over the
+    percentiles the verb visits. Holding the original shift beside it
+    reads about 2."""
     graph, data = make_dataset("tree", n, num_classes=3, seed=0)
     with open(tmp_path / "graph.txt", "w") as fh:
         dump_edge_list(graph, fh)
     with open(tmp_path / "labels.csv", "w") as fh:
         dump_labels_csv(data, fh)
-    k_max = max(refine_eps_be(graph, degree_percentile(graph, p)).k for p in PERCENTILE_GRID)
-    args = {"srl": ["--percentile", "0", "--variant", "full", "--out", str(tmp_path / "out")],
-            "select-eps": ["--out", str(tmp_path / "out")]}[verb]
-    got = peak([verb, "--graph", str(tmp_path / "graph.txt"),
-                "--labels", str(tmp_path / "labels.csv"), *args])
+    percentiles = (0, 50, 100) if verb == "ts-sim" else PERCENTILE_GRID
+    k_max = max(refine_eps_be(graph, degree_percentile(graph, p)).k for p in percentiles)
+    inputs = ["--graph", str(tmp_path / "graph.txt"), "--labels", str(tmp_path / "labels.csv")]
+    args = {"srl": [*inputs, "--percentile", "0", "--variant", "full"],
+            "select-eps": inputs,
+            "ts-sim": ["--families", "tree", "--n", str(n), "--epochs", "5"]}[verb]
+    got = peak([verb, *args, "--out", str(tmp_path / "out")])
     assert got <= 1.5 * 8 * (n + k_max) ** 2, got / (8 * (n + k_max) ** 2)

@@ -458,9 +458,9 @@ class TestDistinctPartitions:
         calls = []
         original = metrics.srl_report
 
-        def counting(rewired, y, *args, **kwargs):
-            calls.append(rewired.partition.k)
-            return original(rewired, y, *args, **kwargs)
+        def counting(observed, y, *args, **kwargs):
+            calls.append(observed.rewired.partition.k)
+            return original(observed, y, *args, **kwargs)
 
         monkeypatch.setattr(metrics, "srl_report", counting)
         evaluate_candidates(graph, grid_data(graph))

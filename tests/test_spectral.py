@@ -387,7 +387,7 @@ class TestPerRoleLift:
     def test_dominates_diagonal(self, corpus):
         for _, g in corpus[:10]:
             part, rg, y = labeled_case(g, 1.0, Variant.REP_NODES)
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, rg.graph.shift), y)
             assert (rep.lambda_plus >= np.maximum(rep.mu_rewired, rep.nu) - 1e-10).all()
 
 
@@ -424,7 +424,7 @@ class TestCommutator:
             eps = float(g.degrees().max())
             part, rg, y = labeled_case(g, eps, Variant.REP_NODES)
             assert part.k == 1
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, rg.graph.shift), y)
             assert rep.commutator_norm == 0.0
 
     def test_diagonal_restrictions_commute(self):
@@ -463,14 +463,14 @@ class TestSrlPipeline:
     def test_zero_when_labels_off_roles(self, c4):
         part, rg, _ = labeled_case(c4, 0, Variant.REP_NODES)
         y = np.array([[1.0], [-1.0], [1.0], [-1.0]])   # orthogonal to constants
-        rep = srl_report(rg, y)
+        rep = srl_report(observed_side(rg, rg.graph.shift), y)
         assert rep.rho == pytest.approx(0.0)
         assert rep.srl == pytest.approx(0.0)
 
     def test_formula_consistency(self, corpus):
         for _, g in corpus[:10]:
             part, rg, y = labeled_case(g, 1.0, Variant.FULL)
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, rg.graph.shift), y)
             assert rep.srl == pytest.approx(
                 rep.rho * float((rep.omega * rep.delta ** 2).sum()), rel=1e-12)
             assert rep.negative_delta_count == int((rep.delta < 0).sum())
@@ -481,7 +481,7 @@ class TestSrlPipeline:
         for g in (star4, p3, c4, star_graph(5), path_graph(6), cycle_graph(6)):
             for eps in (0.0, 1.0):
                 part, rg, y = labeled_case(g, eps, variant)
-                rep = srl_report(rg, y)
+                rep = srl_report(observed_side(rg, rg.graph.shift), y)
                 expected = oracle_srl(g, rg, part, y)
                 assert rep.srl == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
@@ -490,14 +490,14 @@ class TestSrlPipeline:
             if g.num_nodes > 32:
                 continue
             part, rg, y = labeled_case(g, 1.0, Variant.REP_NODES)
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, rg.graph.shift), y)
             expected = oracle_srl(g, rg, part, y)
             assert rep.srl == pytest.approx(expected, rel=1e-8, abs=1e-12), name
 
     def test_structural_invariants(self, corpus):
         for _, g in corpus[:15]:
             part, rg, y = labeled_case(g, 0, Variant.REP_NODES)
-            rep = srl_report(rg, y)
+            rep = srl_report(observed_side(rg, rg.graph.shift), y)
             assert -1e-12 <= rep.rho <= 1.0 + 1e-12
             assert rep.omega.sum() == pytest.approx(1.0, abs=1e-12)
             assert rep.e_tot == pytest.approx((y ** 2).sum())
@@ -505,7 +505,7 @@ class TestSrlPipeline:
     def test_labels_need_one_row_per_node(self, star4):
         _, rg, y = labeled_case(star4, 0, Variant.REP_NODES)
         with pytest.raises(ValueError, match="rows"):
-            srl_report(rg, y[:-1])
+            srl_report(observed_side(rg, rg.graph.shift), y[:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(sorted(FAMILIES)), n=st.sampled_from([12, 20, 31]),
@@ -526,7 +526,8 @@ class TestSrlPipeline:
         renamed = graph_from_edges(graph.num_nodes, [(perm[u], perm[v]) for u, v in graph.edges()])
         y_renamed = np.empty_like(y)
         y_renamed[perm] = y
-        reports = [srl_report(build_rewired(g, refine_eps_be(g, 0.0), variant), labels_y)
+        reports = [srl_report(observed_side(build_rewired(g, refine_eps_be(g, 0.0), variant),
+                                            g.shift), labels_y)
                    for g, labels_y in ((graph, y), (renamed, y_renamed))]
         assert reports[0].k == reports[1].k
         for field in ("srl", "rho"):
@@ -569,21 +570,8 @@ class TestObservedSide:
         y[rng.random(graph.num_nodes) < 0.4] = 0.0
         assume(y.any())
         want = srl_report_oracle(build_rewired(graph, part, variant, eps=eps), y, h_degree)
-        assert_same_report(srl_report(build_rewired(graph, part, variant, eps=eps), y, h_degree),
-                           want)
-        side = observed_side(part, graph.shift)
-        assert_same_report(srl_report(build_rewired(graph, part, variant, eps=eps), y, h_degree,
-                                      observed=side), want)
-
-    def test_side_of_another_partition_is_rejected(self):
-        g = path_graph(7)
-        rg = build_rewired(g, refine_eps_be(g, 0.0), Variant.REP_NODES)   # {0,6} {1,5} {2,4} {3}
-        y = np.ones((7, 1))
-        for other in (refine_eps_be(g, 1.0), from_blocks(7, [[0, 1], [5, 6], [2, 4], [3]])):
-            with pytest.raises(ValueError, match="another partition"):
-                srl_report(rg, y, observed=observed_side(other, g.shift))
-        same = observed_side(refine_eps_be(g, 0.0), g.shift)   # equal blocks, another object
-        assert_same_report(srl_report(rg, y, observed=same), srl_report_oracle(rg, y))
+        rewired = build_rewired(graph, part, variant, eps=eps)
+        assert_same_report(srl_report(observed_side(rewired, graph.shift), y, h_degree), want)
 
 
 class TestShiftOwners:
