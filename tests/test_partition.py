@@ -6,18 +6,22 @@ every set partition, keeping the unique equitable one with fewest blocks.
 """
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from rolewire import partition
+from rolewire.cli import main
 from rolewire.errors import (
     EmptyGraphError,
     InputError,
     ParseError,
 )
-from rolewire.graph import Csr, graph_from_edges
+from rolewire.generators import make_graph
+from rolewire.graph import Csr, dump_edge_list, graph_from_edges
 from rolewire.partition import (
     Partition,
     QuotientPair,
@@ -29,6 +33,7 @@ from rolewire.partition import (
     refine_eps_be,
     validate_aep,
 )
+from rolewire.rewire import Variant, build_rewired
 
 from conftest import (
     SizeMismatchError, as_block_set, block_degree_matrix, block_tuples, complete_graph,
@@ -202,6 +207,47 @@ class TestQuotient:
         part = refine_eps_be(star4, 0)
         r = membership_matrix(part).toarray()
         assert np.array_equal(r.sum(axis=1), np.ones(4))
+
+
+class TestSummaryReuse:
+    """No block-count summary outlives the call that sorted it: one CSR-key
+    sort per refinement round, and the quotient of the refined partition
+    sorts once more instead of reading a summary kept from refinement."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = Counter()
+        for name in ("_block_counts", "_refine_round"):
+            def counting(*args, _original=getattr(partition, name), _name=name):
+                counted[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(partition, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("percentile", [0, 25, 50, 100])
+    def test_partition_verb(self, calls, tmp_path, percentile):
+        path = tmp_path / "g.txt"
+        with open(path, "w") as fh:
+            dump_edge_list(make_graph("lobster", 80, seed=1), fh)
+        assert main(["partition", "--graph", str(path), "--percentile", str(percentile),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls["_block_counts"] == calls["_refine_round"] + 1 > 1
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("variant", [Variant.FULL, Variant.REP_NODES, Variant.REP_EDGES])
+    def test_build_rewired_after_refinement(self, calls, eps, variant):
+        graph = make_graph("lobster", 80, seed=1)
+        build_rewired(graph, refine_eps_be(graph, eps), variant, eps=eps)
+        assert calls["_block_counts"] == calls["_refine_round"] + 1 > 1
+
+    def test_other_pairs_are_summarised_afresh(self, calls, star4, c4):
+        part = refine_eps_be(star4, 0.0)
+        rounds = calls["_refine_round"]
+        assert calls["_block_counts"] == rounds
+        quotient(star4, from_blocks(4, [[0, 1, 2, 3]]))        # another partition
+        quotient(c4, part)                                     # another graph
+        assert np.array_equal(quotient(star4, part).Q.toarray(), [[0.0, 3.0], [1.0, 0.0]])
+        assert calls["_block_counts"] == rounds + 3
 
 
 class TestColorRefinement:
